@@ -5,9 +5,10 @@ from __future__ import annotations
 
 import numpy as np
 
-from .combs import CombCircuit, compose_staircase
+from .combs import CombCircuit, ancilla_labels, compose_staircase
 from .layouts import SlotLayout, TwoSlotLayout
-from .spaces import LinOp, Spaces, permute_systems
+from .spaces import LinOp, Spaces
+from .twoslot import embed_block
 
 
 def haar_unitary(dim: int, rng: np.random.Generator) -> np.ndarray:
@@ -55,14 +56,7 @@ def random_staircase_circuit(layout: SlotLayout, seed: int) -> CombCircuit:
     """Seeded staircase with Haar-random elements respecting the ancilla chain."""
     ks = ancilla_chain(layout)
     rng = np.random.default_rng(seed)
-    taken = set(layout.labels)
-    anc_labels = []
-    for m in range(1, layout.n_slots + 1):
-        lab = f"anc{m}"
-        while lab in taken:
-            lab = "_" + lab
-        taken.add(lab)
-        anc_labels.append(lab)
+    anc_labels = ancilla_labels(layout)
     elements = []
     for m in range(layout.n_slots + 1):
         in_factors = [layout.factor(2 * m)]
@@ -73,7 +67,7 @@ def random_staircase_circuit(layout: SlotLayout, seed: int) -> CombCircuit:
             out_factors.append((anc_labels[m], ks[m + 1]))
         sp_in, sp_out = Spaces(tuple(in_factors)), Spaces(tuple(out_factors))
         elements.append(LinOp(sp_out, sp_in, haar_unitary(sp_in.dim, rng)))
-    return CombCircuit(layout, tuple(elements), ks, tuple(anc_labels))
+    return CombCircuit(layout, tuple(elements), ks, anc_labels)
 
 
 def random_pure_comb(layout: SlotLayout, seed: int) -> LinOp:
@@ -173,15 +167,5 @@ def build_direct_sum(
             raise ValueError("block input dimension does not match its past embedding")
         if u_blk.out_space.dim != f_e.shape[1] * d_slots_out:
             raise ValueError("block output dimension does not match its future embedding")
-        order_in = [layout.past[0], layout.a_out[0], layout.b_out[0]]
-        order_out = [layout.a_in[0], layout.b_in[0], layout.future[0]]
-        blk = _aligned_block(u_blk, order_in, order_out)
-        lift_in = np.kron(p_e, np.eye(d_slots_in))
-        lift_out = np.kron(np.eye(d_slots_out), f_e)
-        total += lift_out @ blk @ lift_in.conj().T
+        total += embed_block(u_blk, p_e, f_e, layout).data
     return LinOp(layout.out_space(), layout.in_space(), total)
-
-
-def _aligned_block(u: LinOp, order_in: list[str], order_out: list[str]) -> np.ndarray:
-    op = permute_systems(u, order_out + [lab for lab in order_in if lab not in order_out])
-    return op.data

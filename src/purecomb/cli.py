@@ -2,7 +2,8 @@
 
 Exit codes form a stable contract: 0 for a passing verdict or successful
 command, 1 for a verified-false or failed-construction verdict, 2 for
-malformed input or bad usage.
+malformed input, bad usage, or an internal error; --tol must be finite
+and > 0.
 
 Two-slot files use the positional role convention: input factors are
 (past, A-output, B-output) and output factors are (A-input, B-input,
@@ -15,13 +16,14 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
+import math
 import sys
 
 import numpy as np
 
 from . import builders, combs, twoslot
 from .errors import VerificationError
-from .io import MatrixFileError, file_digest, load_matrix, save_matrix
+from .io import file_digest, load_matrix, save_matrix
 from .layouts import SlotLayout, TwoSlotLayout
 from .spaces import LinOp, Spaces, is_unitary
 
@@ -231,18 +233,12 @@ def cmd_decompose(args) -> int:
             details["block_p_dims"] = list(decomp.p_dims)
             details["block_f_dims"] = list(decomp.f_dims)
             residuals["off-block"] = decomp.off_block_residual
-            blocks = {"ab": (decomp.block_ab, decomp.p_embed_ab, decomp.f_embed_ab),
-                      "ba": (decomp.block_ba, decomp.p_embed_ba, decomp.f_embed_ba)}
-            d_in = layout.a_out[1] * layout.b_out[1]
-            d_out = layout.a_in[1] * layout.b_in[1]
+            blocks = decomp.parts()
             for tag, (blk, p_e, f_e) in blocks.items():
                 if blk is None:
                     continue
-                embedded = (
-                    np.kron(np.eye(d_out), f_e) @ blk.data @ np.kron(p_e, np.eye(d_in)).conj().T
-                )
                 path = f"{args.out}.block-{tag}.json"
-                save_matrix(path, LinOp(layout.out_space(), layout.in_space(), embedded))
+                save_matrix(path, twoslot.embed_block(blk, p_e, f_e, layout))
                 written.append(path)
             # a single causally ordered block additionally gets its staircase
             present = [(tag, blk) for tag, (blk, _, _) in blocks.items() if blk is not None]
@@ -317,6 +313,13 @@ def cmd_assemble(args) -> int:
     return EXIT_PASS if ok else EXIT_FAIL
 
 
+def tolerance(raw: str) -> float:
+    tol = float(raw)
+    if not (math.isfinite(tol) and tol > 0):
+        raise argparse.ArgumentTypeError(f"tolerance must be finite and > 0, got {raw!r}")
+    return tol
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="purecomb", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
@@ -337,7 +340,7 @@ def build_parser() -> argparse.ArgumentParser:
                           choices=["pure-superchannel", "pure-comb", "comb-choi"])
     p_verify.add_argument("--dims", default=None)
     p_verify.add_argument("--order", default=None, help="chain order by label, e.g. H0,H1,H2,H3")
-    p_verify.add_argument("--tol", type=float, default=1e-8)
+    p_verify.add_argument("--tol", type=tolerance, default=1e-8)
     p_verify.add_argument("--json", action="store_true")
     p_verify.set_defaults(func=cmd_verify)
 
@@ -346,14 +349,14 @@ def build_parser() -> argparse.ArgumentParser:
     p_dec.add_argument("--kind", required=True, choices=["direct-sum", "staircase"])
     p_dec.add_argument("--dims", default=None)
     p_dec.add_argument("--order", default=None)
-    p_dec.add_argument("--tol", type=float, default=1e-8)
+    p_dec.add_argument("--tol", type=tolerance, default=1e-8)
     p_dec.add_argument("--out", required=True, help="output path prefix")
     p_dec.add_argument("--json", action="store_true")
     p_dec.set_defaults(func=cmd_decompose)
 
     p_asm = sub.add_parser("assemble", help="sum embedded block files back into one operator")
     p_asm.add_argument("paths", nargs="+")
-    p_asm.add_argument("--tol", type=float, default=1e-8)
+    p_asm.add_argument("--tol", type=tolerance, default=1e-8)
     p_asm.add_argument("--out", required=True)
     p_asm.add_argument("--json", action="store_true")
     p_asm.set_defaults(func=cmd_assemble)
@@ -368,11 +371,11 @@ def main(argv=None) -> int:
         return EXIT_USAGE if exc.code not in (0, None) else 0
     try:
         return args.func(args)
-    except (UsageError, MatrixFileError, ValueError, OSError) as exc:
-        if isinstance(exc, VerificationError):
-            print(f"error: {exc}", file=sys.stderr)
-            return EXIT_FAIL
+    except (ValueError, OSError) as exc:  # includes UsageError and MatrixFileError
         print(f"error: {exc}", file=sys.stderr)
+        return EXIT_FAIL if isinstance(exc, VerificationError) else EXIT_USAGE
+    except Exception as exc:  # a crash must not read as a verified-false verdict
+        print(f"error: internal {type(exc).__name__}: {' '.join(str(exc).split())}", file=sys.stderr)
         return EXIT_USAGE
 
 

@@ -111,6 +111,22 @@ def _slot_image(u: LinOp, layout: SlotLayout, n: int, sub: Subspace) -> Subspace
     return image(u, product_subspace(parts))
 
 
+def split_overlap(family, wire: Spaces, image_of, reduce) -> float:
+    """Worst overlap, over a vector family on one wire, between the reduced
+    image of each vector's span and the reduced image of its orthocomplement.
+
+    ``image_of`` maps a subspace of the wire to the image it restricts;
+    ``reduce`` contracts that image down to the factors that are compared.
+    """
+    worst = 0.0
+    for alpha in family:
+        sub = from_spanning(alpha.reshape(-1, 1), wire)
+        r_a = reduce(image_of(sub))
+        r_perp = reduce(image_of(complement(sub)))
+        worst = max(worst, orthogonality_residual(r_a, r_perp))
+    return worst
+
+
 def verify_pure_comb_unitary(
     u: LinOp, layout: SlotLayout, tol: float = ORTHO_TOL
 ) -> CombUnitaryReport:
@@ -125,21 +141,16 @@ def verify_pure_comb_unitary(
     if not ok_u:
         raise ValueError(f"operator is not unitary (residual {res_u:.2e})")
     layout.check_operator(u)
-    n_slots = layout.n_slots
     per_slot = []
-    for n in range(1, n_slots + 1):
+    for n in range(1, layout.n_slots + 1):
         lab, d = layout.factor(2 * n)
-        wire = Spaces(((lab, d),))
         earlier_outputs = [layout.factor(2 * k + 1)[0] for k in range(n)]
-        worst = 0.0
-        for alpha in spanning_family(d) + stability_vectors(d):
-            sub = from_spanning(alpha.reshape(-1, 1), wire)
-            v_a = _slot_image(u, layout, n, sub)
-            v_perp = _slot_image(u, layout, n, complement(sub))
-            r_a = reduced_subspace(v_a, earlier_outputs)
-            r_perp = reduced_subspace(v_perp, earlier_outputs)
-            worst = max(worst, orthogonality_residual(r_a, r_perp))
-        per_slot.append(worst)
+        per_slot.append(split_overlap(
+            spanning_family(d) + stability_vectors(d),
+            Spaces(((lab, d),)),
+            lambda sub: _slot_image(u, layout, n, sub),
+            lambda v: reduced_subspace(v, earlier_outputs),
+        ))
     worst_all = max(per_slot) if per_slot else 0.0
     return CombUnitaryReport(worst_all <= tol, worst_all, tuple(per_slot))
 
@@ -184,11 +195,18 @@ def verify_comb_choi(r, layout: SlotLayout, tol: float = 1e-8) -> CombChoiReport
     return CombChoiReport(ok, herm, min_eig, tuple(residuals), norm_res)
 
 
-def _fresh_label(base: str, taken: set[str]) -> str:
-    lab = base
-    while lab in taken:
-        lab = "_" + lab
-    return lab
+def ancilla_labels(layout: SlotLayout) -> tuple[str, ...]:
+    """Labels reserved for the ancilla wires A_1 .. A_N: 'anc<n>', prefixed
+    with underscores until it clashes with no layout or earlier ancilla label."""
+    taken = set(layout.labels)
+    labels = []
+    for m in range(1, layout.n_slots + 1):
+        lab = f"anc{m}"
+        while lab in taken:
+            lab = "_" + lab
+        taken.add(lab)
+        labels.append(lab)
+    return tuple(labels)
 
 
 def staircase_decompose(u: LinOp, layout: SlotLayout, tol: float = ORTHO_TOL) -> CombCircuit:
@@ -208,12 +226,7 @@ def staircase_decompose(u: LinOp, layout: SlotLayout, tol: float = ORTHO_TOL) ->
             f"(worst cross-overlap {report.max_residual:.2e})"
         )
     n_slots = layout.n_slots
-    taken = set(layout.labels)
-    anc_labels = []
-    for m in range(1, n_slots + 1):
-        lab = _fresh_label(f"anc{m}", taken)
-        taken.add(lab)
-        anc_labels.append(lab)
+    anc_labels = ancilla_labels(layout)
     if n_slots == 0:
         return CombCircuit(layout, (u,), (1, 1), ())
 
@@ -280,7 +293,7 @@ def staircase_decompose(u: LinOp, layout: SlotLayout, tol: float = ORTHO_TOL) ->
 
     elements.append(cur)  # U_0
     elements.reverse()
-    return CombCircuit(layout, tuple(elements), tuple(ks), tuple(anc_labels))
+    return CombCircuit(layout, tuple(elements), tuple(ks), anc_labels)
 
 
 def compose_staircase(c: CombCircuit) -> LinOp:

@@ -60,9 +60,6 @@ class SlotLayout:
         """Output of the representing operator: the odd-position factors."""
         return Spaces(self.odd_factors())
 
-    def dims_consistent(self) -> bool:
-        return self.in_space().dim == self.out_space().dim
-
     def check_operator(self, op) -> None:
         """Raise unless the operator's factors are exactly this layout's."""
         want_in = {lab: d for lab, d in self.even_factors()}
@@ -102,9 +99,6 @@ class TwoSlotLayout:
 
     def out_space(self) -> Spaces:
         return Spaces((self.a_in, self.b_in, self.future))
-
-    def dims_consistent(self) -> bool:
-        return self.in_space().dim == self.out_space().dim
 
     def slot_chain(self, order: str = "ab") -> SlotLayout:
         """View as a causally ordered chain, slot A first ('ab') or B first ('ba')."""

@@ -186,12 +186,11 @@ def reduced_subspace(w: Subspace, e_labels: Sequence[str], f_labels: Sequence[st
     f_space = w.ambient.select(rest)
     if w.dim == 0:
         return Subspace.zero(f_space)
-    d_e = w.ambient.select(e).dim
-    cols = []
-    for j in range(w.dim):
-        v = permute_systems(Vec(w.ambient, w.basis[:, j]), e + rest)
-        cols.append(v.data.reshape(d_e, f_space.dim).T)
-    return from_spanning(np.concatenate(cols, axis=1), f_space, w.built_tol)
+    # columns ordered by basis column j, then E index: (rest..., j, E...)
+    n = len(w.ambient)
+    axes = [w.ambient.index(lab) for lab in rest] + [n] + [w.ambient.index(lab) for lab in e]
+    mat = w.basis.reshape(w.ambient.dims + (w.dim,)).transpose(axes)
+    return from_spanning(mat.reshape(f_space.dim, -1), f_space, w.built_tol)
 
 
 def image(u: LinOp, s: Subspace, tol: float | None = None) -> Subspace:

@@ -12,11 +12,12 @@ finally restricts the operator to the two recovered blocks.
 from __future__ import annotations
 
 import dataclasses
+import itertools
 
 import numpy as np
 
 from .choi import choi_of_unitary
-from .combs import verify_pure_comb_unitary
+from .combs import split_overlap, verify_pure_comb_unitary
 from .errors import VerificationError
 from .families import spanning_family, stability_vectors
 from .layouts import TwoSlotLayout
@@ -58,6 +59,7 @@ __all__ = [
     "global_p_decomposition",
     "global_f_decomposition",
     "direct_sum_decompose",
+    "embed_block",
     "assemble",
     "classify",
     "trace_future_check",
@@ -80,6 +82,11 @@ class SubspaceTriple:
     def parts(self):
         return (self.forward, self.parallel, self.reverse)
 
+    @property
+    def overlap(self) -> float:
+        """Worst pairwise overlap of the three parts."""
+        return max(orthogonality_residual(s, t) for s, t in itertools.combinations(self.parts(), 2))
+
 
 @dataclasses.dataclass(frozen=True)
 class SuperchannelReport:
@@ -95,8 +102,7 @@ class SuperchannelReport:
 
 
 def _canonical(u: LinOp, layout: TwoSlotLayout) -> LinOp:
-    want_in = [layout.past[0], layout.a_out[0], layout.b_out[0]]
-    want_out = [layout.a_in[0], layout.b_in[0], layout.future[0]]
+    want_in, want_out = list(layout.in_space().labels), list(layout.out_space().labels)
     if set(u.in_space.labels) != set(want_in) or set(u.out_space.labels) != set(want_out):
         raise ValueError(
             f"operator factors {u.in_space.labels} -> {u.out_space.labels} do not match "
@@ -162,23 +168,20 @@ def verify_pure_superchannel(
     on the A wire alone stay orthogonal keeping the B input and future.
     'b-side': the mirrored statement for the B wire.
     """
-    pipe = _Pipeline(u, layout, tol)
+    return _verify(_Pipeline(u, layout, tol))
+
+
+def _verify(pipe: _Pipeline) -> SuperchannelReport:
+    layout = pipe.layout
     fam_a = spanning_family(layout.a_out[1]) + stability_vectors(layout.a_out[1])
     fam_b = spanning_family(layout.b_out[1]) + stability_vectors(layout.b_out[1])
 
-    worst_a = 0.0
-    for alpha in fam_a:
-        sub = pipe.sub_a(alpha)
-        r1 = pipe.reduced_keep_bf(pipe.v_of(sub, None))
-        r2 = pipe.reduced_keep_bf(pipe.v_of(complement(sub), None))
-        worst_a = max(worst_a, orthogonality_residual(r1, r2))
-
-    worst_b = 0.0
-    for beta in fam_b:
-        sub = pipe.sub_b(beta)
-        r1 = pipe.reduced_keep_af(pipe.v_of(None, sub))
-        r2 = pipe.reduced_keep_af(pipe.v_of(None, complement(sub)))
-        worst_b = max(worst_b, orthogonality_residual(r1, r2))
+    worst_a = split_overlap(
+        fam_a, pipe.ao_space, lambda sub: pipe.v_of(sub, None), pipe.reduced_keep_bf
+    )
+    worst_b = split_overlap(
+        fam_b, pipe.bo_space, lambda sub: pipe.v_of(None, sub), pipe.reduced_keep_af
+    )
 
     worst_joint = 0.0
     for alpha in fam_a:
@@ -191,7 +194,7 @@ def verify_pure_superchannel(
             worst_joint = max(worst_joint, orthogonality_residual(r1, r2))
 
     residuals = {"joint": worst_joint, "a-side": worst_a, "b-side": worst_b}
-    return SuperchannelReport(max(residuals.values()) <= tol, residuals)
+    return SuperchannelReport(max(residuals.values()) <= pipe.tol, residuals)
 
 
 def _point_triples(pipe: _Pipeline, alpha: np.ndarray, beta: np.ndarray):
@@ -212,11 +215,7 @@ def _point_triples(pipe: _Pipeline, alpha: np.ndarray, beta: np.ndarray):
     f_triple = SubspaceTriple(f_fwd, f_par, f_rev)
 
     got = sum(f_triple.dims)
-    pair_res = max(
-        orthogonality_residual(f_fwd, f_par),
-        orthogonality_residual(f_fwd, f_rev),
-        orthogonality_residual(f_par, f_rev),
-    )
+    pair_res = f_triple.overlap
     if got != f_ab.dim or pair_res > pipe.tol:
         raise VerificationError(
             f"future split at a slot-output pair failed: dims {f_triple.dims} vs "
@@ -238,12 +237,7 @@ def _point_triples(pipe: _Pipeline, alpha: np.ndarray, beta: np.ndarray):
             cols[:, j] = contract_bra(bra, w).data
         p_parts.append(from_spanning(cols, pipe.p_space))
     p_triple = SubspaceTriple(*p_parts)
-
-    p_res = max(
-        orthogonality_residual(p_parts[0], p_parts[1]),
-        orthogonality_residual(p_parts[0], p_parts[2]),
-        orthogonality_residual(p_parts[1], p_parts[2]),
-    )
+    p_res = p_triple.overlap
     if sum(p_triple.dims) != pipe.p_space.dim or p_res > pipe.tol:
         raise VerificationError(
             f"past split at a slot-output pair failed: dims {p_triple.dims} "
@@ -277,7 +271,11 @@ def global_p_decomposition(u: LinOp, layout: TwoSlotLayout, tol: float = ORTHO_T
     over the full grid.  A batch of random vectors must leave every
     dimension unchanged; any change is a hard error.
     """
-    pipe = _Pipeline(u, layout, tol)
+    return _global_p(_Pipeline(u, layout, tol))
+
+
+def _global_p(pipe: _Pipeline) -> SubspaceTriple:
+    layout, tol = pipe.layout, pipe.tol
     d_a, d_b = layout.a_out[1], layout.b_out[1]
     fam_a, fam_b = spanning_family(d_a), spanning_family(d_b)
     rand_a, rand_b = stability_vectors(d_a), stability_vectors(d_b)
@@ -312,11 +310,7 @@ def global_p_decomposition(u: LinOp, layout: TwoSlotLayout, tol: float = ORTHO_T
             )
 
     triple = SubspaceTriple(p_fwd, p_par, p_rev)
-    res = max(
-        orthogonality_residual(p_fwd, p_par),
-        orthogonality_residual(p_fwd, p_rev),
-        orthogonality_residual(p_par, p_rev),
-    )
+    res = triple.overlap
     if sum(triple.dims) != pipe.p_space.dim or res > tol:
         raise VerificationError(
             f"global past split inconsistent: dims {triple.dims}, overlap {res:.2e}"
@@ -333,7 +327,10 @@ def global_f_decomposition(
     past part with both slot wires free; the image must factor as
     (slot inputs) (x) (future part), which is checked dimensionally.
     """
-    pipe = _Pipeline(u, layout, tol)
+    return _global_f(_Pipeline(u, layout, tol), p_triple)
+
+
+def _global_f(pipe: _Pipeline, p_triple: SubspaceTriple) -> SubspaceTriple:
     d_slots = pipe.ai_space.dim * pipe.bi_space.dim
     parts = []
     for p_part in p_triple.parts():
@@ -349,12 +346,8 @@ def global_f_decomposition(
             )
         parts.append(f_part)
     triple = SubspaceTriple(*parts)
-    res = max(
-        orthogonality_residual(parts[0], parts[1]),
-        orthogonality_residual(parts[0], parts[2]),
-        orthogonality_residual(parts[1], parts[2]),
-    )
-    if sum(triple.dims) != pipe.f_space.dim or res > tol:
+    res = triple.overlap
+    if sum(triple.dims) != pipe.f_space.dim or res > pipe.tol:
         raise VerificationError(
             f"global future split inconsistent: dims {triple.dims}, overlap {res:.2e}"
         )
@@ -391,6 +384,11 @@ class DirectSumDecomp:
     @property
     def f_dims(self) -> tuple[int, int]:
         return (self.f_embed_ab.shape[1], self.f_embed_ba.shape[1])
+
+    def parts(self) -> dict:
+        """(block, past embedding, future embedding) keyed by order tag."""
+        return {"ab": (self.block_ab, self.p_embed_ab, self.f_embed_ab),
+                "ba": (self.block_ba, self.p_embed_ba, self.f_embed_ba)}
 
 
 def _ordered_embed(s: Subspace) -> np.ndarray:
@@ -433,14 +431,14 @@ def direct_sum_decompose(u: LinOp, layout: TwoSlotLayout, tol: float = ORTHO_TOL
     combs of their respective order, and any off-block matrix weight
     beyond the tolerance is an error.
     """
-    report = verify_pure_superchannel(u, layout, tol)
+    pipe = _Pipeline(u, layout, tol)
+    report = _verify(pipe)
     if not report.ok:
         raise VerificationError(
             f"operator fails the reversibility-preservation conditions: {report.residuals}"
         )
-    pipe = _Pipeline(u, layout, tol)
-    p_triple = global_p_decomposition(u, layout, tol)
-    f_triple = global_f_decomposition(u, layout, p_triple, tol)
+    p_triple = _global_p(pipe)
+    f_triple = _global_f(pipe, p_triple)
 
     p_ab = sum_subspaces(p_triple.forward, p_triple.parallel)
     p_ba = p_triple.reverse
@@ -510,6 +508,18 @@ def direct_sum_decompose(u: LinOp, layout: TwoSlotLayout, tol: float = ORTHO_TOL
     return dataclasses.replace(decomp, classification=classify(decomp, layout))
 
 
+def embed_block(
+    blk: LinOp, p_embed: np.ndarray, f_embed: np.ndarray, layout: TwoSlotLayout
+) -> LinOp:
+    """Place a block into the full spaces through its past/future
+    embeddings; the block's factors may be stored in any order."""
+    mat = permute_systems(blk, layout.in_space().labels + layout.out_space().labels).data
+    d_in_slots = layout.a_out[1] * layout.b_out[1]
+    d_out_slots = layout.a_in[1] * layout.b_in[1]
+    embedded = np.kron(np.eye(d_out_slots), f_embed) @ mat @ np.kron(p_embed, np.eye(d_in_slots)).conj().T
+    return LinOp(layout.out_space(), layout.in_space(), embedded)
+
+
 def assemble(d: DirectSumDecomp) -> LinOp:
     """Embed the blocks back into the full spaces and sum them."""
     layout = d.layout
@@ -517,19 +527,10 @@ def assemble(d: DirectSumDecomp) -> LinOp:
         raise ValueError("past embeddings do not tile the past space")
     if d.f_embed_ab.shape[1] + d.f_embed_ba.shape[1] != layout.future[1]:
         raise ValueError("future embeddings do not tile the future space")
-    d_in_slots = layout.a_out[1] * layout.b_out[1]
-    d_out_slots = layout.a_in[1] * layout.b_in[1]
     total = np.zeros((layout.out_space().dim, layout.in_space().dim), dtype=np.complex128)
-    for blk, p_e, f_e in (
-        (d.block_ab, d.p_embed_ab, d.f_embed_ab),
-        (d.block_ba, d.p_embed_ba, d.f_embed_ba),
-    ):
-        if blk is None:
-            continue
-        want_in = [layout.past[0], layout.a_out[0], layout.b_out[0]]
-        want_out = [layout.a_in[0], layout.b_in[0], layout.future[0]]
-        mat = permute_systems(blk, want_in + want_out).data
-        total += np.kron(np.eye(d_out_slots), f_e) @ mat @ np.kron(p_e, np.eye(d_in_slots)).conj().T
+    for blk, p_e, f_e in d.parts().values():
+        if blk is not None:
+            total += embed_block(blk, p_e, f_e, layout).data
     out = LinOp(layout.out_space(), layout.in_space(), total)
     ok, res = is_unitary(out)
     if not ok:
@@ -563,21 +564,12 @@ def trace_future_check(d: DirectSumDecomp) -> TraceFutureReport:
     traced_blocks: list[LinOp | None] = []
     acc = None
     weights = []
-    d_in_slots = layout.a_out[1] * layout.b_out[1]
-    d_out_slots = layout.a_in[1] * layout.b_in[1]
-    want_in = [layout.past[0], layout.a_out[0], layout.b_out[0]]
-    want_out = [layout.a_in[0], layout.b_in[0], layout.future[0]]
-    for blk, p_e, f_e in (
-        (d.block_ab, d.p_embed_ab, d.f_embed_ab),
-        (d.block_ba, d.p_embed_ba, d.f_embed_ba),
-    ):
+    for blk, p_e, f_e in d.parts().values():
         if blk is None:
             traced_blocks.append(None)
             weights.append(0.0)
             continue
-        mat = permute_systems(blk, want_in + want_out).data
-        embedded = np.kron(np.eye(d_out_slots), f_e) @ mat @ np.kron(p_e, np.eye(d_in_slots)).conj().T
-        w_blk = choi_of_unitary(LinOp(layout.out_space(), layout.in_space(), embedded))
+        w_blk = choi_of_unitary(embed_block(blk, p_e, f_e, layout))
         traced = partial_trace(w_blk.op, [f_label])
         traced_blocks.append(traced)
         weights.append(float(np.trace(w_blk.op.data).real))

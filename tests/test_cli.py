@@ -4,6 +4,7 @@ import os
 import numpy as np
 import pytest
 
+from purecomb import builders
 from purecomb.cli import main
 from purecomb.io import MatrixFileError, file_digest, load_matrix, save_matrix
 from purecomb.spaces import LinOp, Spaces, phase_distance
@@ -209,3 +210,37 @@ class TestDecomposeAssemble:
         save_matrix(pa, a)
         # summing a block with itself is not unitary
         assert main(["assemble", str(pa), str(pa), "--out", str(tmp_path / "o.json")]) == 1
+
+
+class TestExitContract:
+    @pytest.mark.parametrize("tol", ["inf", "nan", "0", "-1"])
+    def test_bad_tol_exit_2(self, tol, tmp_path, capsys):
+        out = tmp_path / "o"
+        argvs = [
+            ["verify", RANDOM_U, "--kind", "pure-superchannel"],
+            ["verify", SWITCH, "--kind", "pure-superchannel"],
+            ["decompose", SWITCH, "--kind", "direct-sum", "--out", str(out)],
+            ["assemble", SWITCH, "--out", str(out)],
+        ]
+        for argv in argvs:
+            assert main(argv + [f"--tol={tol}"]) == 2
+            assert "finite and > 0" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+
+    def test_crash_maps_to_exit_2(self, tmp_path, monkeypatch, capsys):
+        def exhausted(*args, **kwargs):
+            raise MemoryError("cannot allocate\nthe matrix")
+
+        monkeypatch.setattr(builders, "build_quantum_switch", exhausted)
+        assert main(["build", "switch", "--out", str(tmp_path / "sw.json")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "MemoryError" in err
+        assert len(err.strip().splitlines()) == 1
+
+    def test_interrupt_is_not_swallowed(self, tmp_path, monkeypatch):
+        def interrupted(*args, **kwargs):
+            raise KeyboardInterrupt
+
+        monkeypatch.setattr(builders, "build_quantum_switch", interrupted)
+        with pytest.raises(KeyboardInterrupt):
+            main(["build", "switch", "--out", str(tmp_path / "sw.json")])

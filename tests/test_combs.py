@@ -179,6 +179,24 @@ class TestStaircaseDecompose:
             assert phase_distance(compose_staircase(c), u) < 1e-7
 
 
+class TestAncillaLabels:
+    def test_taken_label_gets_underscore_prefix(self):
+        lay = SlotLayout.of(("anc1", 4), ("H1", 2), ("H2", 2), ("H3", 4))
+        from_builder = random_staircase_circuit(lay, 21)
+        from_peeling = staircase_decompose(compose_staircase(from_builder), lay)
+        for circuit in (from_builder, from_peeling):
+            assert circuit.ancilla_dims == (1, 2, 1)
+            assert circuit.ancilla_labels == ("_anc1",)
+            assert circuit.elements[0].out_space.labels == ("H1", "_anc1")
+
+    def test_prefix_repeats_until_free(self):
+        lay = SlotLayout.of(("anc1", 4), ("_anc1", 2), ("H2", 2), ("H3", 2), ("anc2", 2),
+                            ("H5", 4))
+        assert random_staircase_circuit(lay, 22).ancilla_labels == ("__anc1", "_anc2")
+        u = random_pure_comb(lay, 22)
+        assert staircase_decompose(u, lay).ancilla_labels == ("__anc1", "_anc2")
+
+
 class TestComposeStaircase:
     def test_single_element(self):
         rng = np.random.default_rng(7)

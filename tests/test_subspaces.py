@@ -171,22 +171,35 @@ class TestReducedSubspace:
         assert angle_sine(out, x) < 1e-10
 
     def test_density_support_oracle(self):
-        # span of supports of the E-traced projectors of random members
+        # span of supports of the E-traced projectors of random members, with
+        # E first, in the middle, last, split over two labels, and with the
+        # remaining factors requested in a non-ambient order
         rng = np.random.default_rng(11)
-        sp = Spaces.of(("E", 2), ("F", 3))
-        for _ in range(10):
-            w = _random_subspace(sp, rng.integers(1, 4), rng)
-            got = reduced_subspace(w, ["E"])
-            vecs = []
-            for _ in range(50):
-                c = rng.standard_normal(w.dim) + 1j * rng.standard_normal(w.dim)
-                eta = (w.basis @ c).reshape(2, 3)
-                rho = eta.T @ eta.conj()  # trace over E in these coordinates
-                evals, evecs = np.linalg.eigh(rho)
-                vecs.append(evecs[:, evals > 1e-10])
-            oracle = from_spanning(np.concatenate(vecs, axis=1), Spaces.of(("F", 3)))
-            assert got.dim == oracle.dim
-            assert angle_sine(got, oracle) < 1e-8
+        cases = [
+            (Spaces.of(("E", 2), ("F", 3)), ["E"], None),
+            (Spaces.of(("X", 2), ("E", 3), ("Y", 2)), ["E"], None),
+            (Spaces.of(("X", 2), ("Y", 3), ("E", 2)), ["E"], None),
+            (Spaces.of(("E1", 2), ("F", 3), ("E2", 2)), ["E2", "E1"], None),
+            (Spaces.of(("X", 2), ("E", 2), ("Y", 3)), ["E"], ["Y", "X"]),
+        ]
+        for sp, e, f in cases:
+            rest = f if f is not None else [lab for lab in sp.labels if lab not in e]
+            f_space = sp.select(rest)
+            axes = [sp.index(lab) for lab in e + rest]
+            for _ in range(10):
+                w = _random_subspace(sp, rng.integers(1, 4), rng)
+                got = reduced_subspace(w, e, f)
+                assert got.ambient == f_space
+                vecs = []
+                for _ in range(50):
+                    c = rng.standard_normal(w.dim) + 1j * rng.standard_normal(w.dim)
+                    eta = (w.basis @ c).reshape(sp.dims).transpose(axes).reshape(-1, f_space.dim)
+                    rho = eta.T @ eta.conj()  # trace over E in these coordinates
+                    evals, evecs = np.linalg.eigh(rho)
+                    vecs.append(evecs[:, evals > 1e-10])
+                oracle = from_spanning(np.concatenate(vecs, axis=1), f_space)
+                assert got.dim == oracle.dim
+                assert angle_sine(got, oracle) < 1e-8
 
     def test_monotone(self):
         rng = np.random.default_rng(12)

@@ -16,6 +16,7 @@ from purecomb.subspaces import Subspace, angle_sine, equal_subspaces
 from purecomb.twoslot import (
     assemble,
     direct_sum_decompose,
+    embed_block,
     f_point_decomposition,
     global_f_decomposition,
     global_p_decomposition,
@@ -393,6 +394,23 @@ class TestAssemble:
         bad = dataclasses.replace(d, p_embed_ba=d.p_embed_ba[:, :1])
         with pytest.raises(ValueError):
             assemble(bad)
+
+
+class TestEmbedBlock:
+    def test_permuted_block_factors_embed_canonically(self):
+        u, lay = build_quantum_switch(2)
+        d = direct_sum_decompose(u, lay)
+        total = np.zeros_like(u.data)
+        for blk, p_e, f_e in ((d.block_ab, d.p_embed_ab, d.f_embed_ab),
+                              (d.block_ba, d.p_embed_ba, d.f_embed_ba)):
+            canonical = embed_block(blk, p_e, f_e, lay)
+            shuffled = permute_systems(blk, ["F", "BI", "AI", "BO", "AO", "P"])
+            assert shuffled.out_space.labels == ("F", "BI", "AI")
+            assert np.array_equal(embed_block(shuffled, p_e, f_e, lay).data, canonical.data)
+            assert canonical.out_space == lay.out_space()
+            assert canonical.in_space == lay.in_space()
+            total += canonical.data
+        assert np.array_equal(total, assemble(d).data)
 
 
 class TestTraceFutureCheck:
