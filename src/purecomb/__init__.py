@@ -46,6 +46,7 @@ from .subspaces import (
     subset_residual,
     sum_subspaces,
 )
+from .families import spanning_family
 from .choi import ChoiOp, apply_channel, choi_of_unitary, choi_vector, link_product, plug_unitaries
 from .combs import (
     CombChoiReport,
@@ -68,7 +69,6 @@ from .twoslot import (
     global_f_decomposition,
     global_p_decomposition,
     p_point_decomposition,
-    spanning_family,
     trace_future_check,
     verify_pure_superchannel,
 )

@@ -3,7 +3,9 @@
 Exit codes form a stable contract: 0 for a passing verdict or successful
 command, 1 for a verified-false or failed-construction verdict, 2 for
 malformed input, bad usage, or an internal error; --tol must be finite
-and > 0.
+and > 0.  verify --kind pure-superchannel and --kind pure-comb take
+unitaries only: their closed-form identities characterize the class only
+for unitaries, so a non-unitary file is malformed (2), not "not in class".
 
 Two-slot files use the positional role convention: input factors are
 (past, A-output, B-output) and output factors are (A-input, B-input,

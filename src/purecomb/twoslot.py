@@ -2,11 +2,13 @@
 orthogonality conditions and the constructive splitting into an orthogonal
 direct sum of two causally ordered blocks (A-first and B-first).
 
-The pipeline works pointwise on pairs of slot-output vectors (alpha, beta),
-splits the reachable future at each point into a forward part (signals
-A -> B), a reverse part (signals B -> A) and a parallel part, pulls the
-split back to the global past, aggregates over a polarization family, and
-finally restricts the operator to the two recovered blocks.
+Verification evaluates each condition as one closed-form identity on the
+unitary, with no vector family and no rank decision.  The splitting works
+pointwise on pairs of slot-output vectors (alpha, beta), splits the
+reachable future at each point into a forward part (signals A -> B), a
+reverse part (signals B -> A) and a parallel part, pulls the split back to
+the global past, aggregates over a polarization family, and finally
+restricts the operator to the two recovered blocks.
 """
 
 from __future__ import annotations
@@ -17,7 +19,7 @@ import itertools
 import numpy as np
 
 from .choi import choi_of_unitary
-from .combs import split_overlap, verify_pure_comb_unitary
+from .combs import signalling_residual, verify_pure_comb_unitary
 from .errors import VerificationError
 from .families import spanning_family, stability_vectors
 from .layouts import TwoSlotLayout
@@ -52,7 +54,6 @@ __all__ = [
     "SuperchannelReport",
     "DirectSumDecomp",
     "TraceFutureReport",
-    "spanning_family",
     "verify_pure_superchannel",
     "f_point_decomposition",
     "p_point_decomposition",
@@ -90,8 +91,9 @@ class SubspaceTriple:
 
 @dataclasses.dataclass(frozen=True)
 class SuperchannelReport:
-    """Verification outcome; residuals are worst cross-overlaps of reduced
-    images for the three condition groups."""
+    """Verification outcome.  Residuals are max-norm distances from the
+    three conditions, keyed 'joint', 'a-side' and 'b-side': each is 0 for
+    an operator in the class and grows linearly under a perturbation."""
 
     ok: bool
     residuals: dict
@@ -135,26 +137,12 @@ class _Pipeline:
         self.f_space = Spaces((layout.future,))
         self.out_space = self.u.out_space
 
-    def sub_a(self, alpha: np.ndarray) -> Subspace:
-        return from_spanning(alpha.reshape(-1, 1), self.ao_space)
-
-    def sub_b(self, beta: np.ndarray) -> Subspace:
-        return from_spanning(beta.reshape(-1, 1), self.bo_space)
-
-    def v_of(self, a_sub: Subspace | None, b_sub: Subspace | None) -> Subspace:
-        """Image of past (x) a_sub (x) b_sub; None means the full wire."""
-        a = a_sub if a_sub is not None else Subspace.full(self.ao_space)
-        b = b_sub if b_sub is not None else Subspace.full(self.bo_space)
-        return image(self.u, product_subspace([self.p_space, a, b]))
+    def v_of(self, a_sub: Subspace, b_sub: Subspace) -> Subspace:
+        """Image of past (x) a_sub (x) b_sub."""
+        return image(self.u, product_subspace([self.p_space, a_sub, b_sub]))
 
     def reduced_f(self, v: Subspace) -> Subspace:
         return reduced_subspace(v, [self.ai_space.labels[0], self.bi_space.labels[0]])
-
-    def reduced_keep_bf(self, v: Subspace) -> Subspace:
-        return reduced_subspace(v, [self.ai_space.labels[0]])
-
-    def reduced_keep_af(self, v: Subspace) -> Subspace:
-        return reduced_subspace(v, [self.bi_space.labels[0]])
 
 
 def verify_pure_superchannel(
@@ -167,34 +155,58 @@ def verify_pure_superchannel(
     images after reducing both slot inputs.  'a-side': orthogonal outputs
     on the A wire alone stay orthogonal keeping the B input and future.
     'b-side': the mirrored statement for the B wire.
+
+    For a unitary these are the identities: the A (B) output does not
+    signal to the A (B) input (``combs.signalling_residual``), and the
+    joint component of ``_joint_residual`` vanishes.  They characterize the
+    class only for unitaries, so other input is malformed (ValueError).
     """
     return _verify(_Pipeline(u, layout, tol))
 
 
 def _verify(pipe: _Pipeline) -> SuperchannelReport:
+    """The three closed-form residuals of the pipeline's canonical unitary."""
     layout = pipe.layout
-    fam_a = spanning_family(layout.a_out[1]) + stability_vectors(layout.a_out[1])
-    fam_b = spanning_family(layout.b_out[1]) + stability_vectors(layout.b_out[1])
-
-    worst_a = split_overlap(
-        fam_a, pipe.ao_space, lambda sub: pipe.v_of(sub, None), pipe.reduced_keep_bf
-    )
-    worst_b = split_overlap(
-        fam_b, pipe.bo_space, lambda sub: pipe.v_of(None, sub), pipe.reduced_keep_af
-    )
-
-    worst_joint = 0.0
-    for alpha in fam_a:
-        sub_a = pipe.sub_a(alpha)
-        sub_a_bar = complement(sub_a)
-        for beta in fam_b:
-            sub_b = pipe.sub_b(beta)
-            r1 = pipe.reduced_f(pipe.v_of(sub_a, sub_b))
-            r2 = pipe.reduced_f(pipe.v_of(sub_a_bar, complement(sub_b)))
-            worst_joint = max(worst_joint, orthogonality_residual(r1, r2))
-
-    residuals = {"joint": worst_joint, "a-side": worst_a, "b-side": worst_b}
+    residuals = {
+        "joint": _joint_residual(pipe),
+        "a-side": signalling_residual(pipe.u, layout.a_out[0], [layout.a_in[0]]),
+        "b-side": signalling_residual(pipe.u, layout.b_out[0], [layout.b_in[0]]),
+    }
     return SuperchannelReport(max(residuals.values()) <= pipe.tol, residuals)
+
+
+def _joint_residual(pipe: _Pipeline) -> float:
+    """Max-abs of the (1 - Pi_AO)(1 - Pi_BO) component of
+    Tr_F[U (Y (x) X_A (x) X_B) U^dagger] over basis operators Y, X_A, X_B,
+    where Pi is the trace projection X -> Tr(X) I / d.
+
+    The traceless operators are the span of |alpha'><alpha| with alpha'
+    orthogonal to alpha, so this is 0 exactly when the joint condition holds.
+    One (a, a', b, b') block of (d_AI d_BI d_P)^2 entries is formed at a time.
+    """
+    d_a, d_b = pipe.ao_space.dim, pipe.bo_space.dim
+    d_s, d_f = pipe.ai_space.dim * pipe.bi_space.dim, pipe.f_space.dim
+    # m[(s, y), a, b, f] = <s, f| U |y, a, b>, s over both slot inputs
+    m = pipe.u.data.reshape(d_s, d_f, pipe.p_space.dim, d_a, d_b).transpose(0, 2, 3, 4, 1)
+    m = m.reshape(-1, d_a, d_b, d_f)
+
+    def gram(x, y):
+        return x.reshape(len(x), -1) @ y.reshape(len(y), -1).conj().T
+
+    both_traced = gram(m, m) / (d_a * d_b)
+    worst = 0.0
+    for a, a2 in itertools.product(range(d_a), repeat=2):
+        b_traced = gram(m[:, a], m[:, a2]) / d_b
+        for b, b2 in itertools.product(range(d_b), repeat=2):
+            k = gram(m[:, a, b], m[:, a2, b2])
+            if a == a2:
+                k -= gram(m[:, :, b], m[:, :, b2]) / d_a
+            if b == b2:
+                k -= b_traced
+                if a == a2:
+                    k += both_traced
+            worst = max(worst, float(np.abs(k).max()))
+    return worst
 
 
 def _point_triples(pipe: _Pipeline, alpha: np.ndarray, beta: np.ndarray):
@@ -206,7 +218,8 @@ def _point_triples(pipe: _Pipeline, alpha: np.ndarray, beta: np.ndarray):
         raise ValueError("slot-output vectors must be nonzero")
     alpha = alpha / np.linalg.norm(alpha)
     beta = beta / np.linalg.norm(beta)
-    sub_a, sub_b = pipe.sub_a(alpha), pipe.sub_b(beta)
+    sub_a = from_spanning(alpha.reshape(-1, 1), pipe.ao_space)
+    sub_b = from_spanning(beta.reshape(-1, 1), pipe.bo_space)
     v_ab = pipe.v_of(sub_a, sub_b)
     f_ab = pipe.reduced_f(v_ab)
     f_fwd = intersect(f_ab, pipe.reduced_f(pipe.v_of(complement(sub_a), sub_b)))

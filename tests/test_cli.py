@@ -4,6 +4,7 @@ import os
 import numpy as np
 import pytest
 
+from helpers import perturbed
 from purecomb import builders
 from purecomb.cli import main
 from purecomb.io import MatrixFileError, file_digest, load_matrix, save_matrix
@@ -93,6 +94,15 @@ class TestVerifyCommand:
         doc = json.loads(capsys.readouterr().out)
         assert doc["verdict"] == "pass"
         assert set(doc["residuals"]) == {"joint", "a-side", "b-side"}
+
+    def test_tol_reaches_verdict_near_class(self, tmp_path, capsys):
+        near = tmp_path / "near.json"
+        save_matrix(near, perturbed(load_matrix(SWITCH), 1e-7))
+        argv = ["verify", str(near), "--kind", "pure-superchannel", "--json"]
+        assert main(argv + ["--tol", "1e-6"]) == 0
+        worst = max(json.loads(capsys.readouterr().out)["residuals"].values())
+        assert 1e-8 < worst < 1e-6
+        assert main(argv) == 1
 
     def test_pure_comb_kind(self, tmp_path):
         comb = tmp_path / "comb.json"
@@ -236,6 +246,18 @@ class TestExitContract:
         err = capsys.readouterr().err
         assert err.startswith("error:") and "MemoryError" in err
         assert len(err.strip().splitlines()) == 1
+
+    @pytest.mark.parametrize("kind", ["pure-superchannel", "pure-comb"])
+    def test_non_unitary_input_exit_2(self, kind, tmp_path, capsys):
+        # the closed-form conditions characterize the class only for unitaries
+        op = load_matrix(SWITCH)
+        half = tmp_path / "half.json"
+        save_matrix(half, LinOp(op.out_space, op.in_space, 0.5 * np.eye(16)))
+        assert main(["verify", str(half), "--kind", kind]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error:") and "not unitary" in captured.err
+        assert len(captured.err.strip().splitlines()) == 1
 
     def test_interrupt_is_not_swallowed(self, tmp_path, monkeypatch):
         def interrupted(*args, **kwargs):

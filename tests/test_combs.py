@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from helpers import family_slot_residuals, family_verdict, locally_rotated, perturbed
 from purecomb.builders import (
     ancilla_chain,
     build_staircase_comb,
@@ -23,6 +24,20 @@ from purecomb.spaces import LinOp, Spaces, is_unitary, phase_distance
 LAY1 = SlotLayout.of(("H0", 2), ("H1", 2), ("H2", 2), ("H3", 2))
 LAY1_K2 = SlotLayout.of(("H0", 4), ("H1", 2), ("H2", 2), ("H3", 4))
 LAY2 = SlotLayout.of(("H0", 2), ("H1", 2), ("H2", 2), ("H3", 2), ("H4", 2), ("H5", 2))
+LAY2_K2 = SlotLayout.of(("H0", 4), ("H1", 2), ("H2", 2), ("H3", 2), ("H4", 2), ("H5", 4))
+LAY3 = SlotLayout.of(*[(f"H{i}", 2) for i in range(8)])
+LAY4 = SlotLayout.of(("H0", 4), *[(f"H{i}", 2) for i in range(1, 9)], ("H9", 4))
+
+
+def _swapped(layout):
+    """The chain with the wires of slots 1 and 2 exchanged; a one-slot chain
+    exchanges its slot input with the future instead."""
+    f = list(layout.factors)
+    if layout.n_slots == 1:
+        f[1], f[3] = f[3], f[1]
+    else:
+        f[1:3], f[3:5] = f[3:5], f[1:3]
+    return SlotLayout(tuple(f))
 
 
 def _random_shaped(layout, seed):
@@ -98,6 +113,38 @@ class TestVerifyPureCombUnitary:
             ("H0", 2), ("H3", 2), ("H4", 2), ("H1", 2), ("H2", 2), ("H5", 2)
         )
         assert verify_pure_comb_unitary(u, reversed_lay).ok
+
+    def test_verdicts_match_family_oracle(self):
+        for lay in (LAY1, LAY1_K2, LAY2, LAY2_K2, LAY3, LAY4):
+            for seed in range(2):
+                u = random_pure_comb(lay, seed)
+                for chain, in_class in ((lay, True), (_swapped(lay), False)):
+                    rep = verify_pure_comb_unitary(u, chain)
+                    assert rep.ok == in_class
+                    assert family_verdict(family_slot_residuals(u, chain)) == in_class
+
+    def test_verdicts_invariant_under_local_unitaries_and_phase(self):
+        rng = np.random.default_rng(17)
+        for lay in (LAY1_K2, LAY2, LAY3):
+            u = random_pure_comb(lay, 5)
+            for _ in range(3):
+                v = locally_rotated(u, rng)
+                rep = verify_pure_comb_unitary(v, lay)
+                assert rep.ok and rep.max_residual <= 1e-12
+                assert not verify_pure_comb_unitary(v, _swapped(lay)).ok
+                assert not verify_pure_comb_unitary(locally_rotated(_random_shaped(lay, 6), rng),
+                                                    lay).ok
+
+    def test_residual_linear_in_perturbation(self):
+        u = random_pure_comb(LAY2_K2, 9)
+        ratios = []
+        for eps in (1e-11, 1e-9, 1e-7, 1e-5):
+            v = perturbed(u, eps, seed=2)
+            res = verify_pure_comb_unitary(v, LAY2_K2).max_residual
+            ratios.append(res / eps)
+            assert verify_pure_comb_unitary(v, LAY2_K2, 10 * res).ok
+            assert not verify_pure_comb_unitary(v, LAY2_K2, res / 10).ok
+        assert max(ratios) <= 10 * min(ratios)
 
     def test_no_slots_vacuous(self):
         lay = SlotLayout.of(("H0", 3), ("H1", 3))

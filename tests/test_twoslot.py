@@ -1,6 +1,9 @@
+import os
+
 import numpy as np
 import pytest
 
+from helpers import family_residuals, family_verdict, locally_rotated, perturbed
 from purecomb.builders import (
     build_d3d_example,
     build_direct_sum,
@@ -10,6 +13,8 @@ from purecomb.builders import (
     switch_layout,
 )
 from purecomb.errors import VerificationError
+from purecomb.families import spanning_family
+from purecomb.io import load_matrix
 from purecomb.layouts import TwoSlotLayout
 from purecomb.spaces import LinOp, Spaces, is_unitary, kron, permute_systems, phase_distance
 from purecomb.subspaces import Subspace, angle_sine, equal_subspaces
@@ -21,11 +26,11 @@ from purecomb.twoslot import (
     global_f_decomposition,
     global_p_decomposition,
     p_point_decomposition,
-    spanning_family,
     trace_future_check,
     verify_pure_superchannel,
 )
 
+FIXTURES = os.path.join(os.path.dirname(__file__), "fixtures")
 E0 = np.array([1.0, 0.0])
 E1 = np.array([0.0, 1.0])
 PLUS = np.array([1.0, 1.0]) / np.sqrt(2)
@@ -162,13 +167,59 @@ class TestVerify:
     def test_random_unitaries_fail(self):
         lay = switch_layout(2)
         for seed in range(20):
-            assert not verify_pure_superchannel(_random_shaped(lay, seed), lay).ok
+            u = _random_shaped(lay, seed)
+            assert not verify_pure_superchannel(u, lay).ok
+            assert not family_verdict(family_residuals(u, lay).values())
+
+    def test_verdicts_match_family_oracle(self):
+        cases = [build_quantum_switch(2), build_quantum_switch(3), build_d3d_example()]
+        for name in ("switch", "d3d", "random-unitary"):
+            op = load_matrix(os.path.join(FIXTURES, f"{name}.json"))
+            (p, ao, bo), (ai, bi, f) = op.in_space.factors, op.out_space.factors
+            cases.append((op, TwoSlotLayout(p, ai, ao, bi, bo, f)))
+        shapes = [(2, 2), (2, 4), (4, 2), (4, 4)]
+        cases += [_random_direct_sum(30 + seed, *shapes[seed % 4])[:2] for seed in range(12)]
+        verdicts = []
+        for u, lay in cases:
+            rep = verify_pure_superchannel(u, lay)
+            assert rep.ok == family_verdict(family_residuals(u, lay).values())
+            verdicts.append(rep.ok)
+        assert verdicts.count(False) == 1  # the random-unitary fixture
 
     def test_non_unitary_rejected(self):
         lay = switch_layout(2)
         bad = LinOp(lay.out_space(), lay.in_space(), np.eye(16) * 0.3)
         with pytest.raises(ValueError):
             verify_pure_superchannel(bad, lay)
+
+
+class TestMetamorphic:
+    def test_verdicts_invariant_under_local_unitaries_and_phase(self):
+        rng = np.random.default_rng(31)
+        positives = [build_quantum_switch(2), build_d3d_example(), _parallel_comb(5)]
+        positives += [_random_direct_sum(seed, 2, 4)[:2] for seed in (40, 41)]
+        sw_lay = switch_layout(2)
+        negatives = [(_random_shaped(sw_lay, 50 + seed), sw_lay) for seed in range(3)]
+        for cases, in_class in ((positives, True), (negatives, False)):
+            for u, lay in cases:
+                for _ in range(3):
+                    rep = verify_pure_superchannel(locally_rotated(u, rng), lay)
+                    assert rep.ok == in_class
+                    if in_class:
+                        assert rep.max_residual <= 1e-12
+
+
+class TestPerturbation:
+    def test_switch_residual_linear_in_eps(self):
+        u, lay = build_quantum_switch(2)
+        ratios = []
+        for eps in (1e-11, 1e-9, 1e-7, 1e-5):
+            v = perturbed(u, eps, seed=1)
+            res = verify_pure_superchannel(v, lay).max_residual
+            ratios.append(res / eps)
+            assert verify_pure_superchannel(v, lay, 10 * res).ok
+            assert not verify_pure_superchannel(v, lay, res / 10).ok
+        assert max(ratios) <= 10 * min(ratios)
 
 
 class TestPointDecompositions:
