@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import dataclasses
 import itertools
-from typing import Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -93,25 +93,31 @@ class CombChoiReport:
                    worst, self.normalization_residual)
 
 
-def signalling_residual(u: LinOp, wire: str, reached: Sequence[str]) -> float:
-    """Max-abs of C - I_reached (x) Tr_reached(C) / d_reached, where
-    C = U (|a><a'|_wire (x) I) U^dagger, over the basis pairs of the input
-    ``wire``: 0 exactly when the output on ``reached`` ignores what enters on
-    ``wire``.  C(a', a) = C(a, a')^dagger, so only a <= a' is formed.
+def signalling_components(u: LinOp, wire: str, reached: Sequence[str]) -> Iterator[LinOp]:
+    """The operators C - I_reached (x) Tr_reached(C) / d_reached, where
+    C = U (|a><a'|_wire (x) I) U^dagger, for the basis pairs a <= a' of the
+    input ``wire``: all vanish exactly when the output on ``reached`` ignores
+    what enters on ``wire``.  C(a', a) = C(a, a')^dagger, so only a <= a' is
+    formed.  Each lives on the output factors ordered reached first, then
+    the rest in ``u``'s order.
     """
     rest_out = [lab for lab in u.out_space.labels if lab not in set(reached)]
     rest_in = [lab for lab in u.in_space.labels if lab != wire]
     op = permute_systems(u, [wire, *rest_in, *reached, *rest_out])
     d_w, d_r = op.in_space.dim_of(wire), op.out_space.select(reached).dim
     cols = op.data.reshape(op.out_space.dim, d_w, -1)
-    worst = 0.0
     for a, a2 in itertools.combinations_with_replacement(range(d_w), 2):
         c = (cols[:, a] @ cols[:, a2].conj().T).reshape(d_r, -1, d_r, op.out_space.dim // d_r)
         part = np.einsum("isit->st", c) / d_r
         for i in range(d_r):
             c[i, :, i, :] -= part
-        worst = max(worst, float(np.abs(c).max()))
-    return worst
+        yield LinOp(op.out_space, op.out_space, c.reshape(op.out_space.dim, -1))
+
+
+def signalling_residual(u: LinOp, wire: str, reached: Sequence[str]) -> float:
+    """Max-abs of the ``signalling_components``: 0 exactly when the output
+    on ``reached`` ignores what enters on ``wire``."""
+    return max(float(np.abs(k.data).max()) for k in signalling_components(u, wire, reached))
 
 
 def verify_pure_comb_unitary(

@@ -2,10 +2,11 @@
 
 A statement about a sesquilinear form holds for every vector exactly when
 it holds on a polarization family: the computational basis plus the
-normalized pairwise sums e_i + e_j and e_i + i e_j.  The global past split
-of a two-slot map aggregates its pointwise splits over these families, and
-a fixed-seed batch of random vectors guards that aggregation.  Verification
-no longer uses them: it checks each condition as a closed-form identity.
+normalized pairwise sums e_i + e_j and e_i + i e_j, cross-checked with a
+fixed-seed batch of random vectors.  The library itself no longer uses
+them: verification and the global past split are closed-form.  They back
+the tests' reference paths, which evaluate the conditions and aggregate
+the pointwise past splits over these families.
 """
 
 from __future__ import annotations

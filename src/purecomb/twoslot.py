@@ -3,12 +3,13 @@ orthogonality conditions and the constructive splitting into an orthogonal
 direct sum of two causally ordered blocks (A-first and B-first).
 
 Verification evaluates each condition as one closed-form identity on the
-unitary, with no vector family and no rank decision.  The splitting works
-pointwise on pairs of slot-output vectors (alpha, beta), splits the
-reachable future at each point into a forward part (signals A -> B), a
-reverse part (signals B -> A) and a parallel part, pulls the split back to
-the global past, aggregates over a polarization family, and finally
-restricts the operator to the two recovered blocks.
+unitary, with no vector family and no rank decision.  The splitting reads
+the global past split off the no-signalling components of U^dagger: the
+past where the A output signals the B input (forward), the past where the
+B output signals the A input (reverse), and the parallel rest.  It pushes
+that split through the operator onto the future and restricts the
+operator to the two recovered blocks.  The pointwise split at one pair of
+slot-output vectors (alpha, beta) stays available on its own.
 """
 
 from __future__ import annotations
@@ -18,10 +19,8 @@ import itertools
 
 import numpy as np
 
-from .choi import choi_of_unitary
-from .combs import signalling_residual, verify_pure_comb_unitary
+from .combs import signalling_components, signalling_residual, verify_pure_comb_unitary
 from .errors import VerificationError
-from .families import spanning_family, stability_vectors
 from .layouts import TwoSlotLayout
 from .spaces import (
     ORTHO_TOL,
@@ -33,7 +32,6 @@ from .spaces import (
     contract_bra,
     is_unitary,
     kron_vec,
-    partial_trace,
     permute_systems,
 )
 from .subspaces import (
@@ -42,7 +40,6 @@ from .subspaces import (
     from_spanning,
     image,
     intersect,
-    is_subset,
     orthogonality_residual,
     product_subspace,
     reduced_subspace,
@@ -276,59 +273,44 @@ def p_point_decomposition(
 
 
 def global_p_decomposition(u: LinOp, layout: TwoSlotLayout, tol: float = ORTHO_TOL) -> SubspaceTriple:
-    """Aggregate the pointwise past splits over the polarization family.
+    """Split the past into the part where the A output signals the B input
+    (forward), the part where the B output signals the A input (reverse)
+    and the parallel rest.
 
-    The forward part is summed over the A-wire family at a fixed B-wire
-    anchor (the pointwise forward part does not depend on the B vector),
-    the reverse part symmetrically, and the parallel part is intersected
-    over the full grid.  A batch of random vectors must leave every
-    dimension unchanged; any change is a hard error.
+    The forward part is the past support of the signalling components of
+    U^dagger from the B input to the A output, the reverse part that from
+    the A input to the B output, and the parallel part the orthogonal
+    complement of their sum.  The three must tile the past orthogonally;
+    otherwise the split is an error.
     """
     return _global_p(_Pipeline(u, layout, tol))
 
 
 def _global_p(pipe: _Pipeline) -> SubspaceTriple:
-    layout, tol = pipe.layout, pipe.tol
-    d_a, d_b = layout.a_out[1], layout.b_out[1]
-    fam_a, fam_b = spanning_family(d_a), spanning_family(d_b)
-    rand_a, rand_b = stability_vectors(d_a), stability_vectors(d_b)
-    alpha0, beta0 = fam_a[0], fam_b[0]
-
-    grid = {}
-    for i, alpha in enumerate(fam_a):
-        for j, beta in enumerate(fam_b):
-            grid[(i, j)] = _point_triples(pipe, alpha, beta)[1]
-
-    p_fwd = sum_subspaces(*[grid[(i, 0)].forward for i in range(len(fam_a))])
-    p_rev = sum_subspaces(*[grid[(0, j)].reverse for j in range(len(fam_b))])
-    p_par = intersect(*[grid[key].parallel for key in sorted(grid)])
-
-    for alpha in rand_a:
-        extra = _point_triples(pipe, alpha, beta0)[1]
-        if not is_subset(extra.forward, p_fwd, tol):
-            raise VerificationError(
-                "vector family insufficiency: a random A-wire vector enlarged the forward past"
-            )
-    for beta in rand_b:
-        extra = _point_triples(pipe, alpha0, beta)[1]
-        if not is_subset(extra.reverse, p_rev, tol):
-            raise VerificationError(
-                "vector family insufficiency: a random B-wire vector enlarged the reverse past"
-            )
-    for alpha, beta in zip(rand_a, rand_b):
-        extra = _point_triples(pipe, alpha, beta)[1]
-        if not is_subset(p_par, extra.parallel, tol):
-            raise VerificationError(
-                "vector family insufficiency: a random pair shrank the parallel past"
-            )
-
-    triple = SubspaceTriple(p_fwd, p_par, p_rev)
+    layout = pipe.layout
+    p_fwd = _past_support(pipe, layout.b_in[0], layout.a_out[0])
+    p_rev = _past_support(pipe, layout.a_in[0], layout.b_out[0])
+    triple = SubspaceTriple(p_fwd, complement(sum_subspaces(p_fwd, p_rev)), p_rev)
     res = triple.overlap
-    if sum(triple.dims) != pipe.p_space.dim or res > tol:
+    if sum(triple.dims) != pipe.p_space.dim or res > pipe.tol:
         raise VerificationError(
             f"global past split inconsistent: dims {triple.dims}, overlap {res:.2e}"
         )
     return triple
+
+
+def _past_support(pipe: _Pipeline, wire: str, reached: str) -> Subspace:
+    """Span of the past-indexed rows and conjugated columns of every
+    signalling component of U^dagger from ``wire`` to ``reached``; the
+    columns stand in for the components with a > a', which are not formed.
+    Built one component at a time."""
+    past, d_p = pipe.layout.past
+    parts = []
+    for k in signalling_components(pipe.u_dag, wire, [reached]):
+        m = permute_systems(k, [past, *k.out_space.without([past]).labels]).data
+        parts.append(from_spanning(np.hstack([m.reshape(d_p, -1), m.T.conj().reshape(d_p, -1)]),
+                                   pipe.p_space))
+    return sum_subspaces(*parts)
 
 
 def global_f_decomposition(
@@ -567,12 +549,20 @@ class TraceFutureReport:
         return self.residual <= 1e-8
 
 
+def _future_traced_choi(op: LinOp, layout: TwoSlotLayout) -> LinOp:
+    """Tr_F of the Choi operator of a canonically ordered two-slot operator,
+    formed by contracting the operator with itself over F: (D^2 / d_F)^2
+    entries instead of the D^2 x D^2 Choi operator."""
+    d_f = layout.future[1]
+    # m[(in, AI, BI), f] = <AI, BI, f| op |in>
+    m = op.data.reshape(-1, d_f, op.in_space.dim).transpose(2, 0, 1).reshape(-1, d_f)
+    space = op.in_space.concat(op.out_space.without([layout.future[0]]))
+    return LinOp(space, space, m @ m.conj().T)
+
+
 def trace_future_check(d: DirectSumDecomp) -> TraceFutureReport:
     layout = d.layout
-    total_op = assemble(d)
-    w_total = choi_of_unitary(total_op)
-    f_label = layout.future[0]
-    traced_total = partial_trace(w_total.op, [f_label])
+    traced_total = _future_traced_choi(assemble(d), layout)
 
     traced_blocks: list[LinOp | None] = []
     acc = None
@@ -582,10 +572,9 @@ def trace_future_check(d: DirectSumDecomp) -> TraceFutureReport:
             traced_blocks.append(None)
             weights.append(0.0)
             continue
-        w_blk = choi_of_unitary(embed_block(blk, p_e, f_e, layout))
-        traced = partial_trace(w_blk.op, [f_label])
+        traced = _future_traced_choi(embed_block(blk, p_e, f_e, layout), layout)
         traced_blocks.append(traced)
-        weights.append(float(np.trace(w_blk.op.data).real))
+        weights.append(float(np.trace(traced.data).real))
         acc = traced.data if acc is None else acc + traced.data
 
     total_weight = sum(weights)

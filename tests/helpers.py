@@ -1,28 +1,34 @@
-"""Shared test helpers: the vector-family reference for the reversibility
-conditions, and the input transformations the metamorphic and perturbation
-tests apply.
+"""Shared test helpers: the vector-family references for the reversibility
+conditions and for the global past split, and the input transformations the
+metamorphic and perturbation tests apply.
 
-The family reference is the path the library once verified with: each
-condition says reduced images stay orthogonal for every slot-output vector,
-and it is evaluated on the polarization family of the wire plus a fixed
-batch of random vectors, with one SVD image-and-reduce per vector (per pair
-of vectors for the joint condition).  The library's closed-form checks must
-reach the same verdicts.
+The family references are the paths the library once took: each condition
+says reduced images stay orthogonal for every slot-output vector, and it is
+evaluated on the polarization family of the wire plus a fixed batch of
+random vectors, with one SVD image-and-reduce per vector (per pair of
+vectors for the joint condition); the global past split aggregates the
+pointwise past splits over the same families.  The library's closed-form
+checks and its signalling-support split must reach the same results.
 """
 
 import numpy as np
 
 from purecomb.builders import haar_unitary
+from purecomb.errors import VerificationError
 from purecomb.families import spanning_family, stability_vectors
 from purecomb.spaces import ORTHO_TOL, LinOp, Spaces
 from purecomb.subspaces import (
     complement,
     from_spanning,
     image,
+    intersect,
+    is_subset,
     orthogonality_residual,
     product_subspace,
     reduced_subspace,
+    sum_subspaces,
 )
+from purecomb.twoslot import SubspaceTriple, p_point_decomposition
 
 
 def _family(dim):
@@ -80,6 +86,42 @@ def family_slot_residuals(u, layout):
 
         out.append(_split_overlap(layout.factor(2 * n), image_of, earlier))
     return tuple(out)
+
+
+def family_global_p(u, layout, tol=ORTHO_TOL):
+    """Forward/parallel/reverse past split aggregated over the polarization
+    families: the forward part summed over the A-wire family at a fixed
+    B-wire anchor, the reverse part symmetrically, the parallel part
+    intersected over the full grid; random vectors must leave every part
+    unchanged."""
+    d_a, d_b = layout.a_out[1], layout.b_out[1]
+    fam_a, fam_b = spanning_family(d_a), spanning_family(d_b)
+    rand_a, rand_b = stability_vectors(d_a), stability_vectors(d_b)
+    alpha0, beta0 = fam_a[0], fam_b[0]
+
+    def point(alpha, beta):
+        return p_point_decomposition(u, layout, alpha, beta, tol)
+
+    grid = {(i, j): point(alpha, beta)
+            for i, alpha in enumerate(fam_a) for j, beta in enumerate(fam_b)}
+    p_fwd = sum_subspaces(*[grid[(i, 0)].forward for i in range(len(fam_a))])
+    p_rev = sum_subspaces(*[grid[(0, j)].reverse for j in range(len(fam_b))])
+    p_par = intersect(*[grid[key].parallel for key in sorted(grid)])
+
+    for alpha in rand_a:
+        if not is_subset(point(alpha, beta0).forward, p_fwd, tol):
+            raise VerificationError("a random A-wire vector enlarged the forward past")
+    for beta in rand_b:
+        if not is_subset(point(alpha0, beta).reverse, p_rev, tol):
+            raise VerificationError("a random B-wire vector enlarged the reverse past")
+    for alpha, beta in zip(rand_a, rand_b):
+        if not is_subset(p_par, point(alpha, beta).parallel, tol):
+            raise VerificationError("a random pair shrank the parallel past")
+
+    triple = SubspaceTriple(p_fwd, p_par, p_rev)
+    if sum(triple.dims) != layout.past[1] or triple.overlap > tol:
+        raise VerificationError(f"family past split inconsistent: dims {triple.dims}")
+    return triple
 
 
 def family_verdict(residuals, tol=ORTHO_TOL):

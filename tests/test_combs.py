@@ -125,12 +125,14 @@ class TestVerifyPureCombUnitary:
 
     def test_verdicts_invariant_under_local_unitaries_and_phase(self):
         rng = np.random.default_rng(17)
-        for lay in (LAY1_K2, LAY2, LAY3):
+        for lay in (LAY1_K2, LAY2, LAY2_K2, LAY3, LAY4):
             u = random_pure_comb(lay, 5)
+            ancillas = staircase_decompose(u, lay).ancilla_dims
             for _ in range(3):
                 v = locally_rotated(u, rng)
                 rep = verify_pure_comb_unitary(v, lay)
                 assert rep.ok and rep.max_residual <= 1e-12
+                assert staircase_decompose(v, lay).ancilla_dims == ancillas
                 assert not verify_pure_comb_unitary(v, _swapped(lay)).ok
                 assert not verify_pure_comb_unitary(locally_rotated(_random_shaped(lay, 6), rng),
                                                     lay).ok

@@ -1,22 +1,33 @@
+import itertools
 import os
 
 import numpy as np
 import pytest
 
-from helpers import family_residuals, family_verdict, locally_rotated, perturbed
+from helpers import family_global_p, family_residuals, family_verdict, locally_rotated, perturbed
 from purecomb.builders import (
     build_d3d_example,
     build_direct_sum,
     build_quantum_switch,
+    build_staircase_comb,
     haar_unitary,
     random_pure_comb,
     switch_layout,
 )
+from purecomb.choi import choi_of_unitary
 from purecomb.errors import VerificationError
 from purecomb.families import spanning_family
 from purecomb.io import load_matrix
-from purecomb.layouts import TwoSlotLayout
-from purecomb.spaces import LinOp, Spaces, is_unitary, kron, permute_systems, phase_distance
+from purecomb.layouts import SlotLayout, TwoSlotLayout
+from purecomb.spaces import (
+    LinOp,
+    Spaces,
+    is_unitary,
+    kron,
+    partial_trace,
+    permute_systems,
+    phase_distance,
+)
 from purecomb.subspaces import Subspace, angle_sine, equal_subspaces
 from purecomb.twoslot import (
     assemble,
@@ -82,6 +93,87 @@ def _random_direct_sum(seed, p_ab=2, p_ba=2):
         u_ab, u_ba, ep[:, :p_ab], ep[:, p_ab:], ef[:, :p_ab], ef[:, p_ab:], layout
     )
     return u, layout, (ep[:, :p_ab], ep[:, p_ab:], ef[:, :p_ab], ef[:, p_ab:])
+
+
+def _fixture(name):
+    op = load_matrix(os.path.join(FIXTURES, f"{name}.json"))
+    (p, ao, bo), (ai, bi, f) = op.in_space.factors, op.out_space.factors
+    return op, TwoSlotLayout(p, ai, ao, bi, bo, f)
+
+
+def _middle_comb(middle, d_p, seed):
+    """A-first comb on qubit slot wires with the given middle element
+    AO (x) anc1 -> BI (x) anc2 between Haar-random outer elements."""
+    rng = np.random.default_rng(seed)
+    k = d_p // 2
+    chain = SlotLayout.of(("P", d_p), ("AI", 2), ("AO", 2), ("BI", 2), ("BO", 2), ("F", d_p))
+    elements = [
+        LinOp(Spaces.of(("AI", 2), ("anc1", k)), Spaces.of(("P", d_p)), haar_unitary(d_p, rng)),
+        LinOp(Spaces.of(("BI", 2), ("anc2", k)), Spaces.of(("AO", 2), ("anc1", k)), middle),
+        LinOp(Spaces.of(("F", d_p)), Spaces.of(("BO", 2), ("anc2", k)), haar_unitary(d_p, rng)),
+    ]
+    return build_staircase_comb(elements, chain), TwoSlotLayout(*chain.factors)
+
+
+def _routed_comb(seed):
+    # anc1 = (c, t): AO feeds BI when c = 0 and bypasses B when c = 1
+    mid = np.zeros((8, 8))
+    for ao, c, t in itertools.product(range(2), repeat=3):
+        bi, x = (ao, t) if c == 0 else (t, ao)
+        mid[(bi * 2 + c) * 2 + x, (ao * 2 + c) * 2 + t] = 1.0
+    return _middle_comb(mid, 8, seed)
+
+
+def _phase_comb(seed):
+    # AO reaches BI only as a phase: SWAP after a controlled-Z, so the
+    # signalling shows only in the off-diagonal components
+    mid = np.zeros((4, 4))
+    for ao, x in itertools.product(range(2), repeat=2):
+        mid[x * 2 + ao, ao * 2 + x] = (-1) ** (ao * x)
+    return _middle_comb(mid, 4, seed)
+
+
+def _swap_comb(theta, seed):
+    # cos(theta) I + i sin(theta) SWAP: at theta = pi/2 AO bypasses B entirely
+    swap = np.eye(4)[[0, 2, 1, 3]]
+    return _middle_comb(np.cos(theta) * np.eye(4) + 1j * np.sin(theta) * swap, 4, seed)
+
+
+def _parallel_plus_ba(seed):
+    layout = TwoSlotLayout.of(("P", 8), ("AI", 2), ("AO", 2), ("BI", 2), ("BO", 2), ("F", 8))
+    u_ba = random_pure_comb(layout.with_dims(4, 4).slot_chain("ba"), seed)
+    rng = np.random.default_rng(seed)
+    ep, ef = haar_unitary(8, rng), haar_unitary(8, rng)
+    u = build_direct_sum(_parallel_comb(seed)[0], u_ba, ep[:, :4], ep[:, 4:], ef[:, :4], ef[:, 4:],
+                         layout)
+    return u, layout
+
+
+def _two_slot_cases():
+    """Two-slot maps in the class, with their forward/parallel/reverse past dims."""
+    rng = np.random.default_rng(60)
+    cases = [(*build_quantum_switch(2), (2, 0, 2)), (*build_quantum_switch(3), (3, 0, 3)),
+             (*build_d3d_example(), (4, 0, 2)), (*_fixture("switch"), (2, 0, 2)),
+             (*_fixture("d3d"), (4, 0, 2))]
+    shapes = [(2, 2), (2, 4), (4, 2), (4, 4)]
+    for seed in range(12):
+        p_ab, p_ba = shapes[seed % 4]
+        cases.append((*_random_direct_sum(30 + seed, p_ab, p_ba)[:2], (p_ab, 0, p_ba)))
+    cases += [(*_parallel_comb(2), (0, 4, 0)), (*_wire_comb(1), (2, 0, 0))]
+    lay = TwoSlotLayout.of(("P", 4), ("AI", 2), ("AO", 2), ("BI", 2), ("BO", 2), ("F", 4))
+    b_first = TwoSlotLayout(lay.past, lay.b_in, lay.b_out, lay.a_in, lay.a_out, lay.future)
+    for seed in (61, 62):
+        u = random_pure_comb(lay.slot_chain("ab"), seed)
+        cases += [(u, lay, (4, 0, 0)), (u, b_first, (0, 0, 4))]
+    u = _phase_comb(66)[0]
+    cases += [(u, lay, (4, 0, 0)), (u, b_first, (0, 0, 4))]
+    cases += [(*_routed_comb(63), (4, 4, 0)), (*_parallel_plus_ba(64), (0, 4, 4))]
+    for theta in (0.0, 0.3, np.pi / 4, np.pi / 2):
+        cases.append((*_swap_comb(theta, 65), (0, 4, 0) if theta == np.pi / 2 else (4, 0, 0)))
+    for d in (2, 3):
+        u, lay = build_quantum_switch(d)
+        cases.append((locally_rotated(u, rng), lay, (d, 0, d)))
+    return cases
 
 
 # --- independent dense-matrix oracle for the pointwise future split ---------
@@ -173,10 +265,7 @@ class TestVerify:
 
     def test_verdicts_match_family_oracle(self):
         cases = [build_quantum_switch(2), build_quantum_switch(3), build_d3d_example()]
-        for name in ("switch", "d3d", "random-unitary"):
-            op = load_matrix(os.path.join(FIXTURES, f"{name}.json"))
-            (p, ao, bo), (ai, bi, f) = op.in_space.factors, op.out_space.factors
-            cases.append((op, TwoSlotLayout(p, ai, ao, bi, bo, f)))
+        cases += [_fixture(name) for name in ("switch", "d3d", "random-unitary")]
         shapes = [(2, 2), (2, 4), (4, 2), (4, 4)]
         cases += [_random_direct_sum(30 + seed, *shapes[seed % 4])[:2] for seed in range(12)]
         verdicts = []
@@ -193,20 +282,32 @@ class TestVerify:
             verify_pure_superchannel(bad, lay)
 
 
+def _split_signature(d):
+    return d.triple_p_dims, d.triple_f_dims, d.p_dims, d.f_dims, d.classification
+
+
 class TestMetamorphic:
     def test_verdicts_invariant_under_local_unitaries_and_phase(self):
+        # also factor reordering, and the decomposition structure in the class
         rng = np.random.default_rng(31)
-        positives = [build_quantum_switch(2), build_d3d_example(), _parallel_comb(5)]
-        positives += [_random_direct_sum(seed, 2, 4)[:2] for seed in (40, 41)]
+        positives = [_parallel_comb(5)] + [_random_direct_sum(seed, 2, 4)[:2] for seed in (40, 41)]
+        positives += [(u, lay) for u, lay, _ in _two_slot_cases()]
         sw_lay = switch_layout(2)
         negatives = [(_random_shaped(sw_lay, 50 + seed), sw_lay) for seed in range(3)]
         for cases, in_class in ((positives, True), (negatives, False)):
             for u, lay in cases:
-                for _ in range(3):
-                    rep = verify_pure_superchannel(locally_rotated(u, rng), lay)
+                labels = sorted(u.all_labels)
+                variants = [locally_rotated(u, rng) for _ in range(3)]
+                variants.append(permute_systems(u, [labels[i] for i in rng.permutation(6)]))
+                want = _split_signature(direct_sum_decompose(u, lay)) if in_class else None
+                for v in variants:
+                    rep = verify_pure_superchannel(v, lay)
                     assert rep.ok == in_class
                     if in_class:
                         assert rep.max_residual <= 1e-12
+                        d = direct_sum_decompose(v, lay)
+                        assert _split_signature(d) == want
+                        assert phase_distance(assemble(d), v) <= 1e-8
 
 
 class TestPerturbation:
@@ -316,6 +417,13 @@ class TestGlobalDecompositions:
     def test_wire_comb_global(self):
         u, lay = _wire_comb(7)
         assert global_p_decomposition(u, lay).dims == (2, 0, 0)
+
+    def test_past_split_matches_family_oracle(self):
+        for u, lay, want in _two_slot_cases():
+            triple, ref = global_p_decomposition(u, lay), family_global_p(u, lay)
+            assert triple.dims == ref.dims == want
+            for part, ref_part in zip(triple.parts(), ref.parts()):
+                assert angle_sine(part, ref_part) < 1e-8
 
 
 class TestDirectSumDecompose:
@@ -488,6 +596,24 @@ class TestTraceFutureCheck:
         assert rep.ok
         assert abs(rep.weights[0] - 2 / 6) < 1e-10
         assert abs(rep.weights[1] - 4 / 6) < 1e-10
+
+    def test_matches_dense_choi_partial_trace(self):
+        for dim in (2, 3):
+            u, lay = build_quantum_switch(dim)
+            d = direct_sum_decompose(u, lay)
+            rep = trace_future_check(d)
+            ops = [assemble(d)] + [embed_block(*part, lay) for part in d.parts().values()]
+            for op, traced in zip(ops, (rep.traced_total, *rep.traced_blocks)):
+                dense = partial_trace(choi_of_unitary(op).op, [lay.future[0]])
+                assert traced.out_space == dense.out_space == traced.in_space
+                assert np.abs(traced.data - dense.data).max() <= 1e-14
+
+    def test_switch_d4_fits_in_memory(self):
+        # the dense Choi operator of the d=4 switch alone would take 4 GiB
+        u, lay = build_quantum_switch(4)
+        rep = trace_future_check(direct_sum_decompose(u, lay))
+        assert rep.residual <= 1e-8
+        assert abs(rep.weights[0] - 0.5) < 1e-10 and abs(rep.weights[1] - 0.5) < 1e-10
 
 
 class TestBetaIndependence:
