@@ -80,6 +80,8 @@ def _parse_assignments(raw: str, what: str) -> dict[str, int]:
             raise UsageError(f"bad {what} entry {item!r}; expected label=dim")
         lab, val = item.split("=", 1)
         lab = lab.strip()
+        if lab in out:
+            raise UsageError(f"repeated label in {what}: {item!r}")
         try:
             out[lab] = int(val)
         except ValueError:
@@ -134,11 +136,7 @@ def cmd_build(args) -> int:
     elif args.name == "random-comb":
         if not args.chain:
             raise UsageError("random-comb requires --chain H0=2,H1=2,...")
-        pairs = [item.split("=") for item in args.chain.split(",")]
-        try:
-            factors = [(lab.strip(), int(d)) for lab, d in pairs]
-        except ValueError:
-            raise UsageError(f"bad --chain {args.chain!r}") from None
+        factors = _parse_assignments(args.chain, "--chain").items()
         op = builders.random_pure_comb(SlotLayout.of(*factors), rng_seed)
     elif args.name == "random-unitary":
         if args.dims:
@@ -227,6 +225,7 @@ def cmd_decompose(args) -> int:
     written: list[str] = []
     details: dict = {"kind": args.kind}
     residuals: dict = {}
+    circuit = None
     try:
         if args.kind == "direct-sum":
             layout = _two_slot_layout(op, args.dims)
@@ -251,21 +250,16 @@ def cmd_decompose(args) -> int:
                     blk.out_space.dim_of(layout.future[0]),
                 ).slot_chain(tag)
                 circuit = combs.staircase_decompose(blk, chain, tol)
-                details["ancilla_dims"] = list(circuit.ancilla_dims)
-                for i, el in enumerate(circuit.elements):
-                    el_path = f"{args.out}.element-{i}.json"
-                    save_matrix(el_path, el)
-                    written.append(el_path)
         elif args.kind == "staircase":
-            layout = _chain_layout(op, args.order)
-            circuit = combs.staircase_decompose(op, layout, tol)
+            circuit = combs.staircase_decompose(op, _chain_layout(op, args.order), tol)
+        else:
+            raise UsageError(f"unknown kind {args.kind!r}")
+        if circuit is not None:
             details["ancilla_dims"] = list(circuit.ancilla_dims)
             for i, el in enumerate(circuit.elements):
                 el_path = f"{args.out}.element-{i}.json"
                 save_matrix(el_path, el)
                 written.append(el_path)
-        else:
-            raise UsageError(f"unknown kind {args.kind!r}")
     except VerificationError as exc:
         report = Report(
             command="decompose",

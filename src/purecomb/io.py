@@ -16,6 +16,8 @@ import numpy as np
 from .spaces import LinOp, Spaces
 
 FORMAT_VERSION = 1
+# numbers are checked by exact type: JSON true/false load as bool, a subclass of int
+_REAL = (int, float)
 
 
 class MatrixFileError(ValueError):
@@ -46,7 +48,7 @@ def _parse_dims(raw, field: str) -> Spaces:
         if not (isinstance(item, list) and len(item) == 2 and isinstance(item[0], str)):
             raise MatrixFileError(f"bad factor entry in {field}: {item!r}")
         lab, d = item
-        if not isinstance(d, int) or d < 1:
+        if type(d) is not int or d < 1:
             raise MatrixFileError(f"bad dimension in {field}: {item!r}")
         factors.append((lab, d))
     try:
@@ -76,8 +78,8 @@ def load_matrix(path) -> LinOp:
         if not (isinstance(pair, list) and len(pair) == 2):
             raise MatrixFileError(f"bad data entry at index {i}: {pair!r}")
         re, im = pair
-        if not all(isinstance(x, (int, float)) and math.isfinite(x) for x in (re, im)):
-            raise MatrixFileError(f"non-finite data entry at index {i}: {pair!r}")
+        if not (type(re) in _REAL and type(im) in _REAL and math.isfinite(re) and math.isfinite(im)):
+            raise MatrixFileError(f"non-numeric or non-finite data entry at index {i}: {pair!r}")
         flat[i] = complex(re, im)
     return LinOp(out_space, in_space, flat.reshape(out_space.dim, in_space.dim))
 

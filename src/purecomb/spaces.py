@@ -247,16 +247,7 @@ def _aligned_square(a: LinOp) -> LinOp:
 
 def partial_trace(a: LinOp, traced_labels: Iterable[str]) -> LinOp:
     """Trace out the listed factors of a square operator."""
-    traced = list(traced_labels)
-    a = _aligned_square(a)
-    keep = [lab for lab in a.out_space.labels if lab not in set(traced)]
-    for lab in traced:
-        a.out_space.index(lab)
-    b = permute_systems(a, keep + traced)
-    ko = b.out_space.select(keep).dim
-    t = b.out_space.dim // ko
-    m = b.data.reshape(ko, t, ko, t)
-    return LinOp(b.out_space.select(keep), b.in_space.select(keep), np.einsum("aibi->ab", m))
+    return trace_matching(_aligned_square(a), traced_labels)
 
 
 def trace_matching(a: LinOp, labels: Iterable[str]) -> LinOp:

@@ -13,7 +13,7 @@ from typing import Sequence, Union
 
 import numpy as np
 
-from .spaces import ORTHO_TOL, RANK_RTOL, LinOp, Spaces, Vec, _freeze, permute_systems
+from .spaces import ORTHO_TOL, RANK_RTOL, LinOp, Spaces, _freeze, permute_systems
 
 
 @dataclasses.dataclass(frozen=True)
@@ -40,9 +40,6 @@ class Subspace:
 
     def projector(self) -> np.ndarray:
         return self.basis @ self.basis.conj().T
-
-    def basis_vec(self, j: int) -> Vec:
-        return Vec(self.ambient, self.basis[:, j])
 
     @staticmethod
     def zero(ambient: Spaces) -> "Subspace":

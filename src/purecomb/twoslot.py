@@ -26,12 +26,8 @@ from .spaces import (
     ORTHO_TOL,
     LinOp,
     Spaces,
-    Vec,
     adjoint,
-    apply_op,
-    contract_bra,
     is_unitary,
-    kron_vec,
     permute_systems,
 )
 from .subspaces import (
@@ -114,32 +110,12 @@ def _canonical(u: LinOp, layout: TwoSlotLayout) -> LinOp:
     return permute_systems(u, want_in + want_out)
 
 
-class _Pipeline:
-    """Cached geometry for one operator: images of product subspaces and
-    their reductions, keyed by restriction."""
-
-    def __init__(self, u: LinOp, layout: TwoSlotLayout, tol: float = ORTHO_TOL):
-        ok, res = is_unitary(u)
-        if not ok:
-            raise ValueError(f"operator is not unitary (residual {res:.2e})")
-        self.layout = layout
-        self.tol = tol
-        self.u = _canonical(u, layout)
-        self.u_dag = adjoint(self.u)
-        self.p_space = Spaces((layout.past,))
-        self.ao_space = Spaces((layout.a_out,))
-        self.bo_space = Spaces((layout.b_out,))
-        self.ai_space = Spaces((layout.a_in,))
-        self.bi_space = Spaces((layout.b_in,))
-        self.f_space = Spaces((layout.future,))
-        self.out_space = self.u.out_space
-
-    def v_of(self, a_sub: Subspace, b_sub: Subspace) -> Subspace:
-        """Image of past (x) a_sub (x) b_sub."""
-        return image(self.u, product_subspace([self.p_space, a_sub, b_sub]))
-
-    def reduced_f(self, v: Subspace) -> Subspace:
-        return reduced_subspace(v, [self.ai_space.labels[0], self.bi_space.labels[0]])
+def _checked(u: LinOp, layout: TwoSlotLayout) -> LinOp:
+    """The canonically ordered operator, after checking that it is unitary."""
+    ok, res = is_unitary(u)
+    if not ok:
+        raise ValueError(f"operator is not unitary (residual {res:.2e})")
+    return _canonical(u, layout)
 
 
 def verify_pure_superchannel(
@@ -158,21 +134,20 @@ def verify_pure_superchannel(
     joint component of ``_joint_residual`` vanishes.  They characterize the
     class only for unitaries, so other input is malformed (ValueError).
     """
-    return _verify(_Pipeline(u, layout, tol))
+    return _verify(_checked(u, layout), layout, tol)
 
 
-def _verify(pipe: _Pipeline) -> SuperchannelReport:
-    """The three closed-form residuals of the pipeline's canonical unitary."""
-    layout = pipe.layout
+def _verify(u: LinOp, layout: TwoSlotLayout, tol: float) -> SuperchannelReport:
+    """The three closed-form residuals of a canonical unitary."""
     residuals = {
-        "joint": _joint_residual(pipe),
-        "a-side": signalling_residual(pipe.u, layout.a_out[0], [layout.a_in[0]]),
-        "b-side": signalling_residual(pipe.u, layout.b_out[0], [layout.b_in[0]]),
+        "joint": _joint_residual(u, layout),
+        "a-side": signalling_residual(u, layout.a_out[0], [layout.a_in[0]]),
+        "b-side": signalling_residual(u, layout.b_out[0], [layout.b_in[0]]),
     }
-    return SuperchannelReport(max(residuals.values()) <= pipe.tol, residuals)
+    return SuperchannelReport(max(residuals.values()) <= tol, residuals)
 
 
-def _joint_residual(pipe: _Pipeline) -> float:
+def _joint_residual(u: LinOp, layout: TwoSlotLayout) -> float:
     """Max-abs of the (1 - Pi_AO)(1 - Pi_BO) component of
     Tr_F[U (Y (x) X_A (x) X_B) U^dagger] over basis operators Y, X_A, X_B,
     where Pi is the trace projection X -> Tr(X) I / d.
@@ -181,10 +156,10 @@ def _joint_residual(pipe: _Pipeline) -> float:
     orthogonal to alpha, so this is 0 exactly when the joint condition holds.
     One (a, a', b, b') block of (d_AI d_BI d_P)^2 entries is formed at a time.
     """
-    d_a, d_b = pipe.ao_space.dim, pipe.bo_space.dim
-    d_s, d_f = pipe.ai_space.dim * pipe.bi_space.dim, pipe.f_space.dim
+    d_a, d_b = layout.a_out[1], layout.b_out[1]
+    d_s, d_f = layout.a_in[1] * layout.b_in[1], layout.future[1]
     # m[(s, y), a, b, f] = <s, f| U |y, a, b>, s over both slot inputs
-    m = pipe.u.data.reshape(d_s, d_f, pipe.p_space.dim, d_a, d_b).transpose(0, 2, 3, 4, 1)
+    m = u.data.reshape(d_s, d_f, layout.past[1], d_a, d_b).transpose(0, 2, 3, 4, 1)
     m = m.reshape(-1, d_a, d_b, d_f)
 
     def gram(x, y):
@@ -206,7 +181,7 @@ def _joint_residual(pipe: _Pipeline) -> float:
     return worst
 
 
-def _point_triples(pipe: _Pipeline, alpha: np.ndarray, beta: np.ndarray):
+def _point_triples(u: LinOp, layout: TwoSlotLayout, tol: float, alpha: np.ndarray, beta: np.ndarray):
     """Forward/parallel/reverse split of the future reachable from one
     slot-output pair, and its pullback to the past."""
     alpha = np.asarray(alpha, dtype=np.complex128).reshape(-1)
@@ -215,43 +190,46 @@ def _point_triples(pipe: _Pipeline, alpha: np.ndarray, beta: np.ndarray):
         raise ValueError("slot-output vectors must be nonzero")
     alpha = alpha / np.linalg.norm(alpha)
     beta = beta / np.linalg.norm(beta)
-    sub_a = from_spanning(alpha.reshape(-1, 1), pipe.ao_space)
-    sub_b = from_spanning(beta.reshape(-1, 1), pipe.bo_space)
-    v_ab = pipe.v_of(sub_a, sub_b)
-    f_ab = pipe.reduced_f(v_ab)
-    f_fwd = intersect(f_ab, pipe.reduced_f(pipe.v_of(complement(sub_a), sub_b)))
-    f_rev = intersect(f_ab, pipe.reduced_f(pipe.v_of(sub_a, complement(sub_b))))
+    p_space = Spaces((layout.past,))
+    sub_a = from_spanning(alpha.reshape(-1, 1), Spaces((layout.a_out,)))
+    sub_b = from_spanning(beta.reshape(-1, 1), Spaces((layout.b_out,)))
+    slot_inputs = [layout.a_in[0], layout.b_in[0]]
+
+    def v_of(a_sub, b_sub):
+        return image(u, product_subspace([p_space, a_sub, b_sub]))
+
+    v_ab = v_of(sub_a, sub_b)
+    f_ab = reduced_subspace(v_ab, slot_inputs)
+    f_fwd = intersect(f_ab, reduced_subspace(v_of(complement(sub_a), sub_b), slot_inputs))
+    f_rev = intersect(f_ab, reduced_subspace(v_of(sub_a, complement(sub_b)), slot_inputs))
     f_par = intersect(f_ab, complement(f_fwd), complement(f_rev))
     f_triple = SubspaceTriple(f_fwd, f_par, f_rev)
 
     got = sum(f_triple.dims)
     pair_res = f_triple.overlap
-    if got != f_ab.dim or pair_res > pipe.tol:
+    if got != f_ab.dim or pair_res > tol:
         raise VerificationError(
             f"future split at a slot-output pair failed: dims {f_triple.dims} vs "
             f"{f_ab.dim}, overlap {pair_res:.2e}"
         )
 
-    d_slots = pipe.ai_space.dim * pipe.bi_space.dim
-    bra = kron_vec(Vec(pipe.ao_space, alpha), Vec(pipe.bo_space, beta))
+    d_slots = layout.a_in[1] * layout.b_in[1]
+    # <alpha, beta|_slots U^dagger: the pullback from the output to the past
+    pull = np.kron(np.eye(p_space.dim), np.kron(alpha, beta).conj()) @ u.data.conj().T
     p_parts = []
     for f_part in f_triple.parts():
         if f_part.dim == 0 or v_ab.dim == 0:
-            p_parts.append(Subspace.zero(pipe.p_space))
+            p_parts.append(Subspace.zero(p_space))
             continue
         lift = np.kron(np.eye(d_slots), f_part.projector())
-        projected = from_spanning(lift @ v_ab.basis, pipe.out_space)
-        cols = np.zeros((pipe.p_space.dim, projected.dim), dtype=np.complex128)
-        for j in range(projected.dim):
-            w = apply_op(pipe.u_dag, projected.basis_vec(j))
-            cols[:, j] = contract_bra(bra, w).data
-        p_parts.append(from_spanning(cols, pipe.p_space))
+        projected = from_spanning(lift @ v_ab.basis, u.out_space)
+        p_parts.append(from_spanning(pull @ projected.basis, p_space))
     p_triple = SubspaceTriple(*p_parts)
     p_res = p_triple.overlap
-    if sum(p_triple.dims) != pipe.p_space.dim or p_res > pipe.tol:
+    if sum(p_triple.dims) != p_space.dim or p_res > tol:
         raise VerificationError(
             f"past split at a slot-output pair failed: dims {p_triple.dims} "
-            f"sum to {sum(p_triple.dims)} != {pipe.p_space.dim}, overlap {p_res:.2e}"
+            f"sum to {sum(p_triple.dims)} != {p_space.dim}, overlap {p_res:.2e}"
         )
     return f_triple, p_triple
 
@@ -260,16 +238,14 @@ def f_point_decomposition(
     u: LinOp, layout: TwoSlotLayout, alpha: np.ndarray, beta: np.ndarray, tol: float = ORTHO_TOL
 ) -> SubspaceTriple:
     """Split of the future reachable from the pair (alpha, beta)."""
-    pipe = _Pipeline(u, layout, tol)
-    return _point_triples(pipe, alpha, beta)[0]
+    return _point_triples(_checked(u, layout), layout, tol, alpha, beta)[0]
 
 
 def p_point_decomposition(
     u: LinOp, layout: TwoSlotLayout, alpha: np.ndarray, beta: np.ndarray, tol: float = ORTHO_TOL
 ) -> SubspaceTriple:
     """Split of the whole past induced by the pair (alpha, beta)."""
-    pipe = _Pipeline(u, layout, tol)
-    return _point_triples(pipe, alpha, beta)[1]
+    return _point_triples(_checked(u, layout), layout, tol, alpha, beta)[1]
 
 
 def global_p_decomposition(u: LinOp, layout: TwoSlotLayout, tol: float = ORTHO_TOL) -> SubspaceTriple:
@@ -283,33 +259,33 @@ def global_p_decomposition(u: LinOp, layout: TwoSlotLayout, tol: float = ORTHO_T
     complement of their sum.  The three must tile the past orthogonally;
     otherwise the split is an error.
     """
-    return _global_p(_Pipeline(u, layout, tol))
+    return _global_p(_checked(u, layout), layout, tol)
 
 
-def _global_p(pipe: _Pipeline) -> SubspaceTriple:
-    layout = pipe.layout
-    p_fwd = _past_support(pipe, layout.b_in[0], layout.a_out[0])
-    p_rev = _past_support(pipe, layout.a_in[0], layout.b_out[0])
+def _global_p(u: LinOp, layout: TwoSlotLayout, tol: float) -> SubspaceTriple:
+    p_fwd = _past_support(u, layout, layout.b_in[0], layout.a_out[0])
+    p_rev = _past_support(u, layout, layout.a_in[0], layout.b_out[0])
     triple = SubspaceTriple(p_fwd, complement(sum_subspaces(p_fwd, p_rev)), p_rev)
     res = triple.overlap
-    if sum(triple.dims) != pipe.p_space.dim or res > pipe.tol:
+    if sum(triple.dims) != layout.past[1] or res > tol:
         raise VerificationError(
             f"global past split inconsistent: dims {triple.dims}, overlap {res:.2e}"
         )
     return triple
 
 
-def _past_support(pipe: _Pipeline, wire: str, reached: str) -> Subspace:
+def _past_support(u: LinOp, layout: TwoSlotLayout, wire: str, reached: str) -> Subspace:
     """Span of the past-indexed rows and conjugated columns of every
     signalling component of U^dagger from ``wire`` to ``reached``; the
     columns stand in for the components with a > a', which are not formed.
     Built one component at a time."""
-    past, d_p = pipe.layout.past
+    past, d_p = layout.past
+    p_space = Spaces((layout.past,))
     parts = []
-    for k in signalling_components(pipe.u_dag, wire, [reached]):
+    for k in signalling_components(adjoint(u), wire, [reached]):
         m = permute_systems(k, [past, *k.out_space.without([past]).labels]).data
         parts.append(from_spanning(np.hstack([m.reshape(d_p, -1), m.T.conj().reshape(d_p, -1)]),
-                                   pipe.p_space))
+                                   p_space))
     return sum_subspaces(*parts)
 
 
@@ -322,18 +298,18 @@ def global_f_decomposition(
     past part with both slot wires free; the image must factor as
     (slot inputs) (x) (future part), which is checked dimensionally.
     """
-    return _global_f(_Pipeline(u, layout, tol), p_triple)
+    return _global_f(_checked(u, layout), layout, tol, p_triple)
 
 
-def _global_f(pipe: _Pipeline, p_triple: SubspaceTriple) -> SubspaceTriple:
-    d_slots = pipe.ai_space.dim * pipe.bi_space.dim
+def _global_f(u: LinOp, layout: TwoSlotLayout, tol: float, p_triple: SubspaceTriple) -> SubspaceTriple:
+    d_slots = layout.a_in[1] * layout.b_in[1]
     parts = []
     for p_part in p_triple.parts():
         if p_part.dim == 0:
-            parts.append(Subspace.zero(pipe.f_space))
+            parts.append(Subspace.zero(Spaces((layout.future,))))
             continue
-        v = image(pipe.u, product_subspace([p_part, pipe.ao_space, pipe.bo_space]))
-        f_part = pipe.reduced_f(v)
+        v = image(u, product_subspace([p_part, Spaces((layout.a_out,)), Spaces((layout.b_out,))]))
+        f_part = reduced_subspace(v, [layout.a_in[0], layout.b_in[0]])
         if v.dim != d_slots * f_part.dim:
             raise VerificationError(
                 f"image of a past part does not factor over the slot inputs: "
@@ -342,7 +318,7 @@ def _global_f(pipe: _Pipeline, p_triple: SubspaceTriple) -> SubspaceTriple:
         parts.append(f_part)
     triple = SubspaceTriple(*parts)
     res = triple.overlap
-    if sum(triple.dims) != pipe.f_space.dim or res > pipe.tol:
+    if sum(triple.dims) != layout.future[1] or res > tol:
         raise VerificationError(
             f"global future split inconsistent: dims {triple.dims}, overlap {res:.2e}"
         )
@@ -396,11 +372,11 @@ def _ordered_embed(s: Subspace) -> np.ndarray:
     return s.basis[:, order]
 
 
-def classify(d: DirectSumDecomp, layout: TwoSlotLayout | None = None) -> str:
+def classify(d: DirectSumDecomp) -> str:
     """Coarse class of the split: parallel, ordered one way, switch-like
     (balanced blocks over equal wires at double dimension), or a general
     direct sum."""
-    layout = layout or d.layout
+    layout = d.layout
     p1, p2 = d.p_dims
     dd = layout.past[1]
     if d.triple_p_dims[1] == dd:
@@ -426,14 +402,14 @@ def direct_sum_decompose(u: LinOp, layout: TwoSlotLayout, tol: float = ORTHO_TOL
     combs of their respective order, and any off-block matrix weight
     beyond the tolerance is an error.
     """
-    pipe = _Pipeline(u, layout, tol)
-    report = _verify(pipe)
+    u = _checked(u, layout)
+    report = _verify(u, layout, tol)
     if not report.ok:
         raise VerificationError(
             f"operator fails the reversibility-preservation conditions: {report.residuals}"
         )
-    p_triple = _global_p(pipe)
-    f_triple = _global_f(pipe, p_triple)
+    p_triple = _global_p(u, layout, tol)
+    f_triple = _global_f(u, layout, tol, p_triple)
 
     p_ab = sum_subspaces(p_triple.forward, p_triple.parallel)
     p_ba = p_triple.reverse
@@ -442,9 +418,9 @@ def direct_sum_decompose(u: LinOp, layout: TwoSlotLayout, tol: float = ORTHO_TOL
     p_embeds = (_ordered_embed(p_ab), _ordered_embed(p_ba))
     f_embeds = (_ordered_embed(f_ab), _ordered_embed(f_ba))
 
-    d_in_slots = pipe.ao_space.dim * pipe.bo_space.dim
-    d_out_slots = pipe.ai_space.dim * pipe.bi_space.dim
-    u_mat = pipe.u.data
+    d_in_slots = layout.a_out[1] * layout.b_out[1]
+    d_out_slots = layout.a_in[1] * layout.b_in[1]
+    u_mat = u.data
     lifts_in = [np.kron(e, np.eye(d_in_slots)) for e in p_embeds]
     lifts_out = [np.kron(np.eye(d_out_slots), e) for e in f_embeds]
 
@@ -500,7 +476,7 @@ def direct_sum_decompose(u: LinOp, layout: TwoSlotLayout, tol: float = ORTHO_TOL
         "",
         off,
     )
-    return dataclasses.replace(decomp, classification=classify(decomp, layout))
+    return dataclasses.replace(decomp, classification=classify(decomp))
 
 
 def embed_block(

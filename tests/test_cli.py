@@ -60,6 +60,25 @@ class TestMatrixFile:
         with pytest.raises(MatrixFileError):
             load_matrix(path)
 
+    def test_booleans_rejected(self, tmp_path, capsys):
+        # JSON true/false load as Python bools, which are ints
+        dims_doc = {"version": 1, "in_dims": [["X", True]], "out_dims": [["Y", 1]],
+                    "data": [[1.0, 0.0]]}
+        data_doc = dict(dims_doc, in_dims=[["X", 1]], data=[[True, False]])
+        for i, bad in enumerate((dims_doc, data_doc)):
+            path = tmp_path / f"bool{i}.json"
+            path.write_text(json.dumps(bad))
+            with pytest.raises(MatrixFileError):
+                load_matrix(path)
+        # the switch's 0/1 entries written as booleans: malformed, not a pass
+        doc = json.loads(open(SWITCH).read())
+        doc["data"] = [[bool(re), bool(im)] for re, im in doc["data"]]
+        path = tmp_path / "switch-bool.json"
+        path.write_text(json.dumps(doc))
+        assert main(["verify", str(path), "--kind", "pure-superchannel"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.startswith("error:")
+
 
 class TestVerifyCommand:
     def test_switch_fixture_passes(self, capsys):
@@ -258,6 +277,23 @@ class TestExitContract:
         assert captured.out == ""
         assert captured.err.startswith("error:") and "not unitary" in captured.err
         assert len(captured.err.strip().splitlines()) == 1
+
+    @pytest.mark.parametrize("argv", [
+        ["build", "random-comb", "--chain", "H0=2,H1=0,H2=2,H3=2"],
+        ["build", "random-comb", "--chain", "H0=2,H1=2,H0=2,H3=2"],
+        ["build", "random-unitary", "--dims", "P=8,AI=2,AO=2,BI=2,BO=2,F=4,P=4"],
+        ["verify", SWITCH, "--kind", "pure-superchannel", "--dims",
+         "P=4,AO=2,BO=2,AI=2,BI=2,F=4,P=4"],
+    ])
+    def test_bad_assignments_exit_2(self, argv, tmp_path, capsys):
+        out = tmp_path / "o.json"
+        argv = argv + ["--out", str(out)] if argv[0] == "build" else argv
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error:") and "internal" not in captured.err
+        assert len(captured.err.strip().splitlines()) == 1
+        assert list(tmp_path.iterdir()) == []
 
     def test_interrupt_is_not_swallowed(self, tmp_path, monkeypatch):
         def interrupted(*args, **kwargs):

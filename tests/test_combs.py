@@ -19,7 +19,7 @@ from purecomb.combs import (
 )
 from purecomb.errors import VerificationError
 from purecomb.layouts import SlotLayout
-from purecomb.spaces import LinOp, Spaces, is_unitary, phase_distance
+from purecomb.spaces import LinOp, Spaces, is_unitary, permute_systems, phase_distance
 
 LAY1 = SlotLayout.of(("H0", 2), ("H1", 2), ("H2", 2), ("H3", 2))
 LAY1_K2 = SlotLayout.of(("H0", 4), ("H1", 2), ("H2", 2), ("H3", 4))
@@ -130,10 +130,15 @@ class TestVerifyPureCombUnitary:
             ancillas = staircase_decompose(u, lay).ancilla_dims
             for _ in range(3):
                 v = locally_rotated(u, rng)
-                rep = verify_pure_comb_unitary(v, lay)
-                assert rep.ok and rep.max_residual <= 1e-12
-                assert staircase_decompose(v, lay).ancilla_dims == ancillas
-                assert not verify_pure_comb_unitary(v, _swapped(lay)).ok
+                labels = list(v.in_space.labels + v.out_space.labels)
+                reordered = permute_systems(v, [labels[i] for i in rng.permutation(len(labels))])
+                for w in (v, reordered):
+                    rep = verify_pure_comb_unitary(w, lay)
+                    assert rep.ok and rep.max_residual <= 1e-12
+                    c = staircase_decompose(w, lay)
+                    assert c.ancilla_dims == ancillas
+                    assert phase_distance(compose_staircase(c), w) <= 1e-8
+                    assert not verify_pure_comb_unitary(w, _swapped(lay)).ok
                 assert not verify_pure_comb_unitary(locally_rotated(_random_shaped(lay, 6), rng),
                                                     lay).ok
 
