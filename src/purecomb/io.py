@@ -3,6 +3,23 @@
 
 Doubles are serialized through Python's shortest round-trip repr, so a
 save/load cycle is bit exact.
+
+A save encodes the header with ``json.dumps`` and streams the data in
+fixed-size blocks of pairs, each block one C-encoder ``json.dumps`` of a
+slice of the matrix viewed as float pairs.  Memory beyond the matrix is
+bounded by one block, and the bytes are those of a single ``json.dump`` of
+the whole document with one ``[float(re), float(im)]`` list per entry,
+followed by a newline.
+
+A load parses with ``json.load`` and checks the data by whole-list passes.
+It rejects, with ``MatrixFileError``: unreadable or non-JSON files; a
+``version`` that is not the integer ``FORMAT_VERSION`` (``true`` and ``1.0``
+are rejected); dimension entries that are not ``[str, int >= 1]`` (booleans
+excluded) or repeat a label; a data list whose length is not the product of
+the dimensions; and any data entry that is not a list of two numbers, each
+a JSON integer or float (not a boolean) that is finite as a double, so
+NaN, infinities and integers beyond the double range are rejected.  The
+message names the first bad data entry.
 """
 
 from __future__ import annotations
@@ -10,6 +27,7 @@ from __future__ import annotations
 import hashlib
 import json
 import math
+from itertools import chain
 
 import numpy as np
 
@@ -17,7 +35,9 @@ from .spaces import LinOp, Spaces
 
 FORMAT_VERSION = 1
 # numbers are checked by exact type: JSON true/false load as bool, a subclass of int
-_REAL = (int, float)
+_REAL = frozenset((int, float))
+# [re, im] pairs per encoded block of a save
+_BLOCK_PAIRS = 1 << 12
 
 
 class MatrixFileError(ValueError):
@@ -25,19 +45,20 @@ class MatrixFileError(ValueError):
 
 
 def save_matrix(path, op: LinOp) -> None:
-    data = []
-    for row in op.data:
-        for z in row:
-            data.append([float(z.real), float(z.imag)])
-    doc = {
+    head = json.dumps({
         "version": FORMAT_VERSION,
         "in_dims": [[lab, d] for lab, d in op.in_space.factors],
         "out_dims": [[lab, d] for lab, d in op.out_space.factors],
-        "data": data,
-    }
+    })
+    # LinOp data is C-contiguous complex128, so this is a view
+    pairs = op.data.view(np.float64).reshape(-1, 2)
     with open(path, "w") as fh:
-        json.dump(doc, fh)
-        fh.write("\n")
+        fh.write(head[:-1] + ', "data": [')
+        for start in range(0, len(pairs), _BLOCK_PAIRS):
+            if start:
+                fh.write(", ")
+            fh.write(json.dumps(pairs[start:start + _BLOCK_PAIRS].tolist())[1:-1])
+        fh.write("]}\n")
 
 
 def _parse_dims(raw, field: str) -> Spaces:
@@ -57,13 +78,42 @@ def _parse_dims(raw, field: str) -> Spaces:
         raise MatrixFileError(str(exc)) from exc
 
 
+def _finite(x) -> bool:
+    try:
+        return math.isfinite(x)
+    except OverflowError:  # an integer beyond the double range
+        return False
+
+
+def _parse_data(raw: list) -> np.ndarray:
+    """The data pairs as a flat complex array.  Checked by whole-list
+    passes; when one fails, a scan names the first bad entry."""
+    if (set(map(type, raw)) <= {list} and set(map(len, raw)) <= {2}
+            and set(map(type, chain.from_iterable(raw))) <= _REAL):
+        try:
+            flat = np.fromiter(chain.from_iterable(raw), np.float64, count=2 * len(raw))
+        except OverflowError:
+            pass
+        else:
+            # NaN propagates through min/max, and no full-size mask is formed
+            if np.isfinite([flat.min(), flat.max()]).all():
+                return flat.view(np.complex128)
+    for i, pair in enumerate(raw):
+        if not (isinstance(pair, list) and len(pair) == 2):
+            raise MatrixFileError(f"bad data entry at index {i}: {pair!r}")
+        if not all(type(x) in _REAL and _finite(x) for x in pair):
+            raise MatrixFileError(f"non-numeric or non-finite data entry at index {i}: {pair!r}")
+    raise AssertionError("the whole-list checks failed on valid data")
+
+
 def load_matrix(path) -> LinOp:
     try:
         with open(path) as fh:
             doc = json.load(fh)
     except (OSError, json.JSONDecodeError) as exc:
         raise MatrixFileError(f"cannot read matrix file {path}: {exc}") from exc
-    if not isinstance(doc, dict) or doc.get("version") != FORMAT_VERSION:
+    if not (isinstance(doc, dict) and type(doc.get("version")) is int
+            and doc["version"] == FORMAT_VERSION):
         raise MatrixFileError(f"unsupported or missing format version in {path}")
     in_space = _parse_dims(doc.get("in_dims"), "in_dims")
     out_space = _parse_dims(doc.get("out_dims"), "out_dims")
@@ -73,14 +123,7 @@ def load_matrix(path) -> LinOp:
             f"data length {len(raw) if isinstance(raw, list) else '?'} does not match "
             f"{out_space.dim} x {in_space.dim}"
         )
-    flat = np.empty(len(raw), dtype=np.complex128)
-    for i, pair in enumerate(raw):
-        if not (isinstance(pair, list) and len(pair) == 2):
-            raise MatrixFileError(f"bad data entry at index {i}: {pair!r}")
-        re, im = pair
-        if not (type(re) in _REAL and type(im) in _REAL and math.isfinite(re) and math.isfinite(im)):
-            raise MatrixFileError(f"non-numeric or non-finite data entry at index {i}: {pair!r}")
-        flat[i] = complex(re, im)
+    flat = _parse_data(raw)
     return LinOp(out_space, in_space, flat.reshape(out_space.dim, in_space.dim))
 
 

@@ -23,6 +23,7 @@ from .combs import signalling_components, signalling_residual, verify_pure_comb_
 from .errors import VerificationError
 from .layouts import TwoSlotLayout
 from .spaces import (
+    EPS_UNITARY,
     ORTHO_TOL,
     LinOp,
     Spaces,
@@ -491,8 +492,9 @@ def embed_block(
     return LinOp(layout.out_space(), layout.in_space(), embedded)
 
 
-def assemble(d: DirectSumDecomp) -> LinOp:
-    """Embed the blocks back into the full spaces and sum them."""
+def assemble(d: DirectSumDecomp, tol: float = EPS_UNITARY) -> LinOp:
+    """Embed the blocks back into the full spaces and sum them; the sum
+    must be unitary within ``tol``."""
     layout = d.layout
     if d.p_embed_ab.shape[1] + d.p_embed_ba.shape[1] != layout.past[1]:
         raise ValueError("past embeddings do not tile the past space")
@@ -503,7 +505,7 @@ def assemble(d: DirectSumDecomp) -> LinOp:
         if blk is not None:
             total += embed_block(blk, p_e, f_e, layout).data
     out = LinOp(layout.out_space(), layout.in_space(), total)
-    ok, res = is_unitary(out)
+    ok, res = is_unitary(out, tol)
     if not ok:
         raise VerificationError(f"assembled operator is not unitary (residual {res:.2e})")
     return out
@@ -519,10 +521,11 @@ class TraceFutureReport:
     weights: tuple[float, float]
     traced_total: LinOp
     traced_blocks: tuple[LinOp | None, LinOp | None]
+    tol: float
 
     @property
     def ok(self) -> bool:
-        return self.residual <= 1e-8
+        return self.residual <= self.tol
 
 
 def _future_traced_choi(op: LinOp, layout: TwoSlotLayout) -> LinOp:
@@ -536,9 +539,11 @@ def _future_traced_choi(op: LinOp, layout: TwoSlotLayout) -> LinOp:
     return LinOp(space, space, m @ m.conj().T)
 
 
-def trace_future_check(d: DirectSumDecomp) -> TraceFutureReport:
+def trace_future_check(d: DirectSumDecomp, tol: float = ORTHO_TOL) -> TraceFutureReport:
+    """The future-traced identity of ``d``, passing within ``tol``; the
+    assembled operator must be unitary within the same ``tol``."""
     layout = d.layout
-    traced_total = _future_traced_choi(assemble(d), layout)
+    traced_total = _future_traced_choi(assemble(d, tol), layout)
 
     traced_blocks: list[LinOp | None] = []
     acc = None
@@ -556,4 +561,4 @@ def trace_future_check(d: DirectSumDecomp) -> TraceFutureReport:
     total_weight = sum(weights)
     weights = tuple(w / total_weight for w in weights)
     residual = float(np.abs(traced_total.data - acc).max())
-    return TraceFutureReport(residual, weights, traced_total, tuple(traced_blocks))
+    return TraceFutureReport(residual, weights, traced_total, tuple(traced_blocks), tol)

@@ -9,7 +9,17 @@ random vectors, with one SVD image-and-reduce per vector (per pair of
 vectors for the joint condition); the global past split aggregates the
 pointwise past splits over the same families.  The library's closed-form
 checks and its signalling-support split must reach the same results.
+
+The matrix-file references are the per-entry forms the saver and loader
+once took: one ``json.dump`` of the whole document with a
+``[float(re), float(im)]`` list per entry, and a per-entry scan naming the
+first bad data entry.  The block-streamed save must write the same bytes
+and the whole-list load checks must raise the same messages.
 """
+
+import io
+import json
+import math
 
 import numpy as np
 
@@ -149,3 +159,37 @@ def locally_rotated(u, rng):
 
     phase = np.exp(2j * np.pi * rng.random())
     return LinOp(u.out_space, u.in_space, phase * local(u.out_space) @ u.data @ local(u.in_space))
+
+
+def reference_matrix_text(op):
+    """The text of a matrix file as one ``json.dump`` of the whole document."""
+    doc = {
+        "version": 1,
+        "in_dims": [[lab, d] for lab, d in op.in_space.factors],
+        "out_dims": [[lab, d] for lab, d in op.out_space.factors],
+        "data": [[float(z.real), float(z.imag)] for row in op.data for z in row],
+    }
+    buf = io.StringIO()
+    json.dump(doc, buf)
+    buf.write("\n")
+    return buf.getvalue()
+
+
+def _finite_number(x):
+    if type(x) not in (int, float):
+        return False
+    try:
+        return math.isfinite(float(x))
+    except OverflowError:
+        return False
+
+
+def reference_entry_error(raw):
+    """Message for the first bad data entry of a loaded ``data`` list, None
+    when every entry is a pair of finite JSON numbers."""
+    for i, pair in enumerate(raw):
+        if not (isinstance(pair, list) and len(pair) == 2):
+            return f"bad data entry at index {i}: {pair!r}"
+        if not all(_finite_number(x) for x in pair):
+            return f"non-numeric or non-finite data entry at index {i}: {pair!r}"
+    return None

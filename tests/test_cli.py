@@ -79,6 +79,18 @@ class TestMatrixFile:
         captured = capsys.readouterr()
         assert captured.out == "" and captured.err.startswith("error:")
 
+    def test_out_of_range_integer_is_malformed_input(self, tmp_path, capsys):
+        # 10**400 parses as a Python int but has no double value
+        path = tmp_path / "huge.json"
+        path.write_text('{"version": 1, "in_dims": [["X", 1]], "out_dims": [["Y", 1]], '
+                        '"data": [[1' + "0" * 400 + ', 0.0]]}')
+        with pytest.raises(MatrixFileError, match="non-finite data entry at index 0"):
+            load_matrix(path)
+        assert main(["verify", str(path), "--kind", "pure-comb"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error:") and "internal" not in captured.err
+
 
 class TestVerifyCommand:
     def test_switch_fixture_passes(self, capsys):

@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import os
 
@@ -607,6 +608,23 @@ class TestTraceFutureCheck:
                 dense = partial_trace(choi_of_unitary(op).op, [lay.future[0]])
                 assert traced.out_space == dense.out_space == traced.in_space
                 assert np.abs(traced.data - dense.data).max() <= 1e-14
+
+    def test_tol_reaches_both_checks(self):
+        u, lay = build_quantum_switch(2)
+        d = direct_sum_decompose(u, lay)
+        base, loose = trace_future_check(d), trace_future_check(d, tol=1e-5)
+        assert (loose.residual, loose.weights) == (base.residual, base.weights)
+        # tilt the A-first future embedding by 1e-6 towards the B-first one
+        tilt = np.zeros((d.f_dims[1], d.f_dims[0]))
+        tilt[0, 0] = 1e-6
+        bent = dataclasses.replace(d, f_embed_ab=d.f_embed_ab + d.f_embed_ba @ tilt)
+        # the assembly's unitarity residual bounds the traced one, so at the
+        # default tol the tilt fails there first
+        with pytest.raises(VerificationError, match="not unitary"):
+            trace_future_check(bent)
+        rep = trace_future_check(bent, tol=1e-5)
+        assert rep.ok and rep.tol == 1e-5 and 1e-8 < rep.residual <= 1e-5
+        assert not dataclasses.replace(rep, tol=1e-8).ok
 
     def test_switch_d4_fits_in_memory(self):
         # the dense Choi operator of the d=4 switch alone would take 4 GiB
