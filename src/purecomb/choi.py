@@ -3,8 +3,12 @@ the label-matched link product, channel application, and plugging slot
 unitaries into a representing operator.
 
 The vectorization of A : H_in -> H_out is sum_i |i> (x) A|i>, living on
-the concatenation in (x) out.  Link-product contractions are matched by
-factor label, never by position.
+the concatenation in (x) out.  Link-product and plugging contractions are
+matched by factor label, never by position: each is an einsum over the
+operators reshaped to one axis per factor and side, summing the legs two
+operators share.  No identity-padded operator is formed, so a contraction
+costs the size of its result times the dimension it sums over, and holds
+nothing larger than its operands and its result.
 """
 
 from __future__ import annotations
@@ -19,14 +23,7 @@ from .spaces import (
     Spaces,
     Vec,
     canonical_phase,
-    compose,
-    identity,
-    kron,
     partial_trace,
-    partial_transpose,
-    permute_systems,
-    tensor,
-    trace_matching,
 )
 
 
@@ -74,7 +71,7 @@ class ChoiOp:
         return float(np.abs(red.data - np.eye(red.out_space.dim)).max())
 
     def is_cp(self, tol: float = 1e-8) -> bool:
-        return self.hermiticity_residual() <= 1e-10 and self.min_eigenvalue() >= -tol
+        return self.hermiticity_residual() <= tol and self.min_eigenvalue() >= -tol
 
     def is_channel(self, tol: float = 1e-8) -> bool:
         return self.is_cp(tol) and self.tp_residual() <= tol
@@ -96,25 +93,28 @@ def choi_of_unitary(u: LinOp) -> ChoiOp:
 def link_product(e: ChoiOp, f: ChoiOp) -> ChoiOp:
     """Contract two Choi operators over their shared labels.
 
-    Shared factors are traced out after a partial transpose on the second
-    argument; disjoint factors pass through.  Commutative up to factor
-    reordering.
+    With s the shared factors, e and f the rest of each operand,
+    (E * F)[e,f; e',f'] = sum over s, s' of E[e,s; e',s'] F[s,f; s',f']:
+    one einsum over the operators reshaped to tensors, equal to the trace
+    over s of (E (x) I_f)(I_e (x) F^{T_s}) without forming either padded
+    factor.  Its cost is the result size times the shared dimension
+    squared.  The result's factors are e's in e's order, then f's in f's
+    order; commutative up to that reordering.
     """
     shared = [lab for lab in e.space.labels if f.space.has(lab)]
     for lab in shared:
         if e.space.dim_of(lab) != f.space.dim_of(lab):
             raise ValueError(f"shared label {lab!r} has conflicting dims")
-    e_only = e.space.without(shared)
-    f_only = f.space.without(shared)
-    big_e = kron(e.op, identity(f_only)) if len(f_only) else e.op
-    big_f = kron(f.op, identity(e_only)) if len(e_only) else f.op
-    if shared:
-        big_f = partial_transpose(big_f, shared)
-    order = list(e_only.labels) + shared + list(f_only.labels)
-    prod = compose(permute_systems(big_e, order), permute_systems(big_f, order))
-    out = partial_trace(prod, shared) if shared else prod
-    roles_in = tuple(lab for lab in out.out_space.labels if lab in set(e.map_in) | set(f.map_in))
-    roles_out = tuple(lab for lab in out.out_space.labels if lab in set(e.map_out) | set(f.map_out))
+    space = e.space.without(shared).concat(f.space.without(shared))
+
+    def legs(labels):
+        return [("row", lab) for lab in labels] + [("col", lab) for lab in labels]
+
+    data = _contract(_tensor(e.op), legs(e.space.labels), _tensor(f.op), legs(f.space.labels),
+                     legs(space.labels))
+    out = LinOp(space, space, data.reshape(space.dim, space.dim))
+    roles_in = tuple(lab for lab in space.labels if lab in set(e.map_in) | set(f.map_in))
+    roles_out = tuple(lab for lab in space.labels if lab in set(e.map_out) | set(f.map_out))
     return ChoiOp(out, roles_in, roles_out)
 
 
@@ -134,12 +134,22 @@ def plug_unitaries(u: LinOp, layout: SlotLayout, slot_ops: list[LinOp]) -> LinOp
     treated as its private ancillas and pass through to the result.  The
     output is scaled to the canonical global phase so repeated calls are
     bit-identical.
+
+    The slots are contracted into u one at a time, as einsums over the
+    operators reshaped to tensors: slot n consumes u's output H_{2n-1},
+    closes the loop on u's input H_{2n} and adds its ancilla legs.  Each
+    step costs the size of its result times the two wire dimensions, and
+    nothing larger than the operands and the result is formed.  The result
+    maps (slot input ancillas, in slot order, then H_0) to (H_{2N+1}, then
+    the slot output ancillas); a slot operator may share labels with no
+    other slot operator or the future, and its input ancillas none with
+    u's inputs.
     """
     n = layout.n_slots
     if len(slot_ops) != n:
         raise ValueError(f"expected {n} slot operators, got {len(slot_ops)}")
     layout.check_operator(u)
-    future = Spaces((layout.factor(2 * n + 1),))
+    taken, inputs = {layout.labels[-1]}, set(layout.labels[0::2])
     for k, op in enumerate(slot_ops, start=1):
         lab_in, d_in = layout.factor(2 * k - 1)
         lab_out, d_out = layout.factor(2 * k)
@@ -147,9 +157,42 @@ def plug_unitaries(u: LinOp, layout: SlotLayout, slot_ops: list[LinOp]) -> LinOp
             raise ValueError(f"slot {k} operator does not consume {lab_in!r} (dim {d_in})")
         if not op.out_space.has(lab_out) or op.out_space.dim_of(lab_out) != d_out:
             raise ValueError(f"slot {k} operator does not produce {lab_out!r} (dim {d_out})")
+        clash = (taken & op.all_labels) | (inputs & set(op.in_space.labels))
+        if clash:
+            raise ValueError(f"label collision: {sorted(clash)}")
+        taken |= op.all_labels
     if n == 0:
         return canonical_phase(u)
-    lifted = tensor(identity(future), *slot_ops)
-    prod = compose(lifted, u, pad=True)
-    traced = trace_matching(prod, [layout.factor(2 * k)[0] for k in range(1, n + 1)])
-    return canonical_phase(traced)
+    past, future = layout.factor(0)[0], layout.factor(2 * n + 1)[0]
+    # Axis keys: ("wire", H_m) for a slot wire joining u to a slot operator,
+    # ("out", label) / ("in", label) for a free output / input leg.
+    t = _tensor(u)
+    t_keys = [("out" if lab == future else "wire", lab) for lab in u.out_space.labels]
+    t_keys += [("in" if lab == past else "wire", lab) for lab in u.in_space.labels]
+    out_factors, in_factors = [layout.factor(2 * n + 1)], []
+    for k, op in enumerate(slot_ops, start=1):
+        lab_in, lab_out = layout.factor(2 * k - 1)[0], layout.factor(2 * k)[0]
+        s_keys = [("wire" if lab == lab_out else "out", lab) for lab in op.out_space.labels]
+        s_keys += [("wire" if lab == lab_in else "in", lab) for lab in op.in_space.labels]
+        live = [key for key in t_keys + s_keys if key not in {("wire", lab_in), ("wire", lab_out)}]
+        t, t_keys = _contract(t, t_keys, _tensor(op), s_keys, live), live
+        out_factors += [f for f in op.out_space.factors if f[0] != lab_out]
+        in_factors += [f for f in op.in_space.factors if f[0] != lab_in]
+    in_factors.append(layout.factor(0))
+    order = [("out", lab) for lab, _ in out_factors] + [("in", lab) for lab, _ in in_factors]
+    out_space, in_space = Spaces(tuple(out_factors)), Spaces(tuple(in_factors))
+    data = t.transpose([t_keys.index(key) for key in order]).reshape(out_space.dim, in_space.dim)
+    return canonical_phase(LinOp(out_space, in_space, data))
+
+
+def _tensor(a: LinOp) -> np.ndarray:
+    """The matrix as a tensor: output factor axes, then input factor axes."""
+    return a.data.reshape(a.out_space.dims + a.in_space.dims)
+
+
+def _contract(a: np.ndarray, a_keys: list, b: np.ndarray, b_keys: list, out_keys: list):
+    """einsum of two tensors whose axes are named by hashable keys: a key on
+    both operands and not in ``out_keys`` is summed over."""
+    ids = {key: i for i, key in enumerate(dict.fromkeys(a_keys + b_keys))}
+    return np.einsum(a, [ids[key] for key in a_keys], b, [ids[key] for key in b_keys],
+                     [ids[key] for key in out_keys], optimize=True)

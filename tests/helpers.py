@@ -10,6 +10,13 @@ vectors for the joint condition); the global past split aggregates the
 pointwise past splits over the same families.  The library's closed-form
 checks and its signalling-support split must reach the same results.
 
+The contraction references are the identity-padded dense forms plugging
+and the link product once took: the slot operators tensored with the
+identity on the future and composed with the map as one square product
+before the slot wires are traced, and the link as the trace of
+(E (x) I)(I (x) F)^{T_shared}.  The label-matched contractions must give
+the same factor order, the same roles and the same entries.
+
 The matrix-file references are the per-entry forms the saver and loader
 once took: one ``json.dump`` of the whole document with a
 ``[float(re), float(im)]`` list per entry, and a per-entry scan naming the
@@ -24,9 +31,23 @@ import math
 import numpy as np
 
 from purecomb.builders import haar_unitary
+from purecomb.choi import ChoiOp
 from purecomb.errors import VerificationError
 from purecomb.families import spanning_family, stability_vectors
-from purecomb.spaces import ORTHO_TOL, LinOp, Spaces
+from purecomb.spaces import (
+    ORTHO_TOL,
+    LinOp,
+    Spaces,
+    canonical_phase,
+    compose,
+    identity,
+    kron,
+    partial_trace,
+    partial_transpose,
+    permute_systems,
+    tensor,
+    trace_matching,
+)
 from purecomb.subspaces import (
     complement,
     from_spanning,
@@ -159,6 +180,60 @@ def locally_rotated(u, rng):
 
     phase = np.exp(2j * np.pi * rng.random())
     return LinOp(u.out_space, u.in_space, phase * local(u.out_space) @ u.data @ local(u.in_space))
+
+
+def dense_link_product(e, f):
+    """Contract two Choi operators over their shared labels.
+
+    Shared factors are traced out after a partial transpose on the second
+    argument; disjoint factors pass through.  Commutative up to factor
+    reordering.
+    """
+    shared = [lab for lab in e.space.labels if f.space.has(lab)]
+    for lab in shared:
+        if e.space.dim_of(lab) != f.space.dim_of(lab):
+            raise ValueError(f"shared label {lab!r} has conflicting dims")
+    e_only = e.space.without(shared)
+    f_only = f.space.without(shared)
+    big_e = kron(e.op, identity(f_only)) if len(f_only) else e.op
+    big_f = kron(f.op, identity(e_only)) if len(e_only) else f.op
+    if shared:
+        big_f = partial_transpose(big_f, shared)
+    order = list(e_only.labels) + shared + list(f_only.labels)
+    prod = compose(permute_systems(big_e, order), permute_systems(big_f, order))
+    out = partial_trace(prod, shared) if shared else prod
+    roles_in = tuple(lab for lab in out.out_space.labels if lab in set(e.map_in) | set(f.map_in))
+    roles_out = tuple(lab for lab in out.out_space.labels if lab in set(e.map_out) | set(f.map_out))
+    return ChoiOp(out, roles_in, roles_out)
+
+
+def dense_plug_unitaries(u, layout, slot_ops):
+    """Insert one operator per slot and contract to the induced global map.
+
+    Slot operator n must consume the slot-input factor H_{2n-1} and produce
+    the slot-output factor H_{2n}; any further factors it carries are
+    treated as its private ancillas and pass through to the result.  The
+    output is scaled to the canonical global phase so repeated calls are
+    bit-identical.
+    """
+    n = layout.n_slots
+    if len(slot_ops) != n:
+        raise ValueError(f"expected {n} slot operators, got {len(slot_ops)}")
+    layout.check_operator(u)
+    future = Spaces((layout.factor(2 * n + 1),))
+    for k, op in enumerate(slot_ops, start=1):
+        lab_in, d_in = layout.factor(2 * k - 1)
+        lab_out, d_out = layout.factor(2 * k)
+        if not op.in_space.has(lab_in) or op.in_space.dim_of(lab_in) != d_in:
+            raise ValueError(f"slot {k} operator does not consume {lab_in!r} (dim {d_in})")
+        if not op.out_space.has(lab_out) or op.out_space.dim_of(lab_out) != d_out:
+            raise ValueError(f"slot {k} operator does not produce {lab_out!r} (dim {d_out})")
+    if n == 0:
+        return canonical_phase(u)
+    lifted = tensor(identity(future), *slot_ops)
+    prod = compose(lifted, u, pad=True)
+    traced = trace_matching(prod, [layout.factor(2 * k)[0] for k in range(1, n + 1)])
+    return canonical_phase(traced)
 
 
 def reference_matrix_text(op):

@@ -1,10 +1,19 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
-from purecomb.builders import haar_unitary, random_pure_comb
+from helpers import dense_link_product, dense_plug_unitaries
+from purecomb.builders import (
+    build_d3d_example,
+    build_direct_sum,
+    build_quantum_switch,
+    haar_unitary,
+    random_pure_comb,
+)
 from purecomb.choi import ChoiOp, apply_channel, choi_of_unitary, choi_vector, link_product, plug_unitaries
-from purecomb.layouts import SlotLayout
-from purecomb.spaces import LinOp, Spaces, is_unitary, permute_systems, phase_distance
+from purecomb.layouts import SlotLayout, TwoSlotLayout
+from purecomb.spaces import LinOp, Spaces, canonical_phase, is_unitary, permute_systems, phase_distance
 
 A2 = Spaces.of(("A", 2))
 B2 = Spaces.of(("B", 2))
@@ -248,3 +257,262 @@ class TestPlugUnitaries:
         u, lay = self._switch()
         with pytest.raises(ValueError):
             plug_unitaries(u, lay.slot_chain("ab"), [self._slot("AI", "AO", np.eye(2))])
+
+
+# ------------------------------------------- label-matched contractions
+# The identity-padded dense forms in tests/helpers.py are the reference:
+# the contractions must give the same factor order on both sides, the same
+# roles and the same entries, with no phase alignment.
+
+
+def _assert_same_op(got, want):
+    assert got.out_space == want.out_space
+    assert got.in_space == want.in_space
+    assert np.abs(got.data - want.data).max() <= 1e-13
+
+
+def _slot_ops(lay, rng, anc_dims=(2, 2), first=False):
+    """Slot operators with an input ancilla E{n}i and an output ancilla E{n}o
+    of the given dims (0 for none), listed before or after the wire: Haar
+    unitaries where square, Gaussian matrices otherwise."""
+    ops = []
+    for n in range(1, lay.n_slots + 1):
+        wire_in, wire_out = lay.factor(2 * n - 1), lay.factor(2 * n)
+        sides = []
+        for wire, anc, d_anc in ((wire_in, f"E{n}i", anc_dims[0]), (wire_out, f"E{n}o", anc_dims[1])):
+            factors = [wire] + ([(anc, d_anc)] if d_anc else [])
+            sides.append(Spaces.of(*(factors[::-1] if first else factors)))
+        sp_in, sp_out = sides
+        if sp_in.dim == sp_out.dim:
+            mat = haar_unitary(sp_in.dim, rng)
+        else:
+            mat = rng.standard_normal((sp_out.dim, sp_in.dim)) + 0j
+        ops.append(_op(sp_out, sp_in, mat))
+    return ops
+
+
+def _plug_instances():
+    out = []
+    for d in (2, 3):
+        u, lay = build_quantum_switch(d)
+        out += [(f"switch{d}-ab", u, lay.slot_chain("ab")), (f"switch{d}-ba", u, lay.slot_chain("ba"))]
+    u, lay = build_d3d_example()
+    out.append(("d3d", u, lay.slot_chain("ab")))
+    for seed, (p_ab, p_ba) in enumerate(((2, 2), (2, 4), (4, 2))):
+        d = p_ab + p_ba
+        lay = TwoSlotLayout.of(("P", d), ("AI", 2), ("AO", 2), ("BI", 2), ("BO", 2), ("F", d))
+        rng = np.random.default_rng(600 + seed)
+        ep, ef = haar_unitary(d, rng), haar_unitary(d, rng)
+        u = build_direct_sum(
+            random_pure_comb(lay.with_dims(p_ab, p_ab).slot_chain("ab"), 610 + seed),
+            random_pure_comb(lay.with_dims(p_ba, p_ba).slot_chain("ba"), 620 + seed),
+            ep[:, :p_ab], ep[:, p_ab:], ef[:, :p_ab], ef[:, p_ab:], lay)
+        out.append((f"sum{p_ab}x{p_ba}", u, lay.slot_chain("ab")))
+    for chain in ("H0=2,H1=2,H2=3,H3=3",
+                  "H0=4,H1=2,H2=4,H3=8",
+                  "H0=4,H1=2,H2=4,H3=4,H4=4,H5=8",
+                  "H0=2,H1=2,H2=2,H3=2,H4=2,H5=2,H6=2,H7=2",
+                  "H0=4,H1=2,H2=2,H3=2,H4=2,H5=2,H6=2,H7=2,H8=2,H9=4"):
+        lay = SlotLayout.of(*[(lab, int(d)) for lab, d in (kv.split("=") for kv in chain.split(","))])
+        out.append((chain, random_pure_comb(lay, len(chain)), lay))
+    return out
+
+
+PLUG_INSTANCES = _plug_instances()
+
+
+class TestPlugMatchesDense:
+    @pytest.mark.parametrize("tag,u,lay", PLUG_INSTANCES, ids=[t for t, _, _ in PLUG_INSTANCES])
+    @pytest.mark.parametrize("first", [False, True], ids=["anc-last", "anc-first"])
+    def test_matches_dense(self, tag, u, lay, first):
+        rng = np.random.default_rng(len(tag) + first)
+        for anc_dims in ((2, 2), (0, 0), (3, 1), (1, 2)):
+            ops = _slot_ops(lay, rng, anc_dims, first)
+            _assert_same_op(plug_unitaries(u, lay, ops), dense_plug_unitaries(u, lay, ops))
+
+    def test_same_ancilla_label_on_both_sides(self):
+        rng = np.random.default_rng(21)
+        lay = SlotLayout.of(("H0", 2), ("H1", 2), ("H2", 2), ("H3", 2), ("H4", 3), ("H5", 3))
+        u = random_pure_comb(lay, 21)
+        ops = [_op(Spaces.of(("H2", 2), ("E", 2)), Spaces.of(("H1", 2), ("E", 2)), haar_unitary(4, rng)),
+               _op(Spaces.of(("G", 3), ("H4", 3)), Spaces.of(("G", 3), ("H3", 2)),
+                   rng.standard_normal((9, 6)) + 0j)]
+        got = plug_unitaries(u, lay, ops)
+        assert got.out_space.labels == ("H5", "E", "G") and got.in_space.labels == ("E", "G", "H0")
+        _assert_same_op(got, dense_plug_unitaries(u, lay, ops))
+
+    def test_zero_slots(self):
+        lay = SlotLayout.of(("P", 3), ("F", 3))
+        u = _op(Spaces.of(("F", 3)), Spaces.of(("P", 3)), haar_unitary(3, np.random.default_rng(22)))
+        got = plug_unitaries(u, lay, [])
+        _assert_same_op(got, dense_plug_unitaries(u, lay, []))
+        assert np.array_equal(got.data, canonical_phase(u).data)
+
+    @pytest.mark.parametrize("anc", ["H0", "H1"], ids=["past", "own-input"])
+    def test_accepted_collision_gives_dense_operator(self, anc):
+        # the dense path accepts an output ancilla named like the past or
+        # like the slot's own input wire; both sides of the result keep it
+        lay = SlotLayout.of(("H0", 2), ("H1", 2), ("H2", 2), ("H3", 2))
+        u = random_pure_comb(lay, 23)
+        op = _op(Spaces.of(("H2", 2), (anc, 2)), Spaces.of(("H1", 2)),
+                 haar_unitary(4, np.random.default_rng(23))[:, :2])
+        _assert_same_op(plug_unitaries(u, lay, [op]), dense_plug_unitaries(u, lay, [op]))
+
+    def test_ancilla_order_differs_between_sides(self):
+        # An ancilla on both sides listed after an input-only ancilla: the
+        # dense reference's rectangular trace labels its input side wrongly
+        # here, so the reference plugs the operator with its inputs reordered.
+        rng = np.random.default_rng(24)
+        lay = SlotLayout.of(("H0", 2), ("H1", 2), ("H2", 2), ("H3", 2))
+        u = random_pure_comb(lay, 24)
+        op = _op(Spaces.of(("H2", 2), ("E", 2)), Spaces.of(("H1", 2), ("A", 2), ("E", 2)),
+                 haar_unitary(8, rng)[:4])
+        got = plug_unitaries(u, lay, [op])
+        assert got.in_space.labels == ("A", "E", "H0")
+        want = dense_plug_unitaries(u, lay, [permute_systems(op, ["H2", "E", "H1", "A"])])
+        assert want.in_space.labels == ("E", "A", "H0")
+        _assert_same_op(got, permute_systems(want, ["H3", "A", "E", "H0"]))
+
+
+def _switch_ops():
+    u, lay = build_quantum_switch(2)
+    return u, lay.slot_chain("ab")
+
+
+def _qubit(out_labels, in_labels, mat=None):
+    out_sp = Spaces.of(*[(lab, 2) for lab in out_labels])
+    in_sp = Spaces.of(*[(lab, 2) for lab in in_labels])
+    return _op(out_sp, in_sp, np.eye(out_sp.dim, in_sp.dim) if mat is None else mat)
+
+
+# Slot operators for the two-slot switch chain P, AI, AO, BI, BO, F that
+# collide with a layout wire, the future or another slot's ancilla.
+PLUG_COLLISIONS = {
+    "input-anc-is-past": [_qubit(["AO"], ["AI", "P"]), _qubit(["BO"], ["BI"])],
+    "input-anc-is-own-output": [_qubit(["AO"], ["AI", "AO"]), _qubit(["BO"], ["BI"])],
+    "input-anc-is-other-output": [_qubit(["AO"], ["AI", "BO"]), _qubit(["BO"], ["BI"])],
+    "input-anc-is-other-input": [_qubit(["AO"], ["AI", "BI"]), _qubit(["BO"], ["BI"])],
+    "output-anc-is-other-input": [_qubit(["AO", "BI"], ["AI"]), _qubit(["BO"], ["BI"])],
+    "output-anc-is-other-output": [_qubit(["AO"], ["AI"]), _qubit(["BO", "AO"], ["BI"])],
+    "input-anc-is-future": [_qubit(["AO"], ["AI", "F"]), _qubit(["BO"], ["BI"])],
+    "output-anc-is-future": [_qubit(["AO"], ["AI"]), _qubit(["BO", "F"], ["BI"])],
+    "shared-anc-same-side": [_qubit(["AO", "E"], ["AI"]), _qubit(["BO", "E"], ["BI"])],
+    "shared-anc-cross-side": [_qubit(["AO"], ["AI", "E"]), _qubit(["BO", "E"], ["BI"])],
+    "missing-input-wire": [_qubit(["AO"], ["E"]), _qubit(["BO"], ["BI"])],
+    "missing-output-wire": [_qubit(["AO"], ["AI"]), _qubit(["E"], ["BI"])],
+    "wrong-wire-dim": [_op(Spaces.of(("AO", 2)), Spaces.of(("AI", 3)), np.ones((2, 3))),
+                       _qubit(["BO"], ["BI"])],
+}
+
+
+class TestRejectionParity:
+    """Both the contraction and the dense reference reject the same inputs."""
+
+    @pytest.fixture(params=["contraction", "dense"])
+    def plug(self, request):
+        return plug_unitaries if request.param == "contraction" else dense_plug_unitaries
+
+    @pytest.mark.parametrize("case", sorted(PLUG_COLLISIONS))
+    def test_plug_collision_raises(self, plug, case):
+        u, lay = _switch_ops()
+        with pytest.raises(ValueError):
+            plug(u, lay, PLUG_COLLISIONS[case])
+
+    def test_plug_checks_layout(self, plug):
+        u, lay = _switch_ops()
+        with pytest.raises(ValueError):
+            plug(u, SlotLayout.of(("P", 2), ("AI", 2), ("AO", 2), ("F", 2)),
+                 [_qubit(["AO"], ["AI"])])
+        with pytest.raises(ValueError):
+            plug(u, lay, [_qubit(["AO"], ["AI"])])
+
+    def test_link_dim_conflict(self):
+        cu = choi_of_unitary(_op(B2, A2, np.eye(2)))
+        bad = choi_of_unitary(_op(Spaces.of(("C", 3)), Spaces.of(("B", 3)), np.eye(3)))
+        for link in (link_product, dense_link_product):
+            with pytest.raises(ValueError):
+                link(cu, bad)
+
+
+def _random_choi(rng, factors, map_in):
+    sp = Spaces.of(*factors)
+    mat = rng.standard_normal((sp.dim, sp.dim)) + 1j * rng.standard_normal((sp.dim, sp.dim))
+    return ChoiOp(_op(sp, sp, mat), tuple(map_in),
+                  tuple(lab for lab in sp.labels if lab not in set(map_in)))
+
+
+# (E factors, E map_in, F factors, F map_in)
+LINK_CASES = {
+    "no-shared": ([("A", 2), ("B", 3)], ["A"], [("C", 2), ("D", 2)], ["D"]),
+    "all-shared": ([("A", 2), ("B", 3)], ["A"], [("B", 3), ("A", 2)], ["B"]),
+    "shared-reordered": ([("A", 2), ("S", 3), ("T", 2)], ["A"],
+                         [("T", 2), ("C", 2), ("S", 3)], ["T", "S"]),
+    "chain-link": ([("H0", 2), ("H1", 2), ("H2", 2), ("H3", 2)], ["H0", "H2"],
+                   [("H1", 2), ("E1i", 2), ("H2", 2), ("E1o", 2)], ["H1", "E1i"]),
+}
+
+
+class TestLinkMatchesDense:
+    @pytest.mark.parametrize("case", sorted(LINK_CASES))
+    def test_matches_dense(self, case):
+        e_factors, e_in, f_factors, f_in = LINK_CASES[case]
+        rng = np.random.default_rng(len(case))
+        for _ in range(3):
+            e, f = _random_choi(rng, e_factors, e_in), _random_choi(rng, f_factors, f_in)
+            for a, b in ((e, f), (f, e)):
+                got, want = link_product(a, b), dense_link_product(a, b)
+                assert (got.map_in, got.map_out) == (want.map_in, want.map_out)
+                _assert_same_op(got.op, want.op)
+
+    def test_all_shared_is_one_by_one(self):
+        e_factors, e_in, f_factors, f_in = LINK_CASES["all-shared"]
+        rng = np.random.default_rng(31)
+        e, f = _random_choi(rng, e_factors, e_in), _random_choi(rng, f_factors, f_in)
+        got = link_product(e, f)
+        assert got.op.data.shape == (1, 1) and got.space.labels == ()
+        f_aligned = permute_systems(f.op, list(e.space.labels)).data
+        assert abs(got.op.data[0, 0] - np.sum(e.op.data * f_aligned)) < 1e-12
+
+    def test_chain_of_slot_chois_matches_plug(self):
+        rng = np.random.default_rng(32)
+        lay = SlotLayout.of(*[(f"H{m}", 2) for m in range(6)])
+        u = random_pure_comb(lay, 32)
+        ops = _slot_ops(lay, rng)
+        got = want = choi_of_unitary(u)
+        for op in ops:
+            got = link_product(got, choi_of_unitary(op))
+            want = dense_link_product(want, choi_of_unitary(op))
+        assert (got.map_in, got.map_out) == (want.map_in, want.map_out)
+        _assert_same_op(got.op, want.op)
+        plugged = choi_of_unitary(plug_unitaries(u, lay, ops)).op
+        aligned = permute_systems(got.op, list(plugged.out_space.labels))
+        assert phase_distance(aligned, plugged) < 1e-12
+
+
+class TestContractionMemory:
+    def test_plug_four_slot_comb_stays_small(self):
+        # H0=4, H1..H8=2, H9=4 with a 2-dim ancilla on both sides of every
+        # slot: the identity-padded product would hold 1024 x 1024 operands
+        lay = SlotLayout.of(("H0", 4), *[(f"H{m}", 2) for m in range(1, 9)], ("H9", 4))
+        u = random_pure_comb(lay, 41)
+        ops = _slot_ops(lay, np.random.default_rng(41))
+        tracemalloc.start()
+        try:
+            g = plug_unitaries(u, lay, ops)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert g.data.shape == (64, 64) and is_unitary(g).ok
+        assert peak < 4 * 2**20, f"peak {peak / 2**20:.1f} MiB"
+
+
+class TestIsCpTolerance:
+    def test_hermiticity_cut_follows_tol(self):
+        sp = A2.concat(B2)
+        data = np.eye(4) / 2
+        data[0, 1] = 1e-9
+        c = ChoiOp(_op(sp, sp, data), ("A",), ("B",))
+        assert abs(c.hermiticity_residual() - 1e-9) < 1e-15
+        assert c.min_eigenvalue() > 0.4
+        assert c.is_cp(1e-8)
+        assert not c.is_cp(1e-10)

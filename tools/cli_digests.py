@@ -1,0 +1,90 @@
+"""Digest manifest of a fixed list of CLI ops, for byte-comparing two checkouts.
+
+    python3 tools/cli_digests.py WORKDIR > manifest.json
+
+Runs 22 ops in-process through ``purecomb.cli.main`` (imported from the
+``src/`` of the checkout this file is in), with the BLAS thread count pinned
+to 1, inside WORKDIR with relative paths, and prints one JSON manifest: per
+op its argv, exit code and the sha256 of its stdout, then the sha256 of
+every file written to WORKDIR.  Run two checkouts in same-named empty work
+directories and ``diff`` the two manifests.
+
+The ops: ``build``, ``verify --kind pure-superchannel`` and ``decompose
+--kind direct-sum`` on switch d=2/3/4 and ``d3d``; ``verify`` and
+``decompose`` on the three ``tests/fixtures``; ``assemble`` of the switch-3
+blocks; ``build random-comb`` on a 3-slot chain, then ``verify --kind
+pure-comb`` and ``decompose --kind staircase`` on it.
+"""
+
+import os
+
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ[_var] = "1"
+
+import contextlib  # noqa: E402  (BLAS reads its thread count at import)
+import hashlib  # noqa: E402
+import io  # noqa: E402
+import json  # noqa: E402
+import shutil  # noqa: E402
+import sys  # noqa: E402
+from pathlib import Path  # noqa: E402
+
+ROOT = Path(__file__).resolve().parent.parent
+sys.path.insert(0, str(ROOT / "src"))
+
+from purecomb import cli  # noqa: E402
+
+FIXTURES = ("switch", "d3d", "random-unitary")
+COMB_CHAIN = "H0=8,H1=2,H2=4,H3=4,H4=4,H5=4,H6=2,H7=8"
+
+
+def two_slot_ops(tag: str, path: str) -> list[list[str]]:
+    return [["verify", path, "--kind", "pure-superchannel", "--json"],
+            ["decompose", path, "--kind", "direct-sum", "--out", f"dec-{tag}", "--json"]]
+
+
+def op_list() -> list[list[str]]:
+    ops = []
+    for tag, build in [(f"switch{d}", ["switch", "--dim", str(d)]) for d in (2, 3, 4)] + [
+            ("d3d", ["d3d"])]:
+        ops.append(["build", *build, "--out", f"{tag}.json", "--json"])
+        ops += two_slot_ops(tag, f"{tag}.json")
+    for name in FIXTURES:
+        ops += two_slot_ops(f"fixture-{name}", f"fixture-{name}.json")
+    ops.append(["assemble", "dec-switch3.block-ab.json", "dec-switch3.block-ba.json",
+                "--out", "asm-switch3.json", "--json"])
+    ops += [["build", "random-comb", "--chain", COMB_CHAIN, "--seed", "7", "--out", "comb.json",
+             "--json"],
+            ["verify", "comb.json", "--kind", "pure-comb", "--json"],
+            ["decompose", "comb.json", "--kind", "staircase", "--out", "dec-comb", "--json"]]
+    return ops
+
+
+def sha256(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()
+
+
+def main(argv: list[str]) -> int:
+    if len(argv) != 1:
+        print("usage: python3 tools/cli_digests.py WORKDIR", file=sys.stderr)
+        return 2
+    work = Path(argv[0])
+    work.mkdir(parents=True, exist_ok=True)
+    inputs = {f"fixture-{name}.json" for name in FIXTURES}
+    for name in FIXTURES:
+        shutil.copyfile(ROOT / "tests" / "fixtures" / f"{name}.json", work / f"fixture-{name}.json")
+    os.chdir(work)
+    ops = []
+    for argv_i in op_list():
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            code = cli.main(argv_i)
+        ops.append({"argv": argv_i, "exit": code, "stdout_sha256": sha256(out.getvalue().encode())})
+    files = {p.name: sha256(p.read_bytes()) for p in sorted(Path(".").iterdir())
+             if p.is_file() and p.name not in inputs}
+    print(json.dumps({"ops": ops, "files": files}, indent=1))
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))
