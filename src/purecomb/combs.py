@@ -19,6 +19,7 @@ from .choi import ChoiOp
 from .errors import VerificationError
 from .layouts import SlotLayout
 from .spaces import (
+    EPS_UNITARY,
     ORTHO_TOL,
     LinOp,
     Spaces,
@@ -29,7 +30,6 @@ from .spaces import (
     partial_trace,
     permute_systems,
 )
-from .subspaces import from_spanning, reduced_subspace
 
 
 @dataclasses.dataclass(frozen=True)
@@ -45,6 +45,7 @@ class CombCircuit:
     elements: tuple[LinOp, ...]
     ancilla_dims: tuple[int, ...]   # k_0 .. k_{N+1}
     ancilla_labels: tuple[str, ...]  # labels reserved for A_1 .. A_N
+    tol: float = EPS_UNITARY  # every element must be unitary within it
 
     def __post_init__(self):
         n = self.layout.n_slots
@@ -60,7 +61,7 @@ class CombCircuit:
                     f"{dims[2 * m]}*{self.ancilla_dims[m]} != {dims[2 * m + 1]}*{self.ancilla_dims[m + 1]}"
                 )
         for m, el in enumerate(self.elements):
-            ok, res = is_unitary(el)
+            ok, res = is_unitary(el, self.tol)
             if not ok:
                 raise ValueError(f"element {m} is not unitary (residual {res:.2e})")
 
@@ -125,7 +126,7 @@ def verify_pure_comb_unitary(
     The identity characterizes reversible combs only for unitaries, so a
     non-unitary operator is rejected as malformed (ValueError).
     """
-    ok_u, res_u = is_unitary(u)
+    ok_u, res_u = is_unitary(u, tol)
     if not ok_u:
         raise ValueError(f"operator is not unitary (residual {res_u:.2e})")
     layout.check_operator(u)
@@ -190,18 +191,29 @@ def ancilla_labels(layout: SlotLayout) -> tuple[str, ...]:
     return tuple(labels)
 
 
+def _projector_range(m: np.ndarray, tol: float, what: str) -> np.ndarray:
+    """Eigenvectors of a Hermitian ``m`` at eigenvalues above 1/2; every
+    eigenvalue must lie within ``tol`` of 0 or 1 (the error names ``what``)."""
+    w, v = np.linalg.eigh(m)
+    worst = float(np.minimum(np.abs(w), np.abs(w - 1)).max())
+    if worst > tol:
+        raise VerificationError(f"{what} is not a projector: an eigenvalue is {worst:.2e} off 0/1")
+    return v[:, w > 0.5]
+
+
 def staircase_decompose(u: LinOp, layout: SlotLayout, tol: float = ORTHO_TOL) -> CombCircuit:
     """Factor a reversible comb into its staircase of unitaries.
 
-    Peels the last slot at each step: the ancilla dimension k is read off
-    as the rank of the reduced image of the slot fed with a fixed basis
-    state, cross-checked against the exact integer quotient of the wire
-    dimensions.  Every element is a slice of the current operator
-    contracted with that reduced image's SVD basis.  The basis is a gauge
-    choice: deterministic for a fixed numpy/BLAS build, but ulp-level
-    changes to the input can move it where singular values are
-    degenerate.  The contract is that recomposition reproduces the input
-    up to a global phase, with these ``ancilla_dims``.
+    Peels the last slot at each step.  With the slot fed a fixed basis
+    state, Tr_inner[U (I_past (x) |0><0|_slot) U^dagger] / d_inner is the
+    projector onto the future support of the next element (Chiribella,
+    D'Ariano & Perinotti, PRL 101, 060401 (2008)); its range (one ``eigh``
+    at ``tol``) has rank k, checked against the integer quotient of the wire
+    dimensions.  Every element is a slice of the current operator contracted
+    with that eigenbasis, a gauge choice: deterministic for a fixed numpy/
+    BLAS build, but ulp-level input changes can move it where eigenvalues
+    are degenerate.  Recomposition reproduces the input up to a global
+    phase, with these ``ancilla_dims``.
     """
     report = verify_pure_comb_unitary(u, layout, tol)
     if not report.ok:
@@ -212,7 +224,7 @@ def staircase_decompose(u: LinOp, layout: SlotLayout, tol: float = ORTHO_TOL) ->
     n_slots = layout.n_slots
     anc_labels = ancilla_labels(layout)
     if n_slots == 0:
-        return CombCircuit(layout, (u,), (1, 1), ())
+        return CombCircuit(layout, (u,), (1, 1), (), tol)
 
     cur = permute_systems(
         u, [lab for lab, _ in layout.even_factors()] + [lab for lab, _ in layout.odd_factors()]
@@ -234,15 +246,14 @@ def staircase_decompose(u: LinOp, layout: SlotLayout, tol: float = ORTHO_TOL) ->
         # t[i, f, p, a] = <i, f| U |p, a>: inner outputs, future, past, slot output
         t = cur.data.reshape(d_inner, future_space.dim, d_past, slot_out_factor[1])
 
-        # image of (past (x) |0> on the slot wire); its reduced rank gives k
-        v0 = from_spanning(t[..., 0].reshape(-1, d_past), cur.out_space)
-        rs = reduced_subspace(v0, list(inner_out_space.labels))
-        if rs.dim != k:
-            raise VerificationError(
-                f"reduced rank {rs.dim} at slot {m} contradicts the exact quotient {k}; "
-                f"the input is not a reversible comb for this layout"
-            )
-        f_basis = rs.basis  # columns are the new |x, 0> future basis
+        # range of Tr_inner of the image of (past (x) |0> on the slot wire):
+        # its rank gives k, its columns are the new |x, 0> future basis
+        v0 = t[..., 0].transpose(1, 0, 2).reshape(future_space.dim, -1)
+        f_basis = _projector_range(v0 @ v0.conj().T / d_inner, tol, f"Tr_inner at slot {m}")
+        if f_basis.shape[1] != k:
+            raise VerificationError(f"reduced rank {f_basis.shape[1]} at slot {m} contradicts the "
+                                    f"exact quotient {k}; the input is not a reversible comb for "
+                                    f"this layout")
 
         # new past basis <0|_slot U^dagger |i, x>, column i * k + x
         p_mat = np.einsum("ifp,fx->pix", t[..., 0].conj(), f_basis).reshape(d_past, -1)
@@ -261,7 +272,7 @@ def staircase_decompose(u: LinOp, layout: SlotLayout, tol: float = ORTHO_TOL) ->
 
     elements.append(cur)  # U_0
     elements.reverse()
-    return CombCircuit(layout, tuple(elements), tuple(ks), anc_labels)
+    return CombCircuit(layout, tuple(elements), tuple(ks), anc_labels, tol)
 
 
 def compose_staircase(c: CombCircuit) -> LinOp:

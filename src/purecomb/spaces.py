@@ -251,7 +251,8 @@ def partial_trace(a: LinOp, traced_labels: Iterable[str]) -> LinOp:
 
 
 def trace_matching(a: LinOp, labels: Iterable[str]) -> LinOp:
-    """Partial trace over factors present on both sides of a rectangular map."""
+    """Partial trace over factors present on both sides of a rectangular map;
+    kept input factors shared with the output come first, in output order."""
     traced = list(labels)
     for lab in traced:
         if a.out_space.dim_of(lab) != a.in_space.dim_of(lab):
@@ -260,11 +261,10 @@ def trace_matching(a: LinOp, labels: Iterable[str]) -> LinOp:
     keep_in = [lab for lab in a.in_space.labels if lab not in set(traced)]
     order = keep_out + [lab for lab in keep_in if lab not in keep_out] + traced
     b = permute_systems(a, order)
-    ko = b.out_space.select(keep_out).dim
-    ki = b.in_space.select(keep_in).dim
-    t = b.out_space.dim // ko
-    m = b.data.reshape(ko, t, ki, t)
-    return LinOp(b.out_space.select(keep_out), b.in_space.select(keep_in), np.einsum("aibi->ab", m))
+    out_sp, in_sp = b.out_space.without(traced), b.in_space.without(traced)
+    t = b.out_space.dim // out_sp.dim
+    m = b.data.reshape(out_sp.dim, t, in_sp.dim, t)
+    return LinOp(out_sp, in_sp, np.einsum("aibi->ab", m))
 
 
 def partial_transpose(a: LinOp, labels: Iterable[str]) -> LinOp:

@@ -8,8 +8,8 @@ the global past split off the no-signalling components of U^dagger: the
 past where the A output signals the B input (forward), the past where the
 B output signals the A input (reverse), and the parallel rest.  It pushes
 that split through the operator onto the future and restricts the
-operator to the two recovered blocks.  The pointwise split at one pair of
-slot-output vectors (alpha, beta) stays available on its own.
+operator to the two recovered blocks; each support is one ``eigh`` cut at
+``tol``.  The pointwise split at slot outputs (alpha, beta) is separate.
 """
 
 from __future__ import annotations
@@ -19,7 +19,8 @@ import itertools
 
 import numpy as np
 
-from .combs import signalling_components, signalling_residual, verify_pure_comb_unitary
+from .combs import (_projector_range, signalling_components, signalling_residual,
+                    verify_pure_comb_unitary)
 from .errors import VerificationError
 from .layouts import TwoSlotLayout
 from .spaces import (
@@ -111,9 +112,9 @@ def _canonical(u: LinOp, layout: TwoSlotLayout) -> LinOp:
     return permute_systems(u, want_in + want_out)
 
 
-def _checked(u: LinOp, layout: TwoSlotLayout) -> LinOp:
-    """The canonically ordered operator, after checking that it is unitary."""
-    ok, res = is_unitary(u)
+def _checked(u: LinOp, layout: TwoSlotLayout, tol: float) -> LinOp:
+    """The canonically ordered operator, after checking it is unitary within ``tol``."""
+    ok, res = is_unitary(u, tol)
     if not ok:
         raise ValueError(f"operator is not unitary (residual {res:.2e})")
     return _canonical(u, layout)
@@ -135,7 +136,7 @@ def verify_pure_superchannel(
     joint component of ``_joint_residual`` vanishes.  They characterize the
     class only for unitaries, so other input is malformed (ValueError).
     """
-    return _verify(_checked(u, layout), layout, tol)
+    return _verify(_checked(u, layout, tol), layout, tol)
 
 
 def _verify(u: LinOp, layout: TwoSlotLayout, tol: float) -> SuperchannelReport:
@@ -239,14 +240,14 @@ def f_point_decomposition(
     u: LinOp, layout: TwoSlotLayout, alpha: np.ndarray, beta: np.ndarray, tol: float = ORTHO_TOL
 ) -> SubspaceTriple:
     """Split of the future reachable from the pair (alpha, beta)."""
-    return _point_triples(_checked(u, layout), layout, tol, alpha, beta)[0]
+    return _point_triples(_checked(u, layout, tol), layout, tol, alpha, beta)[0]
 
 
 def p_point_decomposition(
     u: LinOp, layout: TwoSlotLayout, alpha: np.ndarray, beta: np.ndarray, tol: float = ORTHO_TOL
 ) -> SubspaceTriple:
     """Split of the whole past induced by the pair (alpha, beta)."""
-    return _point_triples(_checked(u, layout), layout, tol, alpha, beta)[1]
+    return _point_triples(_checked(u, layout, tol), layout, tol, alpha, beta)[1]
 
 
 def global_p_decomposition(u: LinOp, layout: TwoSlotLayout, tol: float = ORTHO_TOL) -> SubspaceTriple:
@@ -257,15 +258,15 @@ def global_p_decomposition(u: LinOp, layout: TwoSlotLayout, tol: float = ORTHO_T
     The forward part is the past support of the signalling components of
     U^dagger from the B input to the A output, the reverse part that from
     the A input to the B output, and the parallel part the orthogonal
-    complement of their sum.  The three must tile the past orthogonally;
-    otherwise the split is an error.
+    complement of their sum, each support cut at ``tol``.  The three must
+    tile the past orthogonally; otherwise the split is an error.
     """
-    return _global_p(_checked(u, layout), layout, tol)
+    return _global_p(_checked(u, layout, tol), layout, tol)
 
 
 def _global_p(u: LinOp, layout: TwoSlotLayout, tol: float) -> SubspaceTriple:
-    p_fwd = _past_support(u, layout, layout.b_in[0], layout.a_out[0])
-    p_rev = _past_support(u, layout, layout.a_in[0], layout.b_out[0])
+    p_fwd = _past_support(u, layout, layout.b_in[0], layout.a_out[0], tol)
+    p_rev = _past_support(u, layout, layout.a_in[0], layout.b_out[0], tol)
     triple = SubspaceTriple(p_fwd, complement(sum_subspaces(p_fwd, p_rev)), p_rev)
     res = triple.overlap
     if sum(triple.dims) != layout.past[1] or res > tol:
@@ -275,19 +276,23 @@ def _global_p(u: LinOp, layout: TwoSlotLayout, tol: float) -> SubspaceTriple:
     return triple
 
 
-def _past_support(u: LinOp, layout: TwoSlotLayout, wire: str, reached: str) -> Subspace:
+def _past_support(u: LinOp, layout: TwoSlotLayout, wire: str, reached: str, tol: float) -> Subspace:
     """Span of the past-indexed rows and conjugated columns of every
     signalling component of U^dagger from ``wire`` to ``reached``; the
     columns stand in for the components with a > a', which are not formed.
-    Built one component at a time."""
+    Its basis is the eigenvectors of the rows' Gram whose max-abs overlap
+    with some row exceeds ``tol``; the components are streamed one at a
+    time, once for the Gram and once for the overlaps."""
     past, d_p = layout.past
-    p_space = Spaces((layout.past,))
-    parts = []
-    for k in signalling_components(adjoint(u), wire, [reached]):
-        m = permute_systems(k, [past, *k.out_space.without([past]).labels]).data
-        parts.append(from_spanning(np.hstack([m.reshape(d_p, -1), m.T.conj().reshape(d_p, -1)]),
-                                   p_space))
-    return sum_subspaces(*parts)
+
+    def rows():
+        for k in signalling_components(adjoint(u), wire, [reached]):
+            m = permute_systems(k, [past, *k.out_space.without([past]).labels]).data
+            yield np.hstack([m.reshape(d_p, -1), m.T.conj().reshape(d_p, -1)])
+
+    _, vecs = np.linalg.eigh(sum(b @ b.conj().T for b in rows()))
+    amp = np.max([np.abs(vecs.conj().T @ b).max(axis=1) for b in rows()], axis=0)
+    return Subspace(Spaces((layout.past,)), vecs[:, amp > tol])
 
 
 def global_f_decomposition(
@@ -295,28 +300,22 @@ def global_f_decomposition(
 ) -> SubspaceTriple:
     """Push the global past split through the operator onto the future.
 
-    Each part of the future is the reduction of the image of the matching
-    past part with both slot wires free; the image must factor as
-    (slot inputs) (x) (future part), which is checked dimensionally.
+    In the class U (Pi_part (x) I) U^dagger projects onto (slot inputs) (x)
+    (future part), so Tr_slots of it over d_slots projects onto the future
+    part: its range is one ``eigh``, every eigenvalue within ``tol`` of 0 or 1.
     """
-    return _global_f(_checked(u, layout), layout, tol, p_triple)
+    return _global_f(_checked(u, layout, tol), layout, tol, p_triple)
 
 
 def _global_f(u: LinOp, layout: TwoSlotLayout, tol: float, p_triple: SubspaceTriple) -> SubspaceTriple:
-    d_slots = layout.a_in[1] * layout.b_in[1]
+    d_slots, f_space = layout.a_in[1] * layout.b_in[1], Spaces((layout.future,))
+    # t[s, f, p, x] = <s, f| U |p, x>, s over both slot inputs, x both slot outputs
+    t = u.data.reshape(d_slots, layout.future[1], layout.past[1], -1)
     parts = []
-    for p_part in p_triple.parts():
-        if p_part.dim == 0:
-            parts.append(Subspace.zero(Spaces((layout.future,))))
-            continue
-        v = image(u, product_subspace([p_part, Spaces((layout.a_out,)), Spaces((layout.b_out,))]))
-        f_part = reduced_subspace(v, [layout.a_in[0], layout.b_in[0]])
-        if v.dim != d_slots * f_part.dim:
-            raise VerificationError(
-                f"image of a past part does not factor over the slot inputs: "
-                f"dim {v.dim} != {d_slots} * {f_part.dim}"
-            )
-        parts.append(f_part)
+    for name, p_part in zip(("forward", "parallel", "reverse"), p_triple.parts()):
+        w = np.einsum("sfpx,pr->fsxr", t, p_part.basis).reshape(f_space.dim, -1)
+        parts.append(Subspace(f_space, _projector_range(w @ w.conj().T / d_slots, tol,
+                                                        f"Tr_slots of the {name} image")))
     triple = SubspaceTriple(*parts)
     res = triple.overlap
     if sum(triple.dims) != layout.future[1] or res > tol:
@@ -403,7 +402,7 @@ def direct_sum_decompose(u: LinOp, layout: TwoSlotLayout, tol: float = ORTHO_TOL
     combs of their respective order, and any off-block matrix weight
     beyond the tolerance is an error.
     """
-    u = _checked(u, layout)
+    u = _checked(u, layout, tol)
     report = _verify(u, layout, tol)
     if not report.ok:
         raise VerificationError(
@@ -453,7 +452,7 @@ def direct_sum_decompose(u: LinOp, layout: TwoSlotLayout, tol: float = ORTHO_TOL
             block_layout.in_space(),
             lifts_out[i].conj().T @ u_mat @ lifts_in[i],
         )
-        ok, res = is_unitary(blk)
+        ok, res = is_unitary(blk, tol)
         if not ok:
             raise VerificationError(f"block {orders[i]} is not unitary (residual {res:.2e})")
         comb_report = verify_pure_comb_unitary(blk, block_layout.slot_chain(orders[i]), tol)

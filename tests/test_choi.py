@@ -359,9 +359,7 @@ class TestPlugMatchesDense:
         _assert_same_op(plug_unitaries(u, lay, [op]), dense_plug_unitaries(u, lay, [op]))
 
     def test_ancilla_order_differs_between_sides(self):
-        # An ancilla on both sides listed after an input-only ancilla: the
-        # dense reference's rectangular trace labels its input side wrongly
-        # here, so the reference plugs the operator with its inputs reordered.
+        # An ancilla on both sides listed after an input-only ancilla.
         rng = np.random.default_rng(24)
         lay = SlotLayout.of(("H0", 2), ("H1", 2), ("H2", 2), ("H3", 2))
         u = random_pure_comb(lay, 24)
@@ -369,7 +367,7 @@ class TestPlugMatchesDense:
                  haar_unitary(8, rng)[:4])
         got = plug_unitaries(u, lay, [op])
         assert got.in_space.labels == ("A", "E", "H0")
-        want = dense_plug_unitaries(u, lay, [permute_systems(op, ["H2", "E", "H1", "A"])])
+        want = dense_plug_unitaries(u, lay, [op])
         assert want.in_space.labels == ("E", "A", "H0")
         _assert_same_op(got, permute_systems(want, ["H3", "A", "E", "H0"]))
 

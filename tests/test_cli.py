@@ -229,6 +229,44 @@ class TestDecomposeAssemble:
         report = json.loads(open(prefix + ".report.json").read())
         assert report["details"]["ancilla_dims"] == [1, 2, 1]
 
+    def test_tol_reaches_perturbed_decompositions(self, tmp_path):
+        # exp(i eps H) U passes verify at 10 eps; it must decompose there too
+        near = tmp_path / "near.json"
+        save_matrix(near, perturbed(load_matrix(SWITCH), 1e-7))
+        prefix = str(tmp_path / "near")
+        argv = ["decompose", str(near), "--kind", "direct-sum", "--out", prefix]
+        assert main(argv + ["--tol", "1e-6"]) == 0
+        report = json.loads(open(prefix + ".report.json").read())
+        assert report["details"]["classification"] == "switch-like"
+        comb = tmp_path / "comb.json"
+        main(["build", "random-comb", "--chain", "H0=4,H1=2,H2=4,H3=4,H4=4,H5=8",
+              "--seed", "13", "--out", str(comb)])
+        save_matrix(comb, perturbed(load_matrix(comb), 1e-7))
+        assert main(["verify", str(comb), "--kind", "pure-comb", "--tol", "1e-6"]) == 0
+        prefix = str(tmp_path / "st")
+        argv = ["decompose", str(comb), "--kind", "staircase", "--out", prefix]
+        assert main(argv + ["--tol", "1e-6"]) == 0
+        report = json.loads(open(prefix + ".report.json").read())
+        assert report["details"]["ancilla_dims"] == [1, 2, 2, 1]
+
+    def test_tol_reaches_unitarity_preconditions(self, tmp_path, capsys):
+        rng = np.random.default_rng(8)
+        op = load_matrix(SWITCH)
+        noise = rng.standard_normal((16, 16)) + 1j * rng.standard_normal((16, 16))
+        noisy, half = tmp_path / "noisy.json", tmp_path / "half.json"
+        save_matrix(noisy, LinOp(op.out_space, op.in_space, op.data + 1e-7 * noise))
+        save_matrix(half, LinOp(op.out_space, op.in_space, 0.5 * np.eye(16)))
+        prefix = str(tmp_path / "dec")
+        for path, loose in ((noisy, 0), (half, 2)):
+            verify = ["verify", str(path), "--kind", "pure-superchannel"]
+            decompose = ["decompose", str(path), "--kind", "direct-sum", "--out", prefix]
+            for argv in (verify, decompose):
+                assert main(argv + ["--tol", "1e-5"]) == loose
+                assert main(argv) == 2
+                assert "not unitary" in capsys.readouterr().err
+        report = json.loads(open(prefix + ".report.json").read())
+        assert report["details"]["classification"] == "switch-like"
+
     def test_decompose_rejects_random(self, tmp_path):
         prefix = str(tmp_path / "no")
         assert main(["decompose", RANDOM_U, "--kind", "direct-sum", "--out", prefix]) == 1

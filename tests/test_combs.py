@@ -27,6 +27,14 @@ LAY2 = SlotLayout.of(("H0", 2), ("H1", 2), ("H2", 2), ("H3", 2), ("H4", 2), ("H5
 LAY2_K2 = SlotLayout.of(("H0", 4), ("H1", 2), ("H2", 2), ("H3", 2), ("H4", 2), ("H5", 4))
 LAY3 = SlotLayout.of(*[(f"H{i}", 2) for i in range(8)])
 LAY4 = SlotLayout.of(("H0", 4), *[(f"H{i}", 2) for i in range(1, 9)], ("H9", 4))
+# the chains of the comb benchmark workload
+BENCH_CHAINS = (
+    SlotLayout.of(("H0", 4), ("H1", 2), ("H2", 4), ("H3", 8)),
+    SlotLayout.of(("H0", 4), ("H1", 2), ("H2", 4), ("H3", 4), ("H4", 4), ("H5", 8)),
+    SlotLayout.of(("H0", 8), ("H1", 2), ("H2", 4), ("H3", 4), ("H4", 4), ("H5", 4), ("H6", 2),
+                  ("H7", 8)),
+    LAY4,
+)
 
 
 def _swapped(layout):
@@ -231,6 +239,28 @@ class TestStaircaseDecompose:
             c = staircase_decompose(u, lay)
             assert c.ancilla_dims == (1, 1, 1, 1, 1)
             assert phase_distance(compose_staircase(c), u) < 1e-7
+
+
+class TestPerturbedStaircase:
+    @pytest.mark.parametrize("eps", [1e-9, 1e-7, 1e-5])
+    def test_peels_like_the_unperturbed_input_at_ten_eps(self, eps):
+        for i, lay in enumerate(BENCH_CHAINS):
+            u = random_pure_comb(lay, 80 + i)
+            want = staircase_decompose(u, lay).ancilla_dims
+            v = perturbed(u, eps, seed=3)
+            assert verify_pure_comb_unitary(v, lay, 10 * eps).ok
+            c = staircase_decompose(v, lay, 10 * eps)
+            assert c.ancilla_dims == want
+            assert phase_distance(compose_staircase(c), v) <= 10 * eps
+
+    def test_one_eigh_per_slot_and_no_svd(self, monkeypatch):
+        calls = []
+        for name in ("svd", "eigh"):
+            fn = getattr(np.linalg, name)
+            monkeypatch.setattr(np.linalg, name,
+                                lambda *a, _f=fn, _n=name, **k: calls.append(_n) or _f(*a, **k))
+        staircase_decompose(random_pure_comb(BENCH_CHAINS[2], 7), BENCH_CHAINS[2])
+        assert calls == ["eigh"] * 3
 
 
 class TestAncillaLabels:

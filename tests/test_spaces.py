@@ -287,6 +287,12 @@ class TestComposeand:
         blocks = a.data.reshape(2, 3, 2, 3)
         oracle = sum(blocks[:, i, :, i] for i in range(3))
         assert np.abs(out.data - oracle).max() < 1e-14
+        # a label kept on both sides comes after an input-only label
+        b = _rand_op(rng, [("X", 2), ("E", 3), ("T", 2)], [("A", 4), ("E", 3), ("T", 2)])
+        out = permute_systems(trace_matching(b, ["T"]), ["X", "E", "A"])
+        oracle = np.einsum("xetaft->xefa", b.data.reshape(2, 3, 2, 4, 3, 2)).reshape(6, 12)
+        assert out.out_space.labels == ("X", "E") and out.in_space.labels == ("E", "A")
+        assert np.abs(out.data - oracle).max() < 1e-14
 
 
 class TestPhase:

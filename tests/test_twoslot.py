@@ -31,6 +31,7 @@ from purecomb.spaces import (
 )
 from purecomb.subspaces import Subspace, angle_sine, equal_subspaces
 from purecomb.twoslot import (
+    SubspaceTriple,
     assemble,
     direct_sum_decompose,
     embed_block,
@@ -175,6 +176,13 @@ def _two_slot_cases():
         u, lay = build_quantum_switch(d)
         cases.append((locally_rotated(u, rng), lay, (d, 0, d)))
     return cases
+
+
+def _ladder_inputs():
+    """Switch d=2/3/4, d3d and a seeded direct sum of each block shape."""
+    cases = [build_quantum_switch(d) for d in (2, 3, 4)] + [build_d3d_example()]
+    shapes = [(2, 2), (2, 4), (4, 2), (4, 4)]
+    return cases + [_random_direct_sum(70 + i, *shape)[:2] for i, shape in enumerate(shapes)]
 
 
 # --- independent dense-matrix oracle for the pointwise future split ---------
@@ -324,6 +332,37 @@ class TestPerturbation:
         assert max(ratios) <= 10 * min(ratios)
 
 
+class TestPerturbedDecomposition:
+    @pytest.mark.parametrize("eps", [1e-9, 1e-7, 1e-5])
+    def test_splits_like_the_unperturbed_input_at_ten_eps(self, eps):
+        # every rank decision cuts at the caller's tol, so an input that
+        # passes verify at 10 eps splits there as its unperturbed self does
+        for u, lay in _ladder_inputs():
+            want = _split_signature(direct_sum_decompose(u, lay))
+            v = perturbed(u, eps, seed=3)
+            assert verify_pure_superchannel(v, lay, 10 * eps).ok
+            d = direct_sum_decompose(v, lay, 10 * eps)
+            assert _split_signature(d) == want
+            assert phase_distance(assemble(d, 10 * eps), v) <= 10 * eps
+
+    @pytest.mark.parametrize("tol", [1e-8, 1e-6])
+    def test_near_parallel_comb_always_splits(self, tol):
+        # the A output reaches the B input with amplitude about delta: read
+        # as forward (ordered-ab) or as parallel, the A-first block is the map
+        for delta in (1e-3, 1e-6, 1e-8, 1e-10):
+            u, lay = _swap_comb(np.pi / 2 - delta, 65)
+            d = direct_sum_decompose(u, lay, tol)
+            assert d.block_ba is None
+            if delta >= 100 * tol:
+                assert d.classification == "ordered-ab"
+            elif delta <= tol / 100:
+                assert d.classification == "parallel"
+            else:
+                assert d.classification in ("ordered-ab", "parallel")
+            embedded = embed_block(d.block_ab, d.p_embed_ab, d.f_embed_ab, lay)
+            assert phase_distance(embedded, u) <= 1e-12
+
+
 class TestPointDecompositions:
     def test_switch_future_point_split(self):
         u, lay = build_quantum_switch(2)
@@ -419,6 +458,18 @@ class TestGlobalDecompositions:
         u, lay = _wire_comb(7)
         assert global_p_decomposition(u, lay).dims == (2, 0, 0)
 
+    def test_rotated_past_split_rejected(self):
+        u, lay = build_quantum_switch(2)
+        p = global_p_decomposition(u, lay)
+        past = Spaces((lay.past,))
+        for angle in (1e-3, 0.3):
+            # the forward part tilted towards the reverse part by angle
+            c, s = np.cos(angle), np.sin(angle)
+            fwd = Subspace(past, c * p.forward.basis + s * p.reverse.basis)
+            rev = Subspace(past, c * p.reverse.basis - s * p.forward.basis)
+            with pytest.raises(VerificationError):
+                global_f_decomposition(u, lay, SubspaceTriple(fwd, p.parallel, rev))
+
     def test_past_split_matches_family_oracle(self):
         for u, lay, want in _two_slot_cases():
             triple, ref = global_p_decomposition(u, lay), family_global_p(u, lay)
@@ -493,6 +544,16 @@ class TestDirectSumDecompose:
             assert angle_sine(Subspace(p_sp, d.p_embed_ba), Subspace(p_sp, ep_ba)) < 1e-8
             assert angle_sine(Subspace(f_sp, d.f_embed_ab), Subspace(f_sp, ef_ab)) < 1e-8
             assert angle_sine(Subspace(f_sp, d.f_embed_ba), Subspace(f_sp, ef_ba)) < 1e-8
+
+    def test_rank_decisions_take_four_svds(self, monkeypatch):
+        # the supports come from eigh; only the subspace sums and the
+        # parallel complement take an SVD, at any switch dimension
+        svd, calls = np.linalg.svd, []
+        monkeypatch.setattr(np.linalg, "svd", lambda *a, **k: calls.append(1) or svd(*a, **k))
+        for dim in (2, 3, 4):
+            calls.clear()
+            direct_sum_decompose(*build_quantum_switch(dim))
+            assert len(calls) == 4
 
     def test_rejects_random_unitary(self):
         lay = switch_layout(2)
