@@ -6,9 +6,7 @@ combs (staircase form) and two-slot maps (direct sum of ordered blocks)."""
 from .errors import VerificationError
 from .layouts import SlotLayout, TwoSlotLayout
 from .spaces import (
-    EPS_UNITARY,
-    ORTHO_TOL,
-    RANK_RTOL,
+    TOL,
     LinOp,
     Spaces,
     Vec,
@@ -27,7 +25,6 @@ from .spaces import (
     permute_systems,
     phase_distance,
     tensor,
-    tensor_vecs,
     trace_matching,
 )
 from .subspaces import (

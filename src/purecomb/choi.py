@@ -19,6 +19,7 @@ import numpy as np
 
 from .layouts import SlotLayout
 from .spaces import (
+    TOL,
     LinOp,
     Spaces,
     Vec,
@@ -70,10 +71,10 @@ class ChoiOp:
         red = partial_trace(self.op, self.map_out)
         return float(np.abs(red.data - np.eye(red.out_space.dim)).max())
 
-    def is_cp(self, tol: float = 1e-8) -> bool:
+    def is_cp(self, tol: float = TOL) -> bool:
         return self.hermiticity_residual() <= tol and self.min_eigenvalue() >= -tol
 
-    def is_channel(self, tol: float = 1e-8) -> bool:
+    def is_channel(self, tol: float = TOL) -> bool:
         return self.is_cp(tol) and self.tp_residual() <= tol
 
 

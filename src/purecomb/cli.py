@@ -27,7 +27,7 @@ from . import builders, combs, twoslot
 from .errors import VerificationError
 from .io import file_digest, load_matrix, save_matrix
 from .layouts import SlotLayout, TwoSlotLayout
-from .spaces import LinOp, Spaces, is_unitary
+from .spaces import TOL, LinOp, Spaces, is_unitary
 
 EXIT_PASS = 0
 EXIT_FAIL = 1
@@ -141,9 +141,9 @@ def cmd_build(args) -> int:
     elif args.name == "random-unitary":
         if args.dims:
             given = _parse_assignments(args.dims, "--dims")
-            missing = {"P", "AI", "AO", "BI", "BO", "F"} - set(given)
-            if missing:
-                raise UsageError(f"--dims missing labels {sorted(missing)}")
+            want = ["AI", "AO", "BI", "BO", "F", "P"]
+            if sorted(given) != want:
+                raise UsageError(f"--dims labels {sorted(given)} must be exactly {want}")
             sp_in = Spaces.of(("P", given["P"]), ("AO", given["AO"]), ("BO", given["BO"]))
             sp_out = Spaces.of(("AI", given["AI"]), ("BI", given["BI"]), ("F", given["F"]))
             if sp_in.dim != sp_out.dim:
@@ -316,13 +316,20 @@ def tolerance(raw: str) -> float:
     return tol
 
 
+def dimension(raw: str) -> int:
+    dim = int(raw)
+    if dim < 1:
+        raise argparse.ArgumentTypeError(f"dimension must be a positive integer, got {raw!r}")
+    return dim
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="purecomb", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_build = sub.add_parser("build", help="write a constructed operator to a matrix file")
     p_build.add_argument("name", choices=["switch", "d3d", "random-comb", "random-unitary"])
-    p_build.add_argument("--dim", type=int, default=None)
+    p_build.add_argument("--dim", type=dimension, default=None)
     p_build.add_argument("--dims", default=None, help="two-slot dims, e.g. P=4,AI=2,AO=2,BI=2,BO=2,F=4")
     p_build.add_argument("--chain", default=None, help="ordered chain dims, e.g. H0=2,H1=2,H2=2,H3=2")
     p_build.add_argument("--seed", type=int, default=None)
@@ -336,7 +343,7 @@ def build_parser() -> argparse.ArgumentParser:
                           choices=["pure-superchannel", "pure-comb", "comb-choi"])
     p_verify.add_argument("--dims", default=None)
     p_verify.add_argument("--order", default=None, help="chain order by label, e.g. H0,H1,H2,H3")
-    p_verify.add_argument("--tol", type=tolerance, default=1e-8)
+    p_verify.add_argument("--tol", type=tolerance, default=TOL)
     p_verify.add_argument("--json", action="store_true")
     p_verify.set_defaults(func=cmd_verify)
 
@@ -345,14 +352,14 @@ def build_parser() -> argparse.ArgumentParser:
     p_dec.add_argument("--kind", required=True, choices=["direct-sum", "staircase"])
     p_dec.add_argument("--dims", default=None)
     p_dec.add_argument("--order", default=None)
-    p_dec.add_argument("--tol", type=tolerance, default=1e-8)
+    p_dec.add_argument("--tol", type=tolerance, default=TOL)
     p_dec.add_argument("--out", required=True, help="output path prefix")
     p_dec.add_argument("--json", action="store_true")
     p_dec.set_defaults(func=cmd_decompose)
 
     p_asm = sub.add_parser("assemble", help="sum embedded block files back into one operator")
     p_asm.add_argument("paths", nargs="+")
-    p_asm.add_argument("--tol", type=tolerance, default=1e-8)
+    p_asm.add_argument("--tol", type=tolerance, default=TOL)
     p_asm.add_argument("--out", required=True)
     p_asm.add_argument("--json", action="store_true")
     p_asm.set_defaults(func=cmd_assemble)

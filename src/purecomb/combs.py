@@ -19,8 +19,7 @@ from .choi import ChoiOp
 from .errors import VerificationError
 from .layouts import SlotLayout
 from .spaces import (
-    EPS_UNITARY,
-    ORTHO_TOL,
+    TOL,
     LinOp,
     Spaces,
     compose,
@@ -45,7 +44,7 @@ class CombCircuit:
     elements: tuple[LinOp, ...]
     ancilla_dims: tuple[int, ...]   # k_0 .. k_{N+1}
     ancilla_labels: tuple[str, ...]  # labels reserved for A_1 .. A_N
-    tol: float = EPS_UNITARY  # every element must be unitary within it
+    tol: float = TOL  # every element must be unitary within it
 
     def __post_init__(self):
         n = self.layout.n_slots
@@ -116,7 +115,7 @@ def signalling_residual(u: LinOp, wire: str, reached: Sequence[str]) -> float:
 
 
 def verify_pure_comb_unitary(
-    u: LinOp, layout: SlotLayout, tol: float = ORTHO_TOL
+    u: LinOp, layout: SlotLayout, tol: float = TOL
 ) -> CombUnitaryReport:
     """Causal-order check of a unitary against an ordered slot layout.
 
@@ -137,7 +136,7 @@ def verify_pure_comb_unitary(
     return CombUnitaryReport(worst_all <= tol, worst_all, per_slot)
 
 
-def verify_comb_choi(r, layout: SlotLayout, tol: float = 1e-8) -> CombChoiReport:
+def verify_comb_choi(r, layout: SlotLayout, tol: float = TOL) -> CombChoiReport:
     """Positivity plus the tower of trace factorization conditions.
 
     At level n the trace over the output wires above the level must be an
@@ -201,7 +200,7 @@ def _projector_range(m: np.ndarray, tol: float, what: str) -> np.ndarray:
     return v[:, w > 0.5]
 
 
-def staircase_decompose(u: LinOp, layout: SlotLayout, tol: float = ORTHO_TOL) -> CombCircuit:
+def staircase_decompose(u: LinOp, layout: SlotLayout, tol: float = TOL) -> CombCircuit:
     """Factor a reversible comb into its staircase of unitaries.
 
     Peels the last slot at each step.  With the slot fed a fixed basis

@@ -16,9 +16,7 @@ from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
 
-EPS_UNITARY = 1e-8   # absolute max-norm residual for unitarity checks
-RANK_RTOL = 1e-9     # relative singular-value cutoff, sigma_max floored at 1
-ORTHO_TOL = 1e-8     # absolute max-norm for orthogonality / subset tests
+TOL = 1e-8  # default of every ``tol``: max-norm residuals and rank cuts
 
 
 @dataclasses.dataclass(frozen=True)
@@ -113,10 +111,6 @@ class LinOp:
     def all_labels(self) -> set[str]:
         return set(self.out_space.labels) | set(self.in_space.labels)
 
-    @property
-    def is_square(self) -> bool:
-        return self.out_space.dim == self.in_space.dim
-
 
 @dataclasses.dataclass(frozen=True)
 class Vec:
@@ -169,13 +163,6 @@ def tensor(*ops: LinOp) -> LinOp:
 
 def kron_vec(x: Vec, y: Vec) -> Vec:
     return Vec(x.space.concat(y.space), np.kron(x.data, y.data))
-
-
-def tensor_vecs(*vecs: Vec) -> Vec:
-    out = vecs[0]
-    for v in vecs[1:]:
-        out = kron_vec(out, v)
-    return out
 
 
 def basis_state(spaces: Spaces, index) -> Vec:
@@ -333,7 +320,7 @@ def apply_op(a: LinOp, x: Vec) -> Vec:
     return Vec(a.out_space, a.data @ xp.data)
 
 
-def is_unitary(a: LinOp, tol: float = EPS_UNITARY) -> UnitaryCheck:
+def is_unitary(a: LinOp, tol: float = TOL) -> UnitaryCheck:
     """Max-norm check of A†A = I; non-square operators fail with residual inf."""
     if a.data.shape[0] != a.data.shape[1]:
         return UnitaryCheck(False, float("inf"))

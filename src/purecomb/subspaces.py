@@ -1,8 +1,10 @@
 """Numerical subspace calculus: spans, sums, intersections, complements,
 orthogonality tests, and label-aware reduction of composite-space subspaces.
 
-A subspace is stored as an orthonormal column basis together with the rank
-tolerance it was built with.  Bases are never canonical; all comparisons
+A subspace is an orthonormal column basis on its ambient space and nothing
+else.  Every function that decides a rank takes the tolerance as an argument
+(singular values above tol * max(sigma_max, 1) are kept); no subspace carries
+one on to the next call.  Bases are never canonical; all comparisons
 downstream are projector or angle based.
 """
 
@@ -13,14 +15,13 @@ from typing import Sequence, Union
 
 import numpy as np
 
-from .spaces import ORTHO_TOL, RANK_RTOL, LinOp, Spaces, _freeze, permute_systems
+from .spaces import TOL, LinOp, Spaces, _freeze, permute_systems
 
 
 @dataclasses.dataclass(frozen=True)
 class Subspace:
     ambient: Spaces
     basis: np.ndarray  # (ambient.dim, k) with orthonormal columns
-    built_tol: float = RANK_RTOL
 
     def __post_init__(self):
         arr = _freeze(self.basis)
@@ -61,7 +62,7 @@ def _orthonormalize(mat: np.ndarray, dim: int, tol: float) -> np.ndarray:
     return u[:, :rank]
 
 
-def from_spanning(vectors, ambient: Spaces | None = None, tol: float = RANK_RTOL) -> Subspace:
+def from_spanning(vectors, ambient: Spaces | None = None, tol: float = TOL) -> Subspace:
     """Orthonormal basis of the span of the given vectors.
 
     ``vectors`` is either a list of Vec on a common space or a matrix whose
@@ -85,43 +86,40 @@ def from_spanning(vectors, ambient: Spaces | None = None, tol: float = RANK_RTOL
             if v.space != ambient:
                 raise ValueError(f"mixed ambient spaces: {v.space.labels} vs {ambient.labels}")
         mat = np.column_stack([v.data for v in vecs])
-    return Subspace(ambient, _orthonormalize(mat, ambient.dim, tol), tol)
+    return Subspace(ambient, _orthonormalize(mat, ambient.dim, tol))
 
 
-def sum_subspaces(*parts: Subspace, tol: float | None = None) -> Subspace:
+def sum_subspaces(*parts: Subspace, tol: float = TOL) -> Subspace:
     if not parts:
         raise ValueError("need at least one subspace")
     ambient = parts[0].ambient
     for s in parts[1:]:
         if s.ambient != ambient:
             raise ValueError("subspace sum requires a common ambient space")
-    tol = tol if tol is not None else max(s.built_tol for s in parts)
     mat = np.column_stack([s.basis for s in parts])
-    return Subspace(ambient, _orthonormalize(mat, ambient.dim, tol), tol)
+    return Subspace(ambient, _orthonormalize(mat, ambient.dim, tol))
 
 
 def complement(s: Subspace) -> Subspace:
-    """Orthogonal complement within the ambient space."""
-    n, k = s.basis.shape
-    if k == 0:
+    """Orthogonal complement within the ambient space: the last n - k left
+    singular vectors of the orthonormal basis, so no rank is decided."""
+    if s.dim == 0:
         return Subspace.full(s.ambient)
-    u, sv, _ = np.linalg.svd(s.basis, full_matrices=True)
-    cut = s.built_tol * max(float(sv[0]), 1.0)
-    rank = int(np.sum(sv > cut))
-    return Subspace(s.ambient, u[:, rank:], s.built_tol)
+    u = np.linalg.svd(s.basis, full_matrices=True)[0]
+    return Subspace(s.ambient, u[:, s.dim:])
 
 
-def intersect(*parts: Subspace) -> Subspace:
+def intersect(*parts: Subspace, tol: float = TOL) -> Subspace:
     """Intersection computed via the double-complement identity."""
     if not parts:
         raise ValueError("need at least one subspace")
     out = parts[0]
     for t in parts[1:]:
-        out = complement(sum_subspaces(complement(out), complement(t)))
+        out = complement(sum_subspaces(complement(out), complement(t), tol=tol))
     return out
 
 
-def is_orthogonal(s: Subspace, t: Subspace, tol: float = ORTHO_TOL) -> bool:
+def is_orthogonal(s: Subspace, t: Subspace, tol: float = TOL) -> bool:
     return orthogonality_residual(s, t) <= tol
 
 
@@ -131,7 +129,7 @@ def orthogonality_residual(s: Subspace, t: Subspace) -> float:
     return float(np.abs(s.basis.conj().T @ t.basis).max())
 
 
-def is_subset(s: Subspace, t: Subspace, tol: float = ORTHO_TOL) -> bool:
+def is_subset(s: Subspace, t: Subspace, tol: float = TOL) -> bool:
     return subset_residual(s, t) <= tol
 
 
@@ -142,7 +140,7 @@ def subset_residual(s: Subspace, t: Subspace) -> float:
     return float(np.abs(rem).max())
 
 
-def equal_subspaces(s: Subspace, t: Subspace, tol: float = ORTHO_TOL) -> bool:
+def equal_subspaces(s: Subspace, t: Subspace, tol: float = TOL) -> bool:
     return is_subset(s, t, tol) and is_subset(t, s, tol)
 
 
@@ -161,7 +159,9 @@ def angle_sine(s: Subspace, t: Subspace) -> float:
     return float(np.linalg.svd(rem, compute_uv=False)[0])
 
 
-def reduced_subspace(w: Subspace, e_labels: Sequence[str], f_labels: Sequence[str] | None = None) -> Subspace:
+def reduced_subspace(
+    w: Subspace, e_labels: Sequence[str], f_labels: Sequence[str] | None = None, tol: float = TOL
+) -> Subspace:
     """Span of all partial contractions of w against bras on the E factors.
 
     Contracting against the computational basis of E suffices: the
@@ -187,10 +187,10 @@ def reduced_subspace(w: Subspace, e_labels: Sequence[str], f_labels: Sequence[st
     n = len(w.ambient)
     axes = [w.ambient.index(lab) for lab in rest] + [n] + [w.ambient.index(lab) for lab in e]
     mat = w.basis.reshape(w.ambient.dims + (w.dim,)).transpose(axes)
-    return from_spanning(mat.reshape(f_space.dim, -1), f_space, w.built_tol)
+    return from_spanning(mat.reshape(f_space.dim, -1), f_space, tol)
 
 
-def image(u: LinOp, s: Subspace, tol: float | None = None) -> Subspace:
+def image(u: LinOp, s: Subspace, tol: float = TOL) -> Subspace:
     """Image of a subspace under an operator, re-orthonormalized."""
     if set(s.ambient.labels) != set(u.in_space.labels):
         raise ValueError(
@@ -203,10 +203,10 @@ def image(u: LinOp, s: Subspace, tol: float | None = None) -> Subspace:
         lab for lab in u.out_space.labels if lab not in set(s.ambient.labels)
     ]
     op = permute_systems(u, order)
-    return from_spanning(op.data @ s.basis, op.out_space, tol if tol is not None else s.built_tol)
+    return from_spanning(op.data @ s.basis, op.out_space, tol)
 
 
-def product_subspace(parts: Sequence[Union[Subspace, Spaces]], tol: float = RANK_RTOL) -> Subspace:
+def product_subspace(parts: Sequence[Union[Subspace, Spaces]]) -> Subspace:
     """Tensor product of subspaces; a bare Spaces entry stands for the full factor."""
     subs = [p if isinstance(p, Subspace) else Subspace.full(p) for p in parts]
     ambient = subs[0].ambient
@@ -214,4 +214,4 @@ def product_subspace(parts: Sequence[Union[Subspace, Spaces]], tol: float = RANK
     for s in subs[1:]:
         ambient = ambient.concat(s.ambient)
         basis = np.kron(basis, s.basis)
-    return Subspace(ambient, basis, tol)
+    return Subspace(ambient, basis)

@@ -9,7 +9,9 @@ past where the A output signals the B input (forward), the past where the
 B output signals the A input (reverse), and the parallel rest.  It pushes
 that split through the operator onto the future and restricts the
 operator to the two recovered blocks; each support is one ``eigh`` cut at
-``tol``.  The pointwise split at slot outputs (alpha, beta) is separate.
+``tol``.  The pointwise split at slot outputs (alpha, beta) is separate: an
+SVD subspace calculus on the future, pulled back to the past by one ``eigh``
+per part, every rank again cut at ``tol``.
 """
 
 from __future__ import annotations
@@ -24,8 +26,7 @@ from .combs import (_projector_range, signalling_components, signalling_residual
 from .errors import VerificationError
 from .layouts import TwoSlotLayout
 from .spaces import (
-    EPS_UNITARY,
-    ORTHO_TOL,
+    TOL,
     LinOp,
     Spaces,
     adjoint,
@@ -35,7 +36,6 @@ from .spaces import (
 from .subspaces import (
     Subspace,
     complement,
-    from_spanning,
     image,
     intersect,
     orthogonality_residual,
@@ -121,7 +121,7 @@ def _checked(u: LinOp, layout: TwoSlotLayout, tol: float) -> LinOp:
 
 
 def verify_pure_superchannel(
-    u: LinOp, layout: TwoSlotLayout, tol: float = ORTHO_TOL
+    u: LinOp, layout: TwoSlotLayout, tol: float = TOL
 ) -> SuperchannelReport:
     """Check the three orthogonality conditions characterizing two-slot
     maps that send unitaries to unitaries.
@@ -185,7 +185,10 @@ def _joint_residual(u: LinOp, layout: TwoSlotLayout) -> float:
 
 def _point_triples(u: LinOp, layout: TwoSlotLayout, tol: float, alpha: np.ndarray, beta: np.ndarray):
     """Forward/parallel/reverse split of the future reachable from one
-    slot-output pair, and its pullback to the past."""
+    slot-output pair, and the past split it induces; every rank is cut at
+    ``tol``.  Each past part is the range of V^dagger (I_slots (x) Pi_f) V,
+    V = U (I_P (x) |alpha> (x) |beta>): in the class the three sum to I_P
+    with ranks summing to d_P, so each is a projector."""
     alpha = np.asarray(alpha, dtype=np.complex128).reshape(-1)
     beta = np.asarray(beta, dtype=np.complex128).reshape(-1)
     if np.linalg.norm(alpha) == 0 or np.linalg.norm(beta) == 0:
@@ -193,18 +196,18 @@ def _point_triples(u: LinOp, layout: TwoSlotLayout, tol: float, alpha: np.ndarra
     alpha = alpha / np.linalg.norm(alpha)
     beta = beta / np.linalg.norm(beta)
     p_space = Spaces((layout.past,))
-    sub_a = from_spanning(alpha.reshape(-1, 1), Spaces((layout.a_out,)))
-    sub_b = from_spanning(beta.reshape(-1, 1), Spaces((layout.b_out,)))
+    sub_a = Subspace(Spaces((layout.a_out,)), alpha.reshape(-1, 1))
+    sub_b = Subspace(Spaces((layout.b_out,)), beta.reshape(-1, 1))
     slot_inputs = [layout.a_in[0], layout.b_in[0]]
 
-    def v_of(a_sub, b_sub):
-        return image(u, product_subspace([p_space, a_sub, b_sub]))
+    def f_of(a_sub, b_sub):
+        v = image(u, product_subspace([p_space, a_sub, b_sub]), tol)
+        return reduced_subspace(v, slot_inputs, tol=tol)
 
-    v_ab = v_of(sub_a, sub_b)
-    f_ab = reduced_subspace(v_ab, slot_inputs)
-    f_fwd = intersect(f_ab, reduced_subspace(v_of(complement(sub_a), sub_b), slot_inputs))
-    f_rev = intersect(f_ab, reduced_subspace(v_of(sub_a, complement(sub_b)), slot_inputs))
-    f_par = intersect(f_ab, complement(f_fwd), complement(f_rev))
+    f_ab = f_of(sub_a, sub_b)
+    f_fwd = intersect(f_ab, f_of(complement(sub_a), sub_b), tol=tol)
+    f_rev = intersect(f_ab, f_of(sub_a, complement(sub_b)), tol=tol)
+    f_par = intersect(f_ab, complement(f_fwd), complement(f_rev), tol=tol)
     f_triple = SubspaceTriple(f_fwd, f_par, f_rev)
 
     got = sum(f_triple.dims)
@@ -215,17 +218,14 @@ def _point_triples(u: LinOp, layout: TwoSlotLayout, tol: float, alpha: np.ndarra
             f"{f_ab.dim}, overlap {pair_res:.2e}"
         )
 
-    d_slots = layout.a_in[1] * layout.b_in[1]
-    # <alpha, beta|_slots U^dagger: the pullback from the output to the past
-    pull = np.kron(np.eye(p_space.dim), np.kron(alpha, beta).conj()) @ u.data.conj().T
+    # v[s, f, p] = <s, f| U |p, alpha, beta>, s over both slot inputs
+    v = u.data.reshape(-1, p_space.dim, len(alpha), len(beta)) @ beta @ alpha
+    v = v.reshape(-1, layout.future[1], p_space.dim)
     p_parts = []
-    for f_part in f_triple.parts():
-        if f_part.dim == 0 or v_ab.dim == 0:
-            p_parts.append(Subspace.zero(p_space))
-            continue
-        lift = np.kron(np.eye(d_slots), f_part.projector())
-        projected = from_spanning(lift @ v_ab.basis, u.out_space)
-        p_parts.append(from_spanning(pull @ projected.basis, p_space))
+    for name, f_part in zip(("forward", "parallel", "reverse"), f_triple.parts()):
+        x = np.einsum("fk,sfp->skp", f_part.basis.conj(), v).reshape(-1, p_space.dim)
+        p_parts.append(Subspace(p_space, _projector_range(x.conj().T @ x, tol,
+                                                          f"the {name} pullback to the past")))
     p_triple = SubspaceTriple(*p_parts)
     p_res = p_triple.overlap
     if sum(p_triple.dims) != p_space.dim or p_res > tol:
@@ -237,20 +237,24 @@ def _point_triples(u: LinOp, layout: TwoSlotLayout, tol: float, alpha: np.ndarra
 
 
 def f_point_decomposition(
-    u: LinOp, layout: TwoSlotLayout, alpha: np.ndarray, beta: np.ndarray, tol: float = ORTHO_TOL
+    u: LinOp, layout: TwoSlotLayout, alpha: np.ndarray, beta: np.ndarray, tol: float = TOL
 ) -> SubspaceTriple:
-    """Split of the future reachable from the pair (alpha, beta)."""
+    """Split of the future reachable from the pair (alpha, beta) into the
+    part the A output signals to (forward), the part the B output signals
+    to (reverse) and the rest, each a span cut at ``tol``."""
     return _point_triples(_checked(u, layout, tol), layout, tol, alpha, beta)[0]
 
 
 def p_point_decomposition(
-    u: LinOp, layout: TwoSlotLayout, alpha: np.ndarray, beta: np.ndarray, tol: float = ORTHO_TOL
+    u: LinOp, layout: TwoSlotLayout, alpha: np.ndarray, beta: np.ndarray, tol: float = TOL
 ) -> SubspaceTriple:
-    """Split of the whole past induced by the pair (alpha, beta)."""
+    """Split of the whole past induced by the pair (alpha, beta): the range
+    at ``tol`` of each future part pulled back through U (I_P (x) |alpha>
+    (x) |beta>); the three must tile the past orthogonally."""
     return _point_triples(_checked(u, layout, tol), layout, tol, alpha, beta)[1]
 
 
-def global_p_decomposition(u: LinOp, layout: TwoSlotLayout, tol: float = ORTHO_TOL) -> SubspaceTriple:
+def global_p_decomposition(u: LinOp, layout: TwoSlotLayout, tol: float = TOL) -> SubspaceTriple:
     """Split the past into the part where the A output signals the B input
     (forward), the part where the B output signals the A input (reverse)
     and the parallel rest.
@@ -267,7 +271,7 @@ def global_p_decomposition(u: LinOp, layout: TwoSlotLayout, tol: float = ORTHO_T
 def _global_p(u: LinOp, layout: TwoSlotLayout, tol: float) -> SubspaceTriple:
     p_fwd = _past_support(u, layout, layout.b_in[0], layout.a_out[0], tol)
     p_rev = _past_support(u, layout, layout.a_in[0], layout.b_out[0], tol)
-    triple = SubspaceTriple(p_fwd, complement(sum_subspaces(p_fwd, p_rev)), p_rev)
+    triple = SubspaceTriple(p_fwd, complement(sum_subspaces(p_fwd, p_rev, tol=tol)), p_rev)
     res = triple.overlap
     if sum(triple.dims) != layout.past[1] or res > tol:
         raise VerificationError(
@@ -296,7 +300,7 @@ def _past_support(u: LinOp, layout: TwoSlotLayout, wire: str, reached: str, tol:
 
 
 def global_f_decomposition(
-    u: LinOp, layout: TwoSlotLayout, p_triple: SubspaceTriple, tol: float = ORTHO_TOL
+    u: LinOp, layout: TwoSlotLayout, p_triple: SubspaceTriple, tol: float = TOL
 ) -> SubspaceTriple:
     """Push the global past split through the operator onto the future.
 
@@ -393,7 +397,7 @@ def classify(d: DirectSumDecomp) -> str:
     return "general-direct-sum"
 
 
-def direct_sum_decompose(u: LinOp, layout: TwoSlotLayout, tol: float = ORTHO_TOL) -> DirectSumDecomp:
+def direct_sum_decompose(u: LinOp, layout: TwoSlotLayout, tol: float = TOL) -> DirectSumDecomp:
     """Split a verified two-slot reversibility-preserving map into an
     A-first block and a B-first block.
 
@@ -411,9 +415,9 @@ def direct_sum_decompose(u: LinOp, layout: TwoSlotLayout, tol: float = ORTHO_TOL
     p_triple = _global_p(u, layout, tol)
     f_triple = _global_f(u, layout, tol, p_triple)
 
-    p_ab = sum_subspaces(p_triple.forward, p_triple.parallel)
+    p_ab = sum_subspaces(p_triple.forward, p_triple.parallel, tol=tol)
     p_ba = p_triple.reverse
-    f_ab = sum_subspaces(f_triple.forward, f_triple.parallel)
+    f_ab = sum_subspaces(f_triple.forward, f_triple.parallel, tol=tol)
     f_ba = f_triple.reverse
     p_embeds = (_ordered_embed(p_ab), _ordered_embed(p_ba))
     f_embeds = (_ordered_embed(f_ab), _ordered_embed(f_ba))
@@ -491,7 +495,7 @@ def embed_block(
     return LinOp(layout.out_space(), layout.in_space(), embedded)
 
 
-def assemble(d: DirectSumDecomp, tol: float = EPS_UNITARY) -> LinOp:
+def assemble(d: DirectSumDecomp, tol: float = TOL) -> LinOp:
     """Embed the blocks back into the full spaces and sum them; the sum
     must be unitary within ``tol``."""
     layout = d.layout
@@ -538,7 +542,7 @@ def _future_traced_choi(op: LinOp, layout: TwoSlotLayout) -> LinOp:
     return LinOp(space, space, m @ m.conj().T)
 
 
-def trace_future_check(d: DirectSumDecomp, tol: float = ORTHO_TOL) -> TraceFutureReport:
+def trace_future_check(d: DirectSumDecomp, tol: float = TOL) -> TraceFutureReport:
     """The future-traced identity of ``d``, passing within ``tol``; the
     assembled operator must be unitary within the same ``tol``."""
     layout = d.layout

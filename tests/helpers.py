@@ -35,7 +35,7 @@ from purecomb.choi import ChoiOp
 from purecomb.errors import VerificationError
 from purecomb.families import spanning_family, stability_vectors
 from purecomb.spaces import (
-    ORTHO_TOL,
+    TOL,
     LinOp,
     Spaces,
     canonical_phase,
@@ -119,7 +119,7 @@ def family_slot_residuals(u, layout):
     return tuple(out)
 
 
-def family_global_p(u, layout, tol=ORTHO_TOL):
+def family_global_p(u, layout, tol=TOL):
     """Forward/parallel/reverse past split aggregated over the polarization
     families: the forward part summed over the A-wire family at a fixed
     B-wire anchor, the reverse part symmetrically, the parallel part
@@ -155,7 +155,7 @@ def family_global_p(u, layout, tol=ORTHO_TOL):
     return triple
 
 
-def family_verdict(residuals, tol=ORTHO_TOL):
+def family_verdict(residuals, tol=TOL):
     return max(residuals, default=0.0) <= tol
 
 

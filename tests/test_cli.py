@@ -306,6 +306,12 @@ class TestExitContract:
             assert "finite and > 0" in capsys.readouterr().err
         assert list(tmp_path.iterdir()) == []
 
+    @pytest.mark.parametrize("name", ["switch", "random-unitary"])
+    def test_nonpositive_dim_exit_2(self, name, tmp_path, capsys):
+        assert main(["build", name, "--dim", "0", "--out", str(tmp_path / "o.json")]) == 2
+        assert "positive integer, got '0'" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+
     def test_crash_maps_to_exit_2(self, tmp_path, monkeypatch, capsys):
         def exhausted(*args, **kwargs):
             raise MemoryError("cannot allocate\nthe matrix")
@@ -334,6 +340,7 @@ class TestExitContract:
         ["build", "random-unitary", "--dims", "P=8,AI=2,AO=2,BI=2,BO=2,F=4,P=4"],
         ["verify", SWITCH, "--kind", "pure-superchannel", "--dims",
          "P=4,AO=2,BO=2,AI=2,BI=2,F=4,P=4"],
+        ["build", "random-unitary", "--dims", "P=4,AI=2,AO=2,BI=2,BO=2,F=4,X=3"],
     ])
     def test_bad_assignments_exit_2(self, argv, tmp_path, capsys):
         out = tmp_path / "o.json"

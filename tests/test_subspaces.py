@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from purecomb.spaces import LinOp, Spaces, Vec, basis_state
+from purecomb.spaces import TOL, LinOp, Spaces, Vec, basis_state
 from purecomb.subspaces import (
     Subspace,
     angle_sine,
@@ -279,3 +279,29 @@ class TestSplittingIdentities:
                 for j in range(i + 1, 3):
                     assert orthogonality_residual(parts[i], parts[j]) < 1e-8
             assert sum(p.dim for p in parts) == f_sp.dim
+
+
+class TestToleranceArgument:
+    # each rank decision cuts at the tol it is handed: a direction of size
+    # 1e-7 is dropped at tol 1e-6 and kept at the default
+    @pytest.mark.parametrize("rank_of", [
+        lambda tol: from_spanning(np.diag([1.0, 1e-7]), SP2, tol),
+        lambda tol: sum_subspaces(Subspace(SP2, np.array([[1.0], [0.0]])),
+                                  from_spanning(np.array([[1.0], [1e-7]]), SP2), tol=tol),
+        lambda tol: image(LinOp(SP2, SP2, np.diag([1.0, 1e-7])), Subspace.full(SP2), tol),
+        lambda tol: reduced_subspace(  # |00> + 1e-7 |11>, reduced over E
+            from_spanning(np.array([1.0, 0, 0, 1e-7]), Spaces.of(("E", 2), ("X", 2))), ["E"],
+            tol=tol),
+    ], ids=["from_spanning", "sum_subspaces", "image", "reduced_subspace"])
+    def test_small_direction_follows_tol(self, rank_of):
+        assert rank_of(1e-6).dim == 1
+        assert rank_of(TOL).dim == 2
+
+    def test_complement_decides_no_rank(self):
+        rng = np.random.default_rng(20)
+        for k in range(5):
+            s = _random_subspace(SP4, k, rng)
+            assert complement(s).dim == 4 - k
+        # a kept 1e-7 direction stays in the basis the complement sees
+        s = from_spanning(np.array([[1.0, 1.0], [0, 1e-7], [0, 0]]), SP3)
+        assert s.dim == 2 and complement(s).dim == 1

@@ -185,6 +185,16 @@ def _ladder_inputs():
     return cases + [_random_direct_sum(70 + i, *shape)[:2] for i, shape in enumerate(shapes)]
 
 
+def _ladder_points(layout):
+    """Slot-output pairs (e_0, e_0), (uniform, e_last) and a seeded complex pair."""
+    d_a, d_b = layout.a_out[1], layout.b_out[1]
+    rng = np.random.default_rng(5)
+    return [(np.eye(d_a)[0], np.eye(d_b)[0]),
+            (np.ones(d_a) / np.sqrt(d_a), np.eye(d_b)[-1]),
+            (rng.standard_normal(d_a) + 1j * rng.standard_normal(d_a),
+             rng.standard_normal(d_b) + 1j * rng.standard_normal(d_b))]
+
+
 # --- independent dense-matrix oracle for the pointwise future split ---------
 
 
@@ -344,6 +354,19 @@ class TestPerturbedDecomposition:
             d = direct_sum_decompose(v, lay, 10 * eps)
             assert _split_signature(d) == want
             assert phase_distance(assemble(d, 10 * eps), v) <= 10 * eps
+
+    @pytest.mark.parametrize("eps", [1e-9, 1e-7, 1e-5])
+    def test_point_splits_like_the_unperturbed_input_at_ten_eps(self, eps):
+        # the pointwise splits cut at the caller's tol as well: each part
+        # keeps its dimension and moves by at most 10 eps
+        for u, lay in _ladder_inputs():
+            v = perturbed(u, eps, seed=3)
+            for alpha, beta in _ladder_points(lay):
+                for split in (f_point_decomposition, p_point_decomposition):
+                    want = split(u, lay, alpha, beta)
+                    got = split(v, lay, alpha, beta, 10 * eps)
+                    assert got.dims == want.dims
+                    assert max(map(angle_sine, got.parts(), want.parts())) <= 10 * eps
 
     @pytest.mark.parametrize("tol", [1e-8, 1e-6])
     def test_near_parallel_comb_always_splits(self, tol):
