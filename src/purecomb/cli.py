@@ -128,6 +128,14 @@ def _chain_layout(op: LinOp, order_arg: str | None) -> SlotLayout:
 
 
 def cmd_build(args) -> int:
+    takes = {"switch": {"dim"}, "d3d": set(), "random-comb": {"chain", "seed"},
+             "random-unitary": {"dim", "dims", "seed"}}[args.name]
+    given = [opt for opt in ("dim", "dims", "chain", "seed") if getattr(args, opt) is not None]
+    for opt in given:
+        if opt not in takes:
+            raise UsageError(f"build {args.name} does not take --{opt}")
+    if "dim" in given and "dims" in given:
+        raise UsageError("build random-unitary takes --dim or --dims, not both")
     rng_seed = args.seed if args.seed is not None else 0
     if args.name == "switch":
         op, _ = builders.build_quantum_switch(args.dim or 2)
@@ -139,7 +147,7 @@ def cmd_build(args) -> int:
         factors = _parse_assignments(args.chain, "--chain").items()
         op = builders.random_pure_comb(SlotLayout.of(*factors), rng_seed)
     elif args.name == "random-unitary":
-        if args.dims:
+        if args.dims is not None:
             given = _parse_assignments(args.dims, "--dims")
             want = ["AI", "AO", "BI", "BO", "F", "P"]
             if sorted(given) != want:

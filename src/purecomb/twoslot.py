@@ -7,8 +7,8 @@ unitary, with no vector family and no rank decision.  The splitting reads
 the global past split off the no-signalling components of U^dagger: the
 past where the A output signals the B input (forward), the past where the
 B output signals the A input (reverse), and the parallel rest.  It pushes
-that split through the operator onto the future and restricts the
-operator to the two recovered blocks; each support is one ``eigh`` cut at
+that split through the operator onto the future and reads the two blocks
+off U in the stacked block bases; each support is one ``eigh`` cut at
 ``tol``.  The pointwise split at slot outputs (alpha, beta) is separate: an
 SVD subspace calculus on the future, pulled back to the past by one ``eigh``
 per part, every rank again cut at ``tol``.
@@ -98,26 +98,20 @@ class SuperchannelReport:
         return max(self.residuals.values())
 
 
-def _canonical(u: LinOp, layout: TwoSlotLayout) -> LinOp:
-    want_in, want_out = list(layout.in_space().labels), list(layout.out_space().labels)
-    if set(u.in_space.labels) != set(want_in) or set(u.out_space.labels) != set(want_out):
-        raise ValueError(
-            f"operator factors {u.in_space.labels} -> {u.out_space.labels} do not match "
-            f"the two-slot layout {want_in} -> {want_out}"
-        )
-    for lab, d in layout.all_factors:
-        side = u.in_space if lab in want_in else u.out_space
-        if side.dim_of(lab) != d:
-            raise ValueError(f"factor {lab!r} has dim {side.dim_of(lab)}, layout says {d}")
-    return permute_systems(u, want_in + want_out)
+def _view(u: LinOp, layout: TwoSlotLayout) -> np.ndarray:
+    """t[s, f, p, x] = <s, f| U |p, x> of a canonically ordered operator,
+    s over both slot inputs, x over both slot outputs."""
+    return u.data.reshape(layout.a_in[1] * layout.b_in[1], layout.future[1], layout.past[1], -1)
 
 
 def _checked(u: LinOp, layout: TwoSlotLayout, tol: float) -> LinOp:
-    """The canonically ordered operator, after checking it is unitary within ``tol``."""
+    """The canonically ordered operator, after checking it is unitary within
+    ``tol`` and its factors are exactly the layout's."""
     ok, res = is_unitary(u, tol)
     if not ok:
         raise ValueError(f"operator is not unitary (residual {res:.2e})")
-    return _canonical(u, layout)
+    layout.slot_chain("ab").check_operator(u)
+    return permute_systems(u, layout.in_space().labels + layout.out_space().labels)
 
 
 def verify_pure_superchannel(
@@ -219,8 +213,7 @@ def _point_triples(u: LinOp, layout: TwoSlotLayout, tol: float, alpha: np.ndarra
         )
 
     # v[s, f, p] = <s, f| U |p, alpha, beta>, s over both slot inputs
-    v = u.data.reshape(-1, p_space.dim, len(alpha), len(beta)) @ beta @ alpha
-    v = v.reshape(-1, layout.future[1], p_space.dim)
+    v = _view(u, layout) @ np.kron(alpha, beta)
     p_parts = []
     for name, f_part in zip(("forward", "parallel", "reverse"), f_triple.parts()):
         x = np.einsum("fk,sfp->skp", f_part.basis.conj(), v).reshape(-1, p_space.dim)
@@ -313,9 +306,7 @@ def global_f_decomposition(
 
 def _global_f(u: LinOp, layout: TwoSlotLayout, tol: float, p_triple: SubspaceTriple) -> SubspaceTriple:
     d_slots, f_space = layout.a_in[1] * layout.b_in[1], Spaces((layout.future,))
-    # t[s, f, p, x] = <s, f| U |p, x>, s over both slot inputs, x both slot outputs
-    t = u.data.reshape(d_slots, layout.future[1], layout.past[1], -1)
-    parts = []
+    t, parts = _view(u, layout), []
     for name, p_part in zip(("forward", "parallel", "reverse"), p_triple.parts()):
         w = np.einsum("sfpx,pr->fsxr", t, p_part.basis).reshape(f_space.dim, -1)
         parts.append(Subspace(f_space, _projector_range(w @ w.conj().T / d_slots, tol,
@@ -337,7 +328,8 @@ class DirectSumDecomp:
     into the full past/future.  Blocks are the restricted unitaries in
     those coordinates; a block is None when its past part is
     zero-dimensional.  ``triple_p_dims``/``triple_f_dims`` record the
-    underlying forward/parallel/reverse dimensions.
+    underlying forward/parallel/reverse dimensions.  ``classification`` is
+    derived from the rest by ``classify``, so it cannot go stale.
     """
 
     layout: TwoSlotLayout
@@ -349,7 +341,6 @@ class DirectSumDecomp:
     block_ba: LinOp | None
     triple_p_dims: tuple[int, int, int]
     triple_f_dims: tuple[int, int, int]
-    classification: str
     off_block_residual: float
 
     @property
@@ -359,6 +350,10 @@ class DirectSumDecomp:
     @property
     def f_dims(self) -> tuple[int, int]:
         return (self.f_embed_ab.shape[1], self.f_embed_ba.shape[1])
+
+    @property
+    def classification(self) -> str:
+        return classify(self)
 
     def parts(self) -> dict:
         """(block, past embedding, future embedding) keyed by order tag."""
@@ -402,9 +397,12 @@ def direct_sum_decompose(u: LinOp, layout: TwoSlotLayout, tol: float = TOL) -> D
     A-first block and a B-first block.
 
     Verification is run unconditionally; the split is forward+parallel
-    versus reverse.  Both blocks are re-verified as causally ordered
-    combs of their respective order, and any off-block matrix weight
-    beyond the tolerance is an error.
+    versus reverse.  The stacked embeddings [p_ab p_ba] and [f_ab f_ba] are
+    one change of basis on the past and one on the future: applied to
+    t[s, f, p, x] = <s, f| U |p, x>, its two diagonal slices are the
+    blocks and the max-abs of its two off-diagonal slices is the
+    off-block residual, an error beyond ``tol``.  Both blocks are
+    re-verified as causally ordered combs of their respective order.
     """
     u = _checked(u, layout, tol)
     report = _verify(u, layout, tol)
@@ -416,102 +414,82 @@ def direct_sum_decompose(u: LinOp, layout: TwoSlotLayout, tol: float = TOL) -> D
     f_triple = _global_f(u, layout, tol, p_triple)
 
     p_ab = sum_subspaces(p_triple.forward, p_triple.parallel, tol=tol)
-    p_ba = p_triple.reverse
     f_ab = sum_subspaces(f_triple.forward, f_triple.parallel, tol=tol)
-    f_ba = f_triple.reverse
-    p_embeds = (_ordered_embed(p_ab), _ordered_embed(p_ba))
-    f_embeds = (_ordered_embed(f_ab), _ordered_embed(f_ba))
-
-    d_in_slots = layout.a_out[1] * layout.b_out[1]
-    d_out_slots = layout.a_in[1] * layout.b_in[1]
-    u_mat = u.data
-    lifts_in = [np.kron(e, np.eye(d_in_slots)) for e in p_embeds]
-    lifts_out = [np.kron(np.eye(d_out_slots), e) for e in f_embeds]
-
-    off = 0.0
-    for i in range(2):
-        for j in range(2):
-            if i == j or lifts_in[i].shape[1] == 0 or lifts_out[j].shape[1] == 0:
-                continue
-            off = max(off, float(np.abs(lifts_out[j].conj().T @ u_mat @ lifts_in[i]).max()))
+    p_embeds = (_ordered_embed(p_ab), _ordered_embed(p_triple.reverse))
+    f_embeds = (_ordered_embed(f_ab), _ordered_embed(f_triple.reverse))
+    # r[s, g, q, x]: t in the stacked bases, one matmul per axis
+    t = _view(u, layout)
+    d_s, d_f, d_p, d_x = t.shape
+    r = np.hstack(f_embeds).conj().T @ t.reshape(d_s, d_f, d_p * d_x)
+    r = np.hstack(p_embeds).T @ r.reshape(-1, d_p, d_x)
+    r = r.reshape(d_s, -1, *r.shape[1:])
+    pa, fa = p_embeds[0].shape[1], f_embeds[0].shape[1]
+    off = max(float(np.abs(r[:, :fa, pa:]).max(initial=0.0)),
+              float(np.abs(r[:, fa:, :pa]).max(initial=0.0)))
     if off > tol:
         raise VerificationError(f"off-block weight {off:.2e} exceeds tolerance; split inconsistent")
 
     blocks: list[LinOp | None] = []
-    orders = ("ab", "ba")
-    for i in range(2):
-        pdim, fdim = p_embeds[i].shape[1], f_embeds[i].shape[1]
+    for order, sub in (("ab", r[:, :fa, :pa]), ("ba", r[:, fa:, pa:])):
+        pdim, fdim = sub.shape[2], sub.shape[1]
+        if pdim * d_x != fdim * d_s:
+            raise VerificationError(f"block {order} is not square: {pdim}*{d_x} != {fdim}*{d_s}")
         if pdim == 0:
-            if fdim != 0:
-                raise VerificationError("empty past block with nonempty future block")
             blocks.append(None)
             continue
-        if pdim * d_in_slots != fdim * d_out_slots:
-            raise VerificationError(
-                f"block {orders[i]} is not square: {pdim}*{d_in_slots} != {fdim}*{d_out_slots}"
-            )
         block_layout = layout.with_dims(pdim, fdim)
-        blk = LinOp(
-            block_layout.out_space(),
-            block_layout.in_space(),
-            lifts_out[i].conj().T @ u_mat @ lifts_in[i],
-        )
+        blk = LinOp(block_layout.out_space(), block_layout.in_space(),
+                    sub.reshape(d_s * fdim, pdim * d_x))
         ok, res = is_unitary(blk, tol)
         if not ok:
-            raise VerificationError(f"block {orders[i]} is not unitary (residual {res:.2e})")
-        comb_report = verify_pure_comb_unitary(blk, block_layout.slot_chain(orders[i]), tol)
+            raise VerificationError(f"block {order} is not unitary (residual {res:.2e})")
+        comb_report = verify_pure_comb_unitary(blk, block_layout.slot_chain(order), tol)
         if not comb_report.ok:
             raise VerificationError(
-                f"block {orders[i]} fails its causal-order check "
+                f"block {order} fails its causal-order check "
                 f"(residual {comb_report.max_residual:.2e})"
             )
         blocks.append(blk)
 
-    decomp = DirectSumDecomp(
-        layout,
-        p_embeds[0],
-        p_embeds[1],
-        f_embeds[0],
-        f_embeds[1],
-        blocks[0],
-        blocks[1],
-        p_triple.dims,
-        f_triple.dims,
-        "",
-        off,
-    )
-    return dataclasses.replace(decomp, classification=classify(decomp))
+    return DirectSumDecomp(layout, *p_embeds, *f_embeds, *blocks, p_triple.dims, f_triple.dims, off)
 
 
 def embed_block(
     blk: LinOp, p_embed: np.ndarray, f_embed: np.ndarray, layout: TwoSlotLayout
 ) -> LinOp:
     """Place a block into the full spaces through its past/future
-    embeddings; the block's factors may be stored in any order."""
-    mat = permute_systems(blk, layout.in_space().labels + layout.out_space().labels).data
-    d_in_slots = layout.a_out[1] * layout.b_out[1]
-    d_out_slots = layout.a_in[1] * layout.b_in[1]
-    embedded = np.kron(np.eye(d_out_slots), f_embed) @ mat @ np.kron(p_embed, np.eye(d_in_slots)).conj().T
-    return LinOp(layout.out_space(), layout.in_space(), embedded)
+    embeddings, the inverse of the restriction in ``direct_sum_decompose``:
+    t[s, f, p, x] = sum f_embed[f, g] b[s, g, q, x] conj(p_embed[p, q]) on
+    the block's view b.  The block's factors may be stored in any order."""
+    canonical = permute_systems(blk, layout.in_space().labels + layout.out_space().labels)
+    b = _view(canonical, layout.with_dims(p_embed.shape[1], f_embed.shape[1]))
+    d_s, d_g, d_q, d_x = b.shape
+    t = p_embed.conj() @ (f_embed @ b.reshape(d_s, d_g, d_q * d_x)).reshape(-1, d_q, d_x)
+    return LinOp(layout.out_space(), layout.in_space(), t.reshape(layout.out_space().dim, -1))
+
+
+def _embedded(d: DirectSumDecomp, tol: float) -> tuple[list[LinOp | None], LinOp]:
+    """Each non-empty block of ``d`` embedded once, and their sum, which
+    must be unitary within ``tol``."""
+    layout = d.layout
+    if sum(d.p_dims) != layout.past[1]:
+        raise ValueError("past embeddings do not tile the past space")
+    if sum(d.f_dims) != layout.future[1]:
+        raise ValueError("future embeddings do not tile the future space")
+    embedded = [None if blk is None else embed_block(blk, p_e, f_e, layout)
+                for blk, p_e, f_e in d.parts().values()]
+    total = LinOp(layout.out_space(), layout.in_space(),
+                  sum(e.data for e in embedded if e is not None))
+    ok, res = is_unitary(total, tol)
+    if not ok:
+        raise VerificationError(f"assembled operator is not unitary (residual {res:.2e})")
+    return embedded, total
 
 
 def assemble(d: DirectSumDecomp, tol: float = TOL) -> LinOp:
-    """Embed the blocks back into the full spaces and sum them; the sum
-    must be unitary within ``tol``."""
-    layout = d.layout
-    if d.p_embed_ab.shape[1] + d.p_embed_ba.shape[1] != layout.past[1]:
-        raise ValueError("past embeddings do not tile the past space")
-    if d.f_embed_ab.shape[1] + d.f_embed_ba.shape[1] != layout.future[1]:
-        raise ValueError("future embeddings do not tile the future space")
-    total = np.zeros((layout.out_space().dim, layout.in_space().dim), dtype=np.complex128)
-    for blk, p_e, f_e in d.parts().values():
-        if blk is not None:
-            total += embed_block(blk, p_e, f_e, layout).data
-    out = LinOp(layout.out_space(), layout.in_space(), total)
-    ok, res = is_unitary(out, tol)
-    if not ok:
-        raise VerificationError(f"assembled operator is not unitary (residual {res:.2e})")
-    return out
+    """Embed each block back into the full spaces once (``embed_block``)
+    and sum them; the sum must be unitary within ``tol``."""
+    return _embedded(d, tol)[1]
 
 
 @dataclasses.dataclass(frozen=True)
@@ -544,24 +522,13 @@ def _future_traced_choi(op: LinOp, layout: TwoSlotLayout) -> LinOp:
 
 def trace_future_check(d: DirectSumDecomp, tol: float = TOL) -> TraceFutureReport:
     """The future-traced identity of ``d``, passing within ``tol``; the
-    assembled operator must be unitary within the same ``tol``."""
-    layout = d.layout
-    traced_total = _future_traced_choi(assemble(d, tol), layout)
-
-    traced_blocks: list[LinOp | None] = []
-    acc = None
-    weights = []
-    for blk, p_e, f_e in d.parts().values():
-        if blk is None:
-            traced_blocks.append(None)
-            weights.append(0.0)
-            continue
-        traced = _future_traced_choi(embed_block(blk, p_e, f_e, layout), layout)
-        traced_blocks.append(traced)
-        weights.append(float(np.trace(traced.data).real))
-        acc = traced.data if acc is None else acc + traced.data
-
+    assembled operator must be unitary within the same ``tol``.  Each block
+    is embedded once, for the sum and for its own traced term."""
+    embedded, total = _embedded(d, tol)
+    traced_total = _future_traced_choi(total, d.layout)
+    traced = tuple(None if e is None else _future_traced_choi(e, d.layout) for e in embedded)
+    residual = float(np.abs(traced_total.data - sum(t.data for t in traced if t is not None)).max())
+    weights = [0.0 if t is None else float(np.trace(t.data).real) for t in traced]
     total_weight = sum(weights)
-    weights = tuple(w / total_weight for w in weights)
-    residual = float(np.abs(traced_total.data - acc).max())
-    return TraceFutureReport(residual, weights, traced_total, tuple(traced_blocks), tol)
+    return TraceFutureReport(residual, tuple(w / total_weight for w in weights), traced_total,
+                             traced, tol)

@@ -17,6 +17,11 @@ before the slot wires are traced, and the link as the trace of
 (E (x) I)(I (x) F)^{T_shared}.  The label-matched contractions must give
 the same factor order, the same roles and the same entries.
 
+The restriction reference is the dense form the direct-sum split once
+took: each block and each off-diagonal corner read off U through
+Kronecker lifts of the embeddings, (I (x) f_e)^dagger U (p_e (x) I).  The
+stacked change of basis must give the same blocks and off-block weight.
+
 The matrix-file references are the per-entry forms the saver and loader
 once took: one ``json.dump`` of the whole document with a
 ``[float(re), float(im)]`` list per entry, and a per-entry scan naming the
@@ -234,6 +239,15 @@ def dense_plug_unitaries(u, layout, slot_ops):
     prod = compose(lifted, u, pad=True)
     traced = trace_matching(prod, [layout.factor(2 * k)[0] for k in range(1, n + 1)])
     return canonical_phase(traced)
+
+
+def kron_restriction(u, layout, p_embed, f_embed):
+    """(I_slot-inputs (x) f_embed)^dagger U (p_embed (x) I_slot-outputs) of a
+    two-slot operator, with U's factors put in canonical order first."""
+    d_in = layout.a_out[1] * layout.b_out[1]
+    d_out = layout.a_in[1] * layout.b_in[1]
+    mat = permute_systems(u, layout.in_space().labels + layout.out_space().labels).data
+    return np.kron(np.eye(d_out), f_embed).conj().T @ mat @ np.kron(p_embed, np.eye(d_in))
 
 
 def reference_matrix_text(op):

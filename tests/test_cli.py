@@ -1,5 +1,6 @@
 import json
 import os
+import re
 
 import numpy as np
 import pytest
@@ -179,6 +180,24 @@ class TestBuildCommand:
 
     def test_bad_usage_exit_2(self):
         assert main(["build", "random-comb", "--out", "/dev/null"]) == 2
+
+    @pytest.mark.parametrize("argv, option", [
+        (["d3d", "--dim", "5"], "--dim"),
+        (["switch", "--dims", "P=9"], "--dims"),
+        (["switch", "--chain", "H0=2,H1=2"], "--chain"),
+        (["switch", "--seed", "4"], "--seed"),
+        (["d3d", "--seed", "4"], "--seed"),
+        (["random-comb", "--chain", "H0=2,H1=2", "--dim", "7"], "--dim"),
+        (["random-unitary", "--dim", "3", "--dims", "P=4,AI=2,AO=2,BI=2,BO=2,F=4"], "--dim"),
+    ])
+    def test_option_the_target_does_not_read_exit_2(self, argv, option, tmp_path, capsys):
+        out = tmp_path / "o.json"
+        assert main(["build", *argv, "--out", str(out)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error:") and len(captured.err.strip().splitlines()) == 1
+        assert re.search(rf"{option}\b", captured.err)
+        assert not out.exists()
 
 
 class TestDecomposeAssemble:

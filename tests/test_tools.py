@@ -1,0 +1,42 @@
+"""The byte-comparison tools run end to end: ``tools/cli_digests.py`` gives
+one manifest wherever its work directory sits, and ``tools/matrix_diff.py``
+reports exactly the matrix files whose entries moved."""
+
+import json
+import subprocess
+import sys
+from pathlib import Path
+
+from purecomb.io import load_matrix, save_matrix
+from purecomb.spaces import LinOp
+
+TOOLS = Path(__file__).resolve().parent.parent / "tools"
+
+
+def _tool(name, *args):
+    run = subprocess.run([sys.executable, str(TOOLS / name), *map(str, args)],
+                         capture_output=True, text=True, check=True)
+    return run.stdout
+
+
+def test_digests_and_matrix_diff(tmp_path):
+    work_a, work_b = tmp_path / "a" / "work", tmp_path / "b" / "work"
+    manifest = _tool("cli_digests.py", work_a)
+    assert _tool("cli_digests.py", work_b) == manifest
+
+    parsed = json.loads(manifest)
+    assert len(parsed["ops"]) == 22
+    failing = [op["argv"][:2] for op in parsed["ops"] if op["exit"] != 0]
+    assert failing == [["verify", "fixture-random-unitary.json"],
+                       ["decompose", "fixture-random-unitary.json"]]
+    assert sum(op["exit"] == 0 for op in parsed["ops"]) == 20
+    assert len(parsed["files"]) == 30
+
+    assert _tool("matrix_diff.py", work_a, work_b) == ""
+    op = load_matrix(work_b / "switch2.json")
+    data = op.data.copy()
+    data[0, 0] += 1e-9
+    save_matrix(work_b / "switch2.json", LinOp(op.out_space, op.in_space, data))
+    lines = _tool("matrix_diff.py", work_a, work_b).splitlines()
+    assert len(lines) == 1
+    assert lines[0].startswith("switch2.json") and "max-abs 1.000e-09" in lines[0]

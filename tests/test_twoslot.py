@@ -5,7 +5,14 @@ import os
 import numpy as np
 import pytest
 
-from helpers import family_global_p, family_residuals, family_verdict, locally_rotated, perturbed
+from helpers import (
+    family_global_p,
+    family_residuals,
+    family_verdict,
+    kron_restriction,
+    locally_rotated,
+    perturbed,
+)
 from purecomb.builders import (
     build_d3d_example,
     build_direct_sum,
@@ -30,6 +37,7 @@ from purecomb.spaces import (
     phase_distance,
 )
 from purecomb.subspaces import Subspace, angle_sine, equal_subspaces
+from purecomb import twoslot
 from purecomb.twoslot import (
     SubspaceTriple,
     assemble,
@@ -620,6 +628,81 @@ class TestDirectSumDecompose:
             g = plug_unitaries(re, lay.slot_chain("ab"), [slot_a, slot_b])
             ok, res = is_unitary(g, 1e-8)
             assert ok, res
+
+
+class TestChangeOfBasis:
+    @staticmethod
+    def _cases():
+        cases = [(*build_quantum_switch(d), 1e-8) for d in (2, 3, 4)]
+        cases.append((*build_d3d_example(), 1e-8))
+        for i, shape in enumerate([(2, 2), (2, 4), (4, 2), (4, 4)]):
+            cases.append((*_random_direct_sum(80 + i, *shape)[:2], 1e-8))
+        cases += [(*_wire_comb(81), 1e-8), (*_parallel_comb(82), 1e-8),
+                  (*_parallel_plus_ba(83), 1e-8)]
+        u, lay = build_quantum_switch(2)
+        cases.append((perturbed(u, 1e-7, seed=3), lay, 1e-6))
+        return cases
+
+    def test_blocks_and_off_block_match_kron_restriction(self):
+        for u, lay, tol in self._cases():
+            d = direct_sum_decompose(u, lay, tol)
+            parts = list(d.parts().values())
+            for blk, p_e, f_e in parts:
+                if blk is not None:
+                    ref = kron_restriction(u, lay, p_e, f_e)
+                    assert np.abs(blk.data - ref).max() <= 1e-14
+            off = max(np.abs(kron_restriction(u, lay, p_e, f_e)).max(initial=0.0)
+                      for (_, p_e, _), (_, _, f_e) in itertools.permutations(parts, 2))
+            assert abs(d.off_block_residual - off) <= 1e-14
+        assert d.off_block_residual > 1e-12  # the perturbed switch, decomposed at 1e-6
+
+    def test_classification_is_derived(self):
+        u, lay = _wire_comb(84)
+        d = direct_sum_decompose(u, lay)
+        assert d.classification == "ordered-ab"
+        swapped = dataclasses.replace(
+            d, p_embed_ab=d.p_embed_ba, p_embed_ba=d.p_embed_ab, f_embed_ab=d.f_embed_ba,
+            f_embed_ba=d.f_embed_ab, block_ab=d.block_ba, block_ba=d.block_ab)
+        assert swapped.classification == "ordered-ba"
+
+    def test_trace_future_check_embeds_each_block_once(self, monkeypatch):
+        d = direct_sum_decompose(*build_quantum_switch(2))
+        embed, calls = twoslot.embed_block, []
+        monkeypatch.setattr(twoslot, "embed_block", lambda *a: calls.append(1) or embed(*a))
+        assert trace_future_check(d).ok
+        assert len(calls) == 2
+
+
+class TestLayoutCheck:
+    @staticmethod
+    def _calls(u, lay):
+        """Verdict, block dims and point-split dims, each as one call."""
+        alpha, beta = np.eye(lay.a_out[1])[0], np.eye(lay.b_out[1])[0]
+
+        def block_dims():
+            d = direct_sum_decompose(u, lay)
+            return d.p_dims, d.f_dims
+
+        return [lambda: verify_pure_superchannel(u, lay).ok, block_dims,
+                lambda: p_point_decomposition(u, lay, alpha, beta).dims]
+
+    def test_wrong_label_or_factor_dim_rejected(self):
+        u, lay = build_quantum_switch(2)
+        relabelled = LinOp(Spaces.of(("AI", 2), ("BI", 2), ("G", 4)), u.in_space, u.data)
+        # same total dimension 16, but P and AO swap their dimensions
+        redimmed = LinOp(u.out_space, Spaces.of(("P", 2), ("AO", 4), ("BO", 2)), u.data)
+        for bad in (relabelled, redimmed):
+            for call in self._calls(bad, lay):
+                with pytest.raises(ValueError, match="layout"):
+                    call()
+
+    def test_factor_order_in_the_operator_is_immaterial(self):
+        u, lay = build_quantum_switch(2)
+        shuffled = permute_systems(u, ["BO", "F", "P", "AI", "AO", "BI"])
+        assert shuffled.in_space.labels == ("BO", "P", "AO")
+        for call, call_shuffled in zip(self._calls(u, lay), self._calls(shuffled, lay)):
+            assert call_shuffled() == call()
+        assert self._calls(shuffled, lay)[0]() is True
 
 
 class TestAssemble:
