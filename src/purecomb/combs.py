@@ -190,14 +190,14 @@ def ancilla_labels(layout: SlotLayout) -> tuple[str, ...]:
     return tuple(labels)
 
 
-def _projector_range(m: np.ndarray, tol: float, what: str) -> np.ndarray:
-    """Eigenvectors of a Hermitian ``m`` at eigenvalues above 1/2; every
+def _projector_range(m: np.ndarray, tol: float, what: str) -> tuple[np.ndarray, np.ndarray]:
+    """Range and kernel, one frame, of a Hermitian ``m`` (0 x 0 allowed); every
     eigenvalue must lie within ``tol`` of 0 or 1 (the error names ``what``)."""
     w, v = np.linalg.eigh(m)
-    worst = float(np.minimum(np.abs(w), np.abs(w - 1)).max())
+    worst = float(np.minimum(np.abs(w), np.abs(w - 1)).max(initial=0.0))
     if worst > tol:
         raise VerificationError(f"{what} is not a projector: an eigenvalue is {worst:.2e} off 0/1")
-    return v[:, w > 0.5]
+    return v[:, w > 0.5], v[:, w <= 0.5]
 
 
 def staircase_decompose(u: LinOp, layout: SlotLayout, tol: float = TOL) -> CombCircuit:
@@ -248,7 +248,7 @@ def staircase_decompose(u: LinOp, layout: SlotLayout, tol: float = TOL) -> CombC
         # range of Tr_inner of the image of (past (x) |0> on the slot wire):
         # its rank gives k, its columns are the new |x, 0> future basis
         v0 = t[..., 0].transpose(1, 0, 2).reshape(future_space.dim, -1)
-        f_basis = _projector_range(v0 @ v0.conj().T / d_inner, tol, f"Tr_inner at slot {m}")
+        f_basis = _projector_range(v0 @ v0.conj().T / d_inner, tol, f"Tr_inner at slot {m}")[0]
         if f_basis.shape[1] != k:
             raise VerificationError(f"reduced rank {f_basis.shape[1]} at slot {m} contradicts the "
                                     f"exact quotient {k}; the input is not a reversible comb for "

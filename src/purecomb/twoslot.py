@@ -6,12 +6,12 @@ Verification evaluates each condition as one closed-form identity on the
 unitary, with no vector family and no rank decision.  The splitting reads
 the global past split off the no-signalling components of U^dagger: the
 past where the A output signals the B input (forward), the past where the
-B output signals the A input (reverse), and the parallel rest.  It pushes
-that split through the operator onto the future and reads the two blocks
-off U in the stacked block bases; each support is one ``eigh`` cut at
-``tol``.  The pointwise split at slot outputs (alpha, beta) is separate: an
-SVD subspace calculus on the future, pulled back to the past by one ``eigh``
-per part, every rank again cut at ``tol``.
+B output signals the A input (reverse), and the parallel rest; then the
+future split; then the blocks, slices of U in the stacked block bases.
+Each split is one orthonormal frame of two nested ``eigh`` cuts at ``tol``:
+the reverse part and its complement, then forward and parallel inside it.
+The pointwise split at slot outputs (alpha, beta) pulls the future parts
+of an SVD subspace calculus back to the past by the same rule.
 """
 
 from __future__ import annotations
@@ -41,7 +41,6 @@ from .subspaces import (
     orthogonality_residual,
     product_subspace,
     reduced_subspace,
-    sum_subspaces,
 )
 
 __all__ = [
@@ -177,12 +176,24 @@ def _joint_residual(u: LinOp, layout: TwoSlotLayout) -> float:
     return worst
 
 
+def _nested_triple(space: Spaces, op_of, tol: float, what: str) -> SubspaceTriple:
+    """Forward/parallel/reverse split of ``space`` as one orthonormal frame;
+    ``op_of(part, frame)`` is the projector Q_part in ``frame`` coordinates
+    and ``what.format(part)`` names it in errors.  The reverse part and its
+    complement (rest) are the ``_projector_range`` of op_of("reverse", I),
+    the forward and parallel parts that of op_of("forward", rest); the Q sum
+    to I, so Q_par = I - Q_rev - Q_fwd is then a projector too."""
+    rev, rest = _projector_range(op_of("reverse", np.eye(space.dim)), tol, what.format("reverse"))
+    fwd, par = _projector_range(op_of("forward", rest), tol, what.format("forward"))
+    return SubspaceTriple(*(Subspace(space, b) for b in (rest @ fwd, rest @ par, rev)))
+
+
 def _point_triples(u: LinOp, layout: TwoSlotLayout, tol: float, alpha: np.ndarray, beta: np.ndarray):
     """Forward/parallel/reverse split of the future reachable from one
     slot-output pair, and the past split it induces; every rank is cut at
-    ``tol``.  Each past part is the range of V^dagger (I_slots (x) Pi_f) V,
-    V = U (I_P (x) |alpha> (x) |beta>): in the class the three sum to I_P
-    with ranks summing to d_P, so each is a projector."""
+    ``tol``.  The past triple is the nested frame of the pull-backs
+    V^dagger (I_slots (x) Pi_f) V, V = U (I_P (x) |alpha> (x) |beta>), of
+    the future parts: in the class they are projectors summing to I_P."""
     alpha = np.asarray(alpha, dtype=np.complex128).reshape(-1)
     beta = np.asarray(beta, dtype=np.complex128).reshape(-1)
     if np.linalg.norm(alpha) == 0 or np.linalg.norm(beta) == 0:
@@ -214,19 +225,13 @@ def _point_triples(u: LinOp, layout: TwoSlotLayout, tol: float, alpha: np.ndarra
 
     # v[s, f, p] = <s, f| U |p, alpha, beta>, s over both slot inputs
     v = _view(u, layout) @ np.kron(alpha, beta)
-    p_parts = []
-    for name, f_part in zip(("forward", "parallel", "reverse"), f_triple.parts()):
-        x = np.einsum("fk,sfp->skp", f_part.basis.conj(), v).reshape(-1, p_space.dim)
-        p_parts.append(Subspace(p_space, _projector_range(x.conj().T @ x, tol,
-                                                          f"the {name} pullback to the past")))
-    p_triple = SubspaceTriple(*p_parts)
-    p_res = p_triple.overlap
-    if sum(p_triple.dims) != p_space.dim or p_res > tol:
-        raise VerificationError(
-            f"past split at a slot-output pair failed: dims {p_triple.dims} "
-            f"sum to {sum(p_triple.dims)} != {p_space.dim}, overlap {p_res:.2e}"
-        )
-    return f_triple, p_triple
+
+    def pullback(part, frame):
+        f_part = getattr(f_triple, part).basis
+        x = np.einsum("fk,sfp->skp", f_part.conj(), v).reshape(-1, p_space.dim) @ frame
+        return x.conj().T @ x
+
+    return f_triple, _nested_triple(p_space, pullback, tol, "the {} pullback to the past")
 
 
 def f_point_decomposition(
@@ -241,9 +246,9 @@ def f_point_decomposition(
 def p_point_decomposition(
     u: LinOp, layout: TwoSlotLayout, alpha: np.ndarray, beta: np.ndarray, tol: float = TOL
 ) -> SubspaceTriple:
-    """Split of the whole past induced by the pair (alpha, beta): the range
-    at ``tol`` of each future part pulled back through U (I_P (x) |alpha>
-    (x) |beta>); the three must tile the past orthogonally."""
+    """Split of the whole past induced by the pair (alpha, beta): the future
+    parts pulled back through U (I_P (x) |alpha> (x) |beta>), read as one
+    frame of two nested ranges at ``tol``."""
     return _point_triples(_checked(u, layout, tol), layout, tol, alpha, beta)[1]
 
 
@@ -252,34 +257,36 @@ def global_p_decomposition(u: LinOp, layout: TwoSlotLayout, tol: float = TOL) ->
     (forward), the part where the B output signals the A input (reverse)
     and the parallel rest.
 
-    The forward part is the past support of the signalling components of
-    U^dagger from the B input to the A output, the reverse part that from
-    the A input to the B output, and the parallel part the orthogonal
-    complement of their sum, each support cut at ``tol``.  The three must
-    tile the past orthogonally; otherwise the split is an error.
+    One orthonormal frame of two nested cuts at ``tol``: the reverse part
+    is the past support of the signalling components of U^dagger from the
+    A input to the B output, its complement the rest.  The forward part is
+    the support, searched in that rest, of those from the B input to the A
+    output, and the parallel part what that search drops.  Forward rows
+    weighing more than ``tol`` on the reverse part are an error.
     """
     return _global_p(_checked(u, layout, tol), layout, tol)
 
 
 def _global_p(u: LinOp, layout: TwoSlotLayout, tol: float) -> SubspaceTriple:
-    p_fwd = _past_support(u, layout, layout.b_in[0], layout.a_out[0], tol)
-    p_rev = _past_support(u, layout, layout.a_in[0], layout.b_out[0], tol)
-    triple = SubspaceTriple(p_fwd, complement(sum_subspaces(p_fwd, p_rev, tol=tol)), p_rev)
-    res = triple.overlap
-    if sum(triple.dims) != layout.past[1] or res > tol:
-        raise VerificationError(
-            f"global past split inconsistent: dims {triple.dims}, overlap {res:.2e}"
-        )
-    return triple
+    d_p, space = layout.past[1], Spaces((layout.past,))
+    p_rev, p_rest, _ = _past_support(u, layout, layout.a_in[0], layout.b_out[0],
+                                     np.eye(d_p), np.zeros((d_p, 0)), tol)
+    p_fwd, p_par, leak = _past_support(u, layout, layout.b_in[0], layout.a_out[0],
+                                       p_rest, p_rev, tol)
+    if leak > tol:
+        raise VerificationError(f"global past split inconsistent: forward rows weigh {leak:.2e} "
+                                f"on the reverse part")
+    return SubspaceTriple(Subspace(space, p_fwd), Subspace(space, p_par), Subspace(space, p_rev))
 
 
-def _past_support(u: LinOp, layout: TwoSlotLayout, wire: str, reached: str, tol: float) -> Subspace:
-    """Span of the past-indexed rows and conjugated columns of every
-    signalling component of U^dagger from ``wire`` to ``reached``; the
-    columns stand in for the components with a > a', which are not formed.
-    Its basis is the eigenvectors of the rows' Gram whose max-abs overlap
-    with some row exceeds ``tol``; the components are streamed one at a
-    time, once for the Gram and once for the overlaps."""
+def _past_support(u: LinOp, layout: TwoSlotLayout, wire: str, reached: str, frame: np.ndarray,
+                  other: np.ndarray, tol: float) -> tuple[np.ndarray, np.ndarray, float]:
+    """Support in the columns of ``frame`` of the past-indexed rows and
+    conjugated columns of every signalling component of U^dagger from
+    ``wire`` to ``reached`` (the columns stand in for the unformed a > a'):
+    the eigenvectors of the rows' Gram in ``frame`` whose max-abs overlap
+    with some row exceeds ``tol``, the others, and the rows' max-abs weight
+    on the columns of ``other``; the components are streamed twice."""
     past, d_p = layout.past
 
     def rows():
@@ -287,9 +294,12 @@ def _past_support(u: LinOp, layout: TwoSlotLayout, wire: str, reached: str, tol:
             m = permute_systems(k, [past, *k.out_space.without([past]).labels]).data
             yield np.hstack([m.reshape(d_p, -1), m.T.conj().reshape(d_p, -1)])
 
-    _, vecs = np.linalg.eigh(sum(b @ b.conj().T for b in rows()))
-    amp = np.max([np.abs(vecs.conj().T @ b).max(axis=1) for b in rows()], axis=0)
-    return Subspace(Spaces((layout.past,)), vecs[:, amp > tol])
+    _, vecs = np.linalg.eigh(frame.conj().T @ sum(b @ b.conj().T for b in rows()) @ frame)
+    vecs = frame @ vecs
+    amp = np.max([np.abs(np.hstack([vecs, other]).conj().T @ b).max(axis=1) for b in rows()],
+                 axis=0)
+    keep = amp[:vecs.shape[1]] > tol
+    return vecs[:, keep], vecs[:, ~keep], float(amp[vecs.shape[1]:].max(initial=0.0))
 
 
 def global_f_decomposition(
@@ -299,37 +309,38 @@ def global_f_decomposition(
 
     In the class U (Pi_part (x) I) U^dagger projects onto (slot inputs) (x)
     (future part), so Tr_slots of it over d_slots projects onto the future
-    part: its range is one ``eigh``, every eigenvalue within ``tol`` of 0 or 1.
+    part, every eigenvalue within ``tol`` of 0 or 1.  The future triple is
+    their nested frame (``_nested_triple``), which needs ``p_triple`` to
+    tile the past: dims summing to d_P, overlap within ``tol``.
     """
-    return _global_f(_checked(u, layout, tol), layout, tol, p_triple)
+    u, res = _checked(u, layout, tol), p_triple.overlap
+    if sum(p_triple.dims) != layout.past[1] or res > tol:
+        raise VerificationError(f"past triple does not tile the past: dims {p_triple.dims}, "
+                                f"overlap {res:.2e}")
+    return _global_f(u, layout, tol, p_triple)
 
 
 def _global_f(u: LinOp, layout: TwoSlotLayout, tol: float, p_triple: SubspaceTriple) -> SubspaceTriple:
-    d_slots, f_space = layout.a_in[1] * layout.b_in[1], Spaces((layout.future,))
-    t, parts = _view(u, layout), []
-    for name, p_part in zip(("forward", "parallel", "reverse"), p_triple.parts()):
-        w = np.einsum("sfpx,pr->fsxr", t, p_part.basis).reshape(f_space.dim, -1)
-        parts.append(Subspace(f_space, _projector_range(w @ w.conj().T / d_slots, tol,
-                                                        f"Tr_slots of the {name} image")))
-    triple = SubspaceTriple(*parts)
-    res = triple.overlap
-    if sum(triple.dims) != layout.future[1] or res > tol:
-        raise VerificationError(
-            f"global future split inconsistent: dims {triple.dims}, overlap {res:.2e}"
-        )
-    return triple
+    d_slots, t = layout.a_in[1] * layout.b_in[1], _view(u, layout)
+
+    def traced(part, frame):
+        w = np.einsum("sfpx,pr->fsxr", t, getattr(p_triple, part).basis)
+        w = frame.conj().T @ w.reshape(len(frame), -1)
+        return w @ w.conj().T / d_slots
+
+    return _nested_triple(Spaces((layout.future,)), traced, tol, "Tr_slots of the {} image")
 
 
 @dataclasses.dataclass(frozen=True)
 class DirectSumDecomp:
     """Result of the direct-sum splitting.
 
-    Embeddings are orthonormal column isometries from block coordinates
-    into the full past/future.  Blocks are the restricted unitaries in
-    those coordinates; a block is None when its past part is
-    zero-dimensional.  ``triple_p_dims``/``triple_f_dims`` record the
-    underlying forward/parallel/reverse dimensions.  ``classification`` is
-    derived from the rest by ``classify``, so it cannot go stale.
+    Embeddings are isometries from block coordinates into the full
+    past/future, slices of one frame per side: forward then parallel
+    columns (A-first) and reverse ones (B-first).  Blocks are the restricted
+    unitaries in those coordinates, None when the past part is empty.
+    ``triple_p_dims``/``triple_f_dims`` record the forward/parallel/reverse
+    dimensions; ``classification`` is derived by ``classify`` when read.
     """
 
     layout: TwoSlotLayout
@@ -361,16 +372,6 @@ class DirectSumDecomp:
                 "ba": (self.block_ba, self.p_embed_ba, self.f_embed_ba)}
 
 
-def _ordered_embed(s: Subspace) -> np.ndarray:
-    """Deterministic column order: by descending peak overlap with the
-    computational basis, ties by original index."""
-    if s.dim <= 1:
-        return s.basis
-    scores = np.abs(s.basis).max(axis=0)
-    order = np.argsort(-scores, kind="stable")
-    return s.basis[:, order]
-
-
 def classify(d: DirectSumDecomp) -> str:
     """Coarse class of the split: parallel, ordered one way, switch-like
     (balanced blocks over equal wires at double dimension), or a general
@@ -398,7 +399,7 @@ def direct_sum_decompose(u: LinOp, layout: TwoSlotLayout, tol: float = TOL) -> D
 
     Verification is run unconditionally; the split is forward+parallel
     versus reverse.  The stacked embeddings [p_ab p_ba] and [f_ab f_ba] are
-    one change of basis on the past and one on the future: applied to
+    the past and future frames, one change of basis on each side: applied to
     t[s, f, p, x] = <s, f| U |p, x>, its two diagonal slices are the
     blocks and the max-abs of its two off-diagonal slices is the
     off-block residual, an error beyond ``tol``.  Both blocks are
@@ -413,10 +414,8 @@ def direct_sum_decompose(u: LinOp, layout: TwoSlotLayout, tol: float = TOL) -> D
     p_triple = _global_p(u, layout, tol)
     f_triple = _global_f(u, layout, tol, p_triple)
 
-    p_ab = sum_subspaces(p_triple.forward, p_triple.parallel, tol=tol)
-    f_ab = sum_subspaces(f_triple.forward, f_triple.parallel, tol=tol)
-    p_embeds = (_ordered_embed(p_ab), _ordered_embed(p_triple.reverse))
-    f_embeds = (_ordered_embed(f_ab), _ordered_embed(f_triple.reverse))
+    p_embeds, f_embeds = ((np.hstack([tr.forward.basis, tr.parallel.basis]), tr.reverse.basis)
+                          for tr in (p_triple, f_triple))
     # r[s, g, q, x]: t in the stacked bases, one matmul per axis
     t = _view(u, layout)
     d_s, d_f, d_p, d_x = t.shape

@@ -8,8 +8,10 @@ import pytest
 from helpers import perturbed
 from purecomb import builders
 from purecomb.cli import main
+from purecomb.combs import CombCircuit, ancilla_labels, compose_staircase
 from purecomb.io import MatrixFileError, file_digest, load_matrix, save_matrix
-from purecomb.spaces import LinOp, Spaces, phase_distance
+from purecomb.spaces import LinOp, Spaces, permute_systems, phase_distance
+from purecomb.twoslot import direct_sum_decompose, embed_block
 from purecomb.builders import haar_unitary
 
 FIXTURES = os.path.join(os.path.dirname(__file__), "fixtures")
@@ -238,6 +240,32 @@ class TestDecomposeAssemble:
         out = str(tmp_path / "back.json")
         assert main(["assemble", *block, "--out", out]) == 0
         assert phase_distance(load_matrix(out), load_matrix(comb)) < 1e-7
+
+    def test_b_first_comb_emits_staircase(self, tmp_path):
+        # the A-first frame is empty: one B-first block and its staircase
+        lay = builders.switch_layout(2)
+        u = permute_systems(builders.random_pure_comb(lay.slot_chain("ba"), 13),
+                            ["AI", "BI", "F", "P", "AO", "BO"])
+        comb = tmp_path / "comb.json"
+        save_matrix(comb, u)
+        prefix = str(tmp_path / "dec")
+        assert main(["decompose", str(comb), "--kind", "direct-sum", "--out", prefix]) == 0
+        report = json.loads(open(prefix + ".report.json").read())
+        assert report["details"]["classification"] == "ordered-ba"
+        assert report["details"]["block_p_dims"] == [0, 4]
+        files = report["details"]["files"]
+        assert files == [prefix + ".block-ba.json"] + [f"{prefix}.element-{i}.json"
+                                                       for i in range(3)]
+        # the elements recompose to the block, and the block assembles to u
+        chain = lay.slot_chain("ba")
+        circuit = CombCircuit(chain, tuple(load_matrix(f) for f in files[1:]),
+                              tuple(report["details"]["ancilla_dims"]), ancilla_labels(chain))
+        d = direct_sum_decompose(u, lay)
+        recomposed = embed_block(compose_staircase(circuit), d.p_embed_ba, d.f_embed_ba, lay)
+        assert phase_distance(recomposed, load_matrix(files[0])) <= 1e-8
+        out = str(tmp_path / "back.json")
+        assert main(["assemble", files[0], "--out", out]) == 0
+        assert phase_distance(load_matrix(out), u) <= 1e-8
 
     def test_staircase_kind(self, tmp_path):
         comb = tmp_path / "comb.json"

@@ -362,6 +362,11 @@ class TestPerturbedDecomposition:
             d = direct_sum_decompose(v, lay, 10 * eps)
             assert _split_signature(d) == want
             assert phase_distance(assemble(d, 10 * eps), v) <= 10 * eps
+            # the stacked block bases are one orthonormal frame per side
+            for embeds in ((d.p_embed_ab, d.p_embed_ba), (d.f_embed_ab, d.f_embed_ba)):
+                frame = np.hstack(embeds)
+                assert np.abs(frame.conj().T @ frame - np.eye(len(frame))).max() <= 1e-13
+            assert global_p_decomposition(v, lay, 10 * eps).overlap <= 1e-13
 
     @pytest.mark.parametrize("eps", [1e-9, 1e-7, 1e-5])
     def test_point_splits_like_the_unperturbed_input_at_ten_eps(self, eps):
@@ -500,6 +505,21 @@ class TestGlobalDecompositions:
             rev = Subspace(past, c * p.reverse.basis - s * p.forward.basis)
             with pytest.raises(VerificationError):
                 global_f_decomposition(u, lay, SubspaceTriple(fwd, p.parallel, rev))
+        # a triple from outside must tile the past: one forward column
+        # missing, or the reverse part the forward part
+        short = Subspace(past, p.forward.basis[:, 1:])
+        for bad in (SubspaceTriple(short, p.parallel, p.reverse),
+                    SubspaceTriple(p.forward, p.parallel, p.forward)):
+            with pytest.raises(VerificationError):
+                global_f_decomposition(u, lay, bad)
+
+    def test_random_unitary_past_split_rejected(self):
+        # both signalling supports fill the past: the forward rows weigh on
+        # the reverse part, and the split is an error, not a triple
+        lay = switch_layout(2)
+        for seed in (60, 61):
+            with pytest.raises(VerificationError, match="global past split inconsistent"):
+                global_p_decomposition(_random_shaped(lay, seed), lay)
 
     def test_past_split_matches_family_oracle(self):
         for u, lay, want in _two_slot_cases():
@@ -576,15 +596,15 @@ class TestDirectSumDecompose:
             assert angle_sine(Subspace(f_sp, d.f_embed_ab), Subspace(f_sp, ef_ab)) < 1e-8
             assert angle_sine(Subspace(f_sp, d.f_embed_ba), Subspace(f_sp, ef_ba)) < 1e-8
 
-    def test_rank_decisions_take_four_svds(self, monkeypatch):
-        # the supports come from eigh; only the subspace sums and the
-        # parallel complement take an SVD, at any switch dimension
+    def test_rank_decisions_take_no_svd(self, monkeypatch):
+        # every split is two nested eigh cuts of one frame per side, and the
+        # block bases are slices of it, at any switch dimension
         svd, calls = np.linalg.svd, []
         monkeypatch.setattr(np.linalg, "svd", lambda *a, **k: calls.append(1) or svd(*a, **k))
         for dim in (2, 3, 4):
             calls.clear()
             direct_sum_decompose(*build_quantum_switch(dim))
-            assert len(calls) == 4
+            assert len(calls) == 0
 
     def test_rejects_random_unitary(self):
         lay = switch_layout(2)
