@@ -4,12 +4,16 @@
 Doubles are serialized through Python's shortest round-trip repr, so a
 save/load cycle is bit exact.
 
-A save encodes the header with ``json.dumps`` and streams the data in
-fixed-size blocks of pairs, each block one C-encoder ``json.dumps`` of a
-slice of the matrix viewed as float pairs.  Memory beyond the matrix is
-bounded by one block, and the bytes are those of a single ``json.dump`` of
-the whole document with one ``[float(re), float(im)]`` list per entry,
-followed by a newline.
+A save encodes the header with ``json.dumps`` and writes the data in
+fixed-size blocks of pairs, each block one ``%`` format of a
+``"[%r, %r]"``-per-pair template, joined by ``", "``, over a slice of the
+matrix viewed as a flat array of doubles.  ``%r`` of a finite float is
+``float.__repr__``, which is what the JSON encoder writes, so the bytes are
+those of a single ``json.dump`` of the whole document with one
+``[float(re), float(im)]`` list per entry, followed by a newline.  Memory
+beyond the matrix is bounded by one block.  A save rejects NaN and
+infinite entries with ``MatrixFileError`` before the file is opened, naming
+the first bad entry: no load would accept them.
 
 A load parses with ``json.load`` and checks the data by whole-list passes.
 It rejects, with ``MatrixFileError``: unreadable or non-JSON files; a
@@ -45,19 +49,29 @@ class MatrixFileError(ValueError):
 
 
 def save_matrix(path, op: LinOp) -> None:
+    # LinOp data is C-contiguous complex128, so this is a view
+    flat = op.data.reshape(-1).view(np.float64)
+    # %r would spell these nan/inf, which no load accepts; checked before
+    # the file is opened, so a rejected save leaves the path untouched
+    if not np.isfinite([flat.min(), flat.max()]).all():
+        i = int(np.flatnonzero(~np.isfinite(flat))[0]) // 2
+        raise MatrixFileError(
+            f"non-finite data entry at index {i}: {flat[2 * i:2 * i + 2].tolist()!r}")
     head = json.dumps({
         "version": FORMAT_VERSION,
         "in_dims": [[lab, d] for lab, d in op.in_space.factors],
         "out_dims": [[lab, d] for lab, d in op.out_space.factors],
     })
-    # LinOp data is C-contiguous complex128, so this is a view
-    pairs = op.data.view(np.float64).reshape(-1, 2)
+    template = ", ".join(["[%r, %r]"] * min(flat.size // 2, _BLOCK_PAIRS))
     with open(path, "w") as fh:
         fh.write(head[:-1] + ', "data": [')
-        for start in range(0, len(pairs), _BLOCK_PAIRS):
+        for start in range(0, flat.size, 2 * _BLOCK_PAIRS):
+            values = tuple(flat[start:start + 2 * _BLOCK_PAIRS].tolist())
             if start:
                 fh.write(", ")
-            fh.write(json.dumps(pairs[start:start + _BLOCK_PAIRS].tolist())[1:-1])
+                if len(values) < 2 * _BLOCK_PAIRS:  # the short last block
+                    template = ", ".join(["[%r, %r]"] * (len(values) // 2))
+            fh.write(template % values)
         fh.write("]}\n")
 
 

@@ -150,6 +150,10 @@ def _joint_residual(u: LinOp, layout: TwoSlotLayout) -> float:
     The traceless operators are the span of |alpha'><alpha| with alpha'
     orthogonal to alpha, so this is 0 exactly when the joint condition holds.
     One (a, a', b, b') block of (d_AI d_BI d_P)^2 entries is formed at a time.
+    Block (a', a, b', b) is the conjugate transpose of block (a, a', b, b'),
+    so off the a = a' diagonal only a < a' is formed.  The traced-over-a
+    Gram of each (b, b') is formed once and serves every diagonal a, and the
+    d_a diagonal traced-over-b Grams are kept for it.
     """
     d_a, d_b = layout.a_out[1], layout.b_out[1]
     d_s, d_f = layout.a_in[1] * layout.b_in[1], layout.future[1]
@@ -161,17 +165,23 @@ def _joint_residual(u: LinOp, layout: TwoSlotLayout) -> float:
         return x.reshape(len(x), -1) @ y.reshape(len(y), -1).conj().T
 
     both_traced = gram(m, m) / (d_a * d_b)
+    b_traced = [gram(m[:, a], m[:, a]) / d_b for a in range(d_a)]
     worst = 0.0
-    for a, a2 in itertools.product(range(d_a), repeat=2):
-        b_traced = gram(m[:, a], m[:, a2]) / d_b
+    for b, b2 in itertools.product(range(d_b), repeat=2):
+        a_traced = gram(m[:, :, b], m[:, :, b2]) / d_a
+        for a in range(d_a):
+            k = gram(m[:, a, b], m[:, a, b2])
+            k -= a_traced
+            if b == b2:
+                k -= b_traced[a]
+                k += both_traced
+            worst = max(worst, float(np.abs(k).max()))
+    for a, a2 in itertools.combinations(range(d_a), 2):
+        b_cross = gram(m[:, a], m[:, a2]) / d_b
         for b, b2 in itertools.product(range(d_b), repeat=2):
             k = gram(m[:, a, b], m[:, a2, b2])
-            if a == a2:
-                k -= gram(m[:, :, b], m[:, :, b2]) / d_a
             if b == b2:
-                k -= b_traced
-                if a == a2:
-                    k += both_traced
+                k -= b_cross
             worst = max(worst, float(np.abs(k).max()))
     return worst
 

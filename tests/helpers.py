@@ -22,6 +22,10 @@ took: each block and each off-diagonal corner read off U through
 Kronecker lifts of the embeddings, (I (x) f_e)^dagger U (p_e (x) I).  The
 stacked change of basis must give the same blocks and off-block weight.
 
+The joint-residual reference is the loop over every ordered pair of
+slot-A outputs that the library once ran; the halved loop must return the
+same float.
+
 The matrix-file references are the per-entry forms the saver and loader
 once took: one ``json.dump`` of the whole document with a
 ``[float(re), float(im)]`` list per entry, and a per-entry scan naming the
@@ -30,6 +34,7 @@ and the whole-list load checks must raise the same messages.
 """
 
 import io
+import itertools
 import json
 import math
 
@@ -248,6 +253,34 @@ def kron_restriction(u, layout, p_embed, f_embed):
     d_out = layout.a_in[1] * layout.b_in[1]
     mat = permute_systems(u, layout.in_space().labels + layout.out_space().labels).data
     return np.kron(np.eye(d_out), f_embed).conj().T @ mat @ np.kron(p_embed, np.eye(d_in))
+
+
+def reference_joint_residual(u, layout):
+    """The joint residual as every ordered (a, a', b, b') block, each with
+    its own traced-over-a Gram: the loop ``twoslot._joint_residual`` halves
+    and hoists, which must give the same float."""
+    d_a, d_b = layout.a_out[1], layout.b_out[1]
+    d_s, d_f = layout.a_in[1] * layout.b_in[1], layout.future[1]
+    m = u.data.reshape(d_s, d_f, layout.past[1], d_a, d_b).transpose(0, 2, 3, 4, 1)
+    m = m.reshape(-1, d_a, d_b, d_f)
+
+    def gram(x, y):
+        return x.reshape(len(x), -1) @ y.reshape(len(y), -1).conj().T
+
+    both_traced = gram(m, m) / (d_a * d_b)
+    worst = 0.0
+    for a, a2 in itertools.product(range(d_a), repeat=2):
+        b_traced = gram(m[:, a], m[:, a2]) / d_b
+        for b, b2 in itertools.product(range(d_b), repeat=2):
+            k = gram(m[:, a, b], m[:, a2, b2])
+            if a == a2:
+                k -= gram(m[:, :, b], m[:, :, b2]) / d_a
+            if b == b2:
+                k -= b_traced
+                if a == a2:
+                    k += both_traced
+            worst = max(worst, float(np.abs(k).max()))
+    return worst
 
 
 def reference_matrix_text(op):

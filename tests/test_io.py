@@ -7,6 +7,7 @@ import pytest
 
 from helpers import reference_entry_error, reference_matrix_text
 from purecomb import io as pio
+from purecomb.builders import build_quantum_switch
 from purecomb.io import MatrixFileError, load_matrix, save_matrix
 from purecomb.spaces import LinOp, Spaces
 
@@ -22,7 +23,7 @@ def _edge_matrix():
 def _golden_cases():
     rng = np.random.default_rng(3)
     big = rng.standard_normal((300, 300)) + 1j * rng.standard_normal((300, 300))
-    return {
+    cases = {
         "1x1": LinOp(Spaces.of(("Y", 1)), Spaces.of(("X", 1)), [[0.5 - 2j]]),
         "3x5-labels": LinOp(
             Spaces.of(("B", 3), ("wire-é", 1)),
@@ -31,7 +32,16 @@ def _golden_cases():
         ),
         "edge-values": LinOp(Spaces.of(("E", 7)), Spaces.of(("F", 7)), _edge_matrix()),
         "300x300": LinOp(Spaces.of(("P", 300)), Spaces.of(("Q", 300)), big),
+        "switch4": build_quantum_switch(4)[0],
+        "all-minus-zero": LinOp(Spaces.of(("Z", 3)), Spaces.of(("W", 4)),
+                                np.full((3, 4), complex(-0.0, -0.0))),
     }
+    # a matrix of exactly one block, one pair past it, and exactly two blocks
+    n = pio._BLOCK_PAIRS
+    for name, rows, cols in [("block", n, 1), ("block+1", n + 1, 1), ("2-blocks", n, 2)]:
+        data = rng.standard_normal((rows, cols)) + 1j * rng.standard_normal((rows, cols))
+        cases[name] = LinOp(Spaces.of(("R", rows)), Spaces.of(("S", cols)), data)
+    return cases
 
 
 def _bits(a):
@@ -59,6 +69,28 @@ class TestGoldenBytes:
         save_matrix(out, load_matrix(path))
         with open(path, "rb") as fh:
             assert out.read_bytes() == fh.read()
+
+
+class TestSaveRejectsNonFinite:
+    @pytest.mark.parametrize("part", ["real", "imag"])
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])
+    def test_first_bad_entry_named_and_path_untouched(self, part, value, tmp_path):
+        data = np.arange(12.0).reshape(4, 3) + 0.5j
+        for i in (7, 9):  # row-major pair indices; the first is named
+            if part == "real":
+                data.reshape(-1)[i] = complex(value, 0.5)
+            else:
+                data.reshape(-1)[i] = complex(7.0, value)
+        op = LinOp(Spaces.of(("Y", 4)), Spaces.of(("X", 3)), data)
+        kept, fresh = tmp_path / "kept.json", tmp_path / "fresh.json"
+        kept.write_text("kept")
+        for path in (kept, fresh):
+            with pytest.raises(MatrixFileError) as exc:
+                save_matrix(path, op)
+            pair = [float(data[2, 1].real), float(data[2, 1].imag)]
+            assert str(exc.value) == f"non-finite data entry at index 7: {pair!r}"
+        assert kept.read_text() == "kept"
+        assert not fresh.exists()
 
 
 def _write(tmp_path, entries, version="1"):

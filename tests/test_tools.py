@@ -1,5 +1,6 @@
 """The byte-comparison tools run end to end: ``tools/cli_digests.py`` gives
-one manifest wherever its work directory sits, and ``tools/matrix_diff.py``
+one manifest wherever its work directory sits, every matrix file it writes
+has the bytes of one ``json.dump``, and ``tools/matrix_diff.py``
 reports exactly the matrix files whose entries moved."""
 
 import json
@@ -7,6 +8,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+from helpers import reference_matrix_text
 from purecomb.io import load_matrix, save_matrix
 from purecomb.spaces import LinOp
 
@@ -31,6 +33,12 @@ def test_digests_and_matrix_diff(tmp_path):
                        ["decompose", "fixture-random-unitary.json"]]
     assert sum(op["exit"] == 0 for op in parsed["ops"]) == 20
     assert len(parsed["files"]) == 30
+    # every matrix file the CLI wrote has the bytes of one json.dump
+    written = [name for name in parsed["files"] if not name.endswith(".report.json")]
+    assert len(written) == 22
+    for name in written:
+        text = (work_a / name).read_bytes()
+        assert text == reference_matrix_text(load_matrix(work_a / name)).encode(), name
 
     assert _tool("matrix_diff.py", work_a, work_b) == ""
     op = load_matrix(work_b / "switch2.json")

@@ -12,6 +12,7 @@ from helpers import (
     kron_restriction,
     locally_rotated,
     perturbed,
+    reference_joint_residual,
 )
 from purecomb.builders import (
     build_d3d_example,
@@ -348,6 +349,29 @@ class TestPerturbation:
             assert verify_pure_superchannel(v, lay, 10 * res).ok
             assert not verify_pure_superchannel(v, lay, res / 10).ok
         assert max(ratios) <= 10 * min(ratios)
+
+
+def _joint_cases():
+    """Perturbed switches, ``d3d`` and Haar unitaries with d_AO != d_BO."""
+    cases = []
+    for d in (2, 3, 4):
+        u, lay = build_quantum_switch(d)
+        for k in range(15, 8, -1):
+            cases.append((f"switch{d}-eps1e-{k}", perturbed(u, 10.0 ** -k, seed=d), lay))
+    cases.append(("d3d", *build_d3d_example()))
+    shapes = [(("P", 2), ("AI", 2), ("AO", 3), ("BI", 3), ("BO", 2), ("F", 2)),
+              (("P", 2), ("AI", 1), ("AO", 2), ("BI", 4), ("BO", 3), ("F", 3)),
+              (("P", 3), ("AI", 3), ("AO", 4), ("BI", 1), ("BO", 2), ("F", 8))]
+    for seed, shape in enumerate(shapes):
+        lay = TwoSlotLayout.of(*shape)
+        cases.append((f"haar{seed}", _random_shaped(lay, seed), lay))
+    return cases
+
+
+class TestJointResidual:
+    @pytest.mark.parametrize("u,lay", [pytest.param(u, lay, id=name) for name, u, lay in _joint_cases()])
+    def test_matches_every_block_loop_exactly(self, u, lay):
+        assert twoslot._joint_residual(u, lay) == reference_joint_residual(u, lay)
 
 
 class TestPerturbedDecomposition:
