@@ -26,11 +26,12 @@ The joint-residual reference is the loop over every ordered pair of
 slot-A outputs that the library once ran; the halved loop must return the
 same float.
 
-The matrix-file references are the per-entry forms the saver and loader
-once took: one ``json.dump`` of the whole document with a
-``[float(re), float(im)]`` list per entry, and a per-entry scan naming the
-first bad data entry.  The block-streamed save must write the same bytes
-and the whole-list load checks must raise the same messages.
+The matrix-file references are the forms the saver and loader once took:
+one ``json.dump`` of the whole document with a ``[float(re), float(im)]``
+list per entry; a per-entry scan naming the first bad data entry; and a
+load that parses the whole document with ``json.load`` before any check.
+The block-streamed save must write the same bytes, and the chunked load
+must give the same bits or raise the same messages.
 """
 
 import io
@@ -44,6 +45,7 @@ from purecomb.builders import haar_unitary
 from purecomb.choi import ChoiOp
 from purecomb.errors import VerificationError
 from purecomb.families import spanning_family, stability_vectors
+from purecomb.io import FORMAT_VERSION, MatrixFileError, _parse_dims
 from purecomb.spaces import (
     TOL,
     LinOp,
@@ -315,3 +317,29 @@ def reference_entry_error(raw):
         if not all(_finite_number(x) for x in pair):
             return f"non-numeric or non-finite data entry at index {i}: {pair!r}"
     return None
+
+
+def reference_load_matrix(path):
+    """A matrix file parsed whole by ``json.load`` and checked in order:
+    version, input and output dimensions, data length, then each entry."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            doc = json.load(fh)
+    except (OSError, json.JSONDecodeError, UnicodeDecodeError) as exc:
+        raise MatrixFileError(f"cannot read matrix file {path}: {exc}") from exc
+    if not (isinstance(doc, dict) and type(doc.get("version")) is int
+            and doc["version"] == FORMAT_VERSION):
+        raise MatrixFileError(f"unsupported or missing format version in {path}")
+    in_space = _parse_dims(doc.get("in_dims"), "in_dims")
+    out_space = _parse_dims(doc.get("out_dims"), "out_dims")
+    raw = doc.get("data")
+    if not isinstance(raw, list) or len(raw) != in_space.dim * out_space.dim:
+        raise MatrixFileError(
+            f"data length {len(raw) if isinstance(raw, list) else '?'} does not match "
+            f"{out_space.dim} x {in_space.dim}"
+        )
+    error = reference_entry_error(raw)
+    if error is not None:
+        raise MatrixFileError(error)
+    flat = np.array([float(x) for pair in raw for x in pair])
+    return LinOp(out_space, in_space, flat.view(np.complex128).reshape(out_space.dim, in_space.dim))

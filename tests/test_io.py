@@ -1,13 +1,18 @@
+import functools
 import glob
 import json
 import os
+import tempfile
+import threading
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from helpers import reference_entry_error, reference_matrix_text
+from helpers import reference_entry_error, reference_load_matrix, reference_matrix_text
 from purecomb import io as pio
 from purecomb.builders import build_quantum_switch
+from purecomb.cli import main
 from purecomb.io import MatrixFileError, load_matrix, save_matrix
 from purecomb.spaces import LinOp, Spaces
 
@@ -48,9 +53,20 @@ def _bits(a):
     return np.ascontiguousarray(a).view(np.uint64)
 
 
+def _refuse(*args, **kwargs):
+    raise AssertionError("a saved file reached the whole-document parse")
+
+
+@pytest.fixture
+def saved_layout_only(monkeypatch):
+    """Loads in which the whole-document parse and its checks raise."""
+    monkeypatch.setattr(json, "load", _refuse)
+    monkeypatch.setattr(pio, "_parse_data", _refuse)
+
+
 class TestGoldenBytes:
     @pytest.mark.parametrize("name", sorted(_golden_cases()))
-    def test_save_matches_single_dump_and_round_trips(self, name, tmp_path):
+    def test_save_matches_single_dump_and_round_trips(self, name, tmp_path, saved_layout_only):
         op = _golden_cases()[name]
         path = tmp_path / "m.json"
         save_matrix(path, op)
@@ -64,7 +80,7 @@ class TestGoldenBytes:
         assert pio._BLOCK_PAIRS < n and pio._BLOCK_PAIRS % 300 != 0
 
     @pytest.mark.parametrize("path", sorted(glob.glob(os.path.join(FIXTURES, "*.json"))))
-    def test_fixture_resave_is_byte_identical(self, path, tmp_path):
+    def test_fixture_resave_is_byte_identical(self, path, tmp_path, saved_layout_only):
         out = tmp_path / "resaved.json"
         save_matrix(out, load_matrix(path))
         with open(path, "rb") as fh:
@@ -145,3 +161,177 @@ class TestRejection:
         back = load_matrix(_write(tmp_path, entries))
         want = np.array([complex(a, b) for a, b in zip(ints, ints[::-1])])
         assert np.array_equal(_bits(back.data.reshape(-1)), _bits(want))
+
+
+def _load_outcome(load, path):
+    """('ok', spaces, data bits) of a load, or ('error', message)."""
+    try:
+        op = load(path)
+    except MatrixFileError as exc:
+        return "error", str(exc)
+    return "ok", op.out_space, op.in_space, _bits(op.data).tolist()
+
+
+def _corrupted(text, i, corruption):
+    """A saved file's text with data entry i replaced, or, for a corruption
+    that is not an entry, with the real part of entry i replaced."""
+    head, key, tail = text.partition(pio._DATA_KEY.decode())
+    assert key and tail.endswith("]]}\n")
+    entries = ["[" + e + "]" for e in tail[1:-4].split("], [")]
+    if corruption.startswith("[") or corruption.endswith("]"):
+        entries[i] = corruption
+    else:
+        entries[i] = "[" + corruption + entries[i][entries[i].index(","):]
+    return head + key + ", ".join(entries) + "]}\n"
+
+
+# one corrupted token or bracket of a saved file
+TOKENS = ["+1.0", ".5", "1.", "01", "1e400", "NaN", "true", '"1.0"', HUGE]
+ENTRIES = ["[1.0]", "[1.0, 2.0, 3.0]", "[1.0, 2.0]3", "1[, 2.0]"]
+# tokens save_matrix never writes that any JSON reader takes
+VALID_TOKENS = ["-0", "7", "1E5", "-2.5e-300", "2E+1"]
+
+
+def _random_op(rows, cols, seed=11):
+    rng = np.random.default_rng(seed)
+    data = rng.standard_normal((rows, cols)) + 1j * rng.standard_normal((rows, cols))
+    return LinOp(Spaces.of(("R", rows)), Spaces.of(("S", cols)), data)
+
+
+@functools.cache
+def _two_chunk_text():
+    """A saved file of more than one chunk at the module's chunk size, and
+    the index of the first pair of its second chunk."""
+    text = reference_matrix_text(_random_op(160, 160))
+    counts = []
+
+    def spy(chunk):
+        values = chunk_values(chunk)
+        counts.append(len(values) // 2)
+        return values
+
+    chunk_values = pio._chunk_values
+    with tempfile.TemporaryDirectory() as tmp, pytest.MonkeyPatch.context() as patch:
+        path = os.path.join(tmp, "m.json")
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(text)
+        patch.setattr(pio, "_chunk_values", spy)
+        load_matrix(path)
+    assert len(counts) > 1, "the matrix must span more than one chunk"
+    return text, counts[0]
+
+
+class TestChunkedLoad:
+    @pytest.mark.parametrize("corruption", TOKENS + ENTRIES + VALID_TOKENS,
+                             ids=lambda t: t.replace(HUGE, "10**400"))
+    def test_every_index_matches_the_whole_parse(self, corruption, tmp_path, monkeypatch):
+        # chunks of a few pairs: every index is first or last in a chunk or between
+        monkeypatch.setattr(pio, "_CHUNK_BYTES", 256)
+        op = _random_op(7, 9)
+        text = reference_matrix_text(op)
+        path = tmp_path / "m.json"
+        for i in range(op.data.size):
+            path.write_text(_corrupted(text, i, corruption))
+            want = _load_outcome(reference_load_matrix, path)
+            assert _load_outcome(load_matrix, path) == want, i
+            assert (want[0] == "ok") == (corruption in VALID_TOKENS)
+
+    @pytest.mark.parametrize("first,second", [("[1.0, 2.0, 3.0]", "[4.0]"),
+                                              ("[1.0]", "[2.0, 3.0, 4.0]")])
+    def test_adjacent_corruptions_that_keep_the_count(self, first, second, tmp_path,
+                                                      monkeypatch):
+        monkeypatch.setattr(pio, "_CHUNK_BYTES", 256)
+        op = _random_op(4, 5)
+        text = reference_matrix_text(op)
+        path = tmp_path / "m.json"
+        for i in range(op.data.size - 1):
+            path.write_text(_corrupted(_corrupted(text, i, first), i + 1, second))
+            assert _load_outcome(load_matrix, path) == _load_outcome(reference_load_matrix, path)
+
+    @pytest.mark.parametrize("corruption", TOKENS + ENTRIES,
+                             ids=lambda t: t.replace(HUGE, "10**400"))
+    def test_both_sides_of_a_full_size_seam(self, corruption, tmp_path):
+        text, seam = _two_chunk_text()
+        path = tmp_path / "m.json"
+        for i in (seam - 1, seam):
+            path.write_text(_corrupted(text, i, corruption))
+            assert _load_outcome(load_matrix, path) == _load_outcome(reference_load_matrix, path)
+
+    def test_header_claiming_more_pairs_than_the_file_holds(self, tmp_path):
+        path = tmp_path / "m.json"
+        path.write_text('{"version": 1, "in_dims": [["X", 1000000]], '
+                        '"out_dims": [["Y", 1000000]], "data": [[1.0, 0.0]]}\n')
+        with pytest.raises(MatrixFileError) as exc:
+            load_matrix(path)
+        assert str(exc.value) == "data length 1 does not match 1000000 x 1000000"
+
+    def test_raw_utf8_label_in_saved_layout(self, tmp_path, saved_layout_only):
+        path = tmp_path / "m.json"
+        path.write_bytes('{"version": 1, "in_dims": [["wire-é", 1]], "out_dims": [["Y", 2]], '
+                         '"data": [[1.0, -0], [0.5, 2]]}\n'.encode())
+        back = load_matrix(path)
+        assert back.in_space.labels == ("wire-é",)
+        assert np.array_equal(_bits(back.data.reshape(-1)), _bits(np.array([1, 0.5 + 2j])))
+
+    def test_peak_memory_is_below_twice_the_file(self, tmp_path):
+        path = tmp_path / "m.json"
+        save_matrix(path, _random_op(512, 512))
+        tracemalloc.start()
+        try:
+            load_matrix(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * path.stat().st_size
+
+    @pytest.mark.parametrize("relayout", [
+        lambda text: json.dumps(json.loads(text), separators=(",", ":")),
+        lambda text: json.dumps(json.loads(text), indent=1),
+        lambda text: json.dumps(dict(reversed(json.loads(text).items()))),
+        lambda text: text + "  \n",
+        lambda text: text[:-1],
+        lambda text: '{"data": [[1.0, 0.0]], ' + text[1:],
+    ], ids=["compact", "indented", "data-first", "trailing-space", "no-newline", "data-key-twice"])
+    def test_other_layouts_load_the_same(self, relayout, tmp_path):
+        fixture = os.path.join(FIXTURES, "d3d.json")
+        with open(fixture, encoding="utf-8") as fh:
+            text = fh.read()
+        path = tmp_path / "m.json"
+        path.write_text(relayout(text))
+        assert _load_outcome(load_matrix, path) == _load_outcome(reference_load_matrix, fixture)
+
+    def test_pipe_loads_any_layout(self, tmp_path):
+        fifo = tmp_path / "pipe"
+        os.mkfifo(fifo)
+        with open(os.path.join(FIXTURES, "switch.json"), encoding="utf-8") as fh:
+            text = fh.read()
+        for body in (text, json.dumps(json.loads(text), indent=1)):
+            writer = threading.Thread(target=fifo.write_text, args=(body,), daemon=True)
+            writer.start()
+            back = load_matrix(fifo)
+            writer.join(timeout=10)
+            assert not writer.is_alive()
+            assert np.array_equal(back.data, load_matrix(os.path.join(FIXTURES, "switch.json")).data)
+
+
+NON_UTF8 = [
+    b'{"version": 1, "in_dims": [["X\xff", 1]], "out_dims": [["Y", 1]], "data": [[1.0, 0.0]]}\n',
+    b'{"version": 1, "in_dims": [["X", 1]], "out_dims": [["Y", 1]], "data": [[1.0, \xff.0]]}\n',
+]
+
+
+class TestNonUtf8:
+    @pytest.mark.parametrize("content", NON_UTF8, ids=["header", "data"])
+    def test_library_raises_matrix_file_error(self, content, tmp_path):
+        path = tmp_path / "m.json"
+        path.write_bytes(content)
+        with pytest.raises(MatrixFileError, match=r"cannot read matrix file .*'utf-8' codec"):
+            load_matrix(path)
+
+    def test_cli_exit_2(self, tmp_path, capsys):
+        path = tmp_path / "m.json"
+        path.write_bytes(NON_UTF8[0])
+        assert main(["verify", str(path), "--kind", "pure-comb"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"error: cannot read matrix file {path}: 'utf-8' codec")
