@@ -164,7 +164,7 @@ def cmd_build(args) -> int:
             raise UsageError("random-unitary requires --dim or --dims")
     else:
         raise UsageError(f"unknown build target {args.name!r}")
-    save_matrix(args.out, op)
+    digest = save_matrix(args.out, op)
     report = Report(
         command="build",
         inputs={},
@@ -172,7 +172,7 @@ def cmd_build(args) -> int:
         details={
             "name": args.name,
             "out": str(args.out),
-            "digest": file_digest(args.out),
+            "digest": digest,
             "shape": list(op.data.shape),
         },
     )
@@ -304,13 +304,13 @@ def cmd_assemble(args) -> int:
         total = total + op.data
     out_op = LinOp(first.out_space, first.in_space, total)
     ok, res = is_unitary(out_op, args.tol)
-    save_matrix(args.out, out_op)
+    digest = save_matrix(args.out, out_op)
     report = Report(
         command="assemble",
         inputs=inputs,
         verdict="pass" if ok else "fail",
         residuals={"unitarity": res},
-        details={"out": str(args.out), "digest": file_digest(args.out)},
+        details={"out": str(args.out), "digest": digest},
         tolerances={"tol": args.tol},
     )
     _emit(report, args.json)

@@ -2,18 +2,21 @@ import functools
 import glob
 import json
 import os
+import subprocess
+import sys
 import tempfile
 import threading
 import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
 from helpers import reference_entry_error, reference_load_matrix, reference_matrix_text
 from purecomb import io as pio
-from purecomb.builders import build_quantum_switch
+from purecomb.builders import build_d3d_example, build_quantum_switch
 from purecomb.cli import main
-from purecomb.io import MatrixFileError, load_matrix, save_matrix
+from purecomb.io import MatrixFileError, file_digest, load_matrix, save_matrix
 from purecomb.spaces import LinOp, Spaces
 
 FIXTURES = os.path.join(os.path.dirname(__file__), "fixtures")
@@ -46,7 +49,21 @@ def _golden_cases():
     for name, rows, cols in [("block", n, 1), ("block+1", n + 1, 1), ("2-blocks", n, 2)]:
         data = rng.standard_normal((rows, cols)) + 1j * rng.standard_normal((rows, cols))
         cases[name] = LinOp(Spaces.of(("R", rows)), Spaces.of(("S", cols)), data)
+    # one block mixing full-precision values with 0, 1, -1 and 0.5, in
+    # shares on either side of the selection rule
+    for name, share in [("mixed", 0.5), ("mostly-short", 0.02)]:
+        data = rng.choice([0.0, 1.0, -1.0, 0.5], 2 * n)
+        full = rng.random(2 * n) < share
+        data[full] = rng.standard_normal(np.count_nonzero(full))
+        cases[name] = LinOp(Spaces.of(("R", n)), Spaces.of(("S", 1)), data.view(np.complex128)[:, None])
     return cases
+
+
+def _kernel_blocks(op):
+    """Per save block of op: whether the shortest-repr kernel formats it."""
+    flat = op.data.reshape(-1).view(np.float64)
+    step = 2 * pio._BLOCK_PAIRS
+    return [pio._kernel_wins(flat[s:s + step]) for s in range(0, flat.size, step)]
 
 
 def _bits(a):
@@ -69,8 +86,9 @@ class TestGoldenBytes:
     def test_save_matches_single_dump_and_round_trips(self, name, tmp_path, saved_layout_only):
         op = _golden_cases()[name]
         path = tmp_path / "m.json"
-        save_matrix(path, op)
+        digest = save_matrix(path, op)
         assert path.read_bytes() == reference_matrix_text(op).encode()
+        assert digest == file_digest(path)
         back = load_matrix(path)
         assert back.out_space == op.out_space and back.in_space == op.in_space
         assert np.array_equal(_bits(back.data), _bits(op.data))
@@ -78,6 +96,19 @@ class TestGoldenBytes:
     def test_large_case_spans_a_block_seam_off_a_row(self):
         n = _golden_cases()["300x300"].data.size
         assert pio._BLOCK_PAIRS < n and pio._BLOCK_PAIRS % 300 != 0
+
+    def test_cases_lie_on_both_sides_of_the_selection_rule(self):
+        cases = _golden_cases()
+        for name in ("300x300", "block", "2-blocks", "mixed"):
+            assert set(_kernel_blocks(cases[name])) == {True}, name
+        for name in ("1x1", "edge-values", "switch4", "all-minus-zero", "mostly-short"):
+            assert set(_kernel_blocks(cases[name])) == {False}, name
+        # a full block on the kernel, then a one-pair block on %r
+        assert _kernel_blocks(cases["block+1"]) == [True, False]
+
+    def test_exact_switch_and_d3d_files_stay_on_percent_r(self):
+        for op in [build_quantum_switch(d)[0] for d in (2, 3, 4)] + [build_d3d_example()[0]]:
+            assert not any(_kernel_blocks(op))
 
     @pytest.mark.parametrize("path", sorted(glob.glob(os.path.join(FIXTURES, "*.json"))))
     def test_fixture_resave_is_byte_identical(self, path, tmp_path, saved_layout_only):
@@ -107,6 +138,89 @@ class TestSaveRejectsNonFinite:
             assert str(exc.value) == f"non-finite data entry at index 7: {pair!r}"
         assert kept.read_text() == "kept"
         assert not fresh.exists()
+
+
+def _repr_text(values):
+    """The data text of a flat run of doubles as ``repr`` spells them: the
+    repr of the list of pairs, without its outer brackets."""
+    return repr(values.reshape(-1, 2).tolist())[1:-1].encode()
+
+
+def _assert_kernel_matches_repr(values):
+    values = np.ascontiguousarray(values, dtype=np.float64)
+    step = 2 * pio._BLOCK_PAIRS
+    for start in range(0, values.size, step):
+        block = values[start:start + step]
+        got, want = pio._repr_pairs(block), _repr_text(block)
+        if got != want:
+            pairs = zip(got.split(b"], ["), want.split(b"], ["))
+            i, (g, w) = next((i, p) for i, p in enumerate(pairs) if p[0] != p[1])
+            pytest.fail(f"pair {start // 2 + i}: kernel {g!r}, repr {w!r}")
+
+
+def _signed(values):
+    values = np.asarray(values, dtype=np.float64)
+    return np.concatenate([values, -values])
+
+
+class TestShortestRepr:
+    """The save kernel against ``repr`` itself, value by value."""
+
+    def test_random_bit_patterns(self):
+        bits = np.random.default_rng(2020).integers(0, 2**64, 10**6, dtype=np.uint64)
+        # NaN and infinity patterns (exponent all ones) become finite ones
+        bits[(bits >> np.uint64(52) & np.uint64(0x7FF)) == 0x7FF] ^= np.uint64(1 << 62)
+        _assert_kernel_matches_repr(bits.view(np.float64))
+
+    def test_every_small_subnormal(self):
+        # even t = 10..20 have one-digit reprs (5e-323 at t = 10) that a
+        # two-digit guard, s >= 100, spells with two (4.9e-323)
+        _assert_kernel_matches_repr(np.arange(2**16, dtype=np.uint64).view(np.float64))
+
+    def test_every_power_of_two(self):
+        # c = 2^52: the rounding interval is narrower below than above
+        _assert_kernel_matches_repr(_signed(np.ldexp(1.0, np.arange(-1074, 1024))))
+
+    def test_integers(self):
+        _assert_kernel_matches_repr(np.arange(-50000, 50002, dtype=np.float64))
+
+    def test_few_significant_bits(self):
+        # few significant bits: where the exact decimal of v has one digit
+        # more than s, it ends in 5 and v lies halfway between s and s + 1
+        rng = np.random.default_rng(7)
+        values = np.ldexp(rng.integers(1, 2**20, 10**5).astype(np.float64),
+                          rng.integers(-80, 80, 10**5))
+        _assert_kernel_matches_repr(_signed(values))
+
+    def test_layout_edges(self):
+        info = np.finfo(np.float64)
+        edges = [0.0, info.max, info.tiny, info.smallest_subnormal]
+        for x in (1e-4, 1e-5, 1e15, 1e16, 1e17):
+            edges += [np.nextafter(x, 0.0), x, np.nextafter(x, np.inf)]
+        _assert_kernel_matches_repr(_signed(edges))
+
+    def test_powers_of_ten_and_floor_logs_are_exact(self):
+        g1, _, _, g0_lo, g0_hi = pio._kernel_tables()[0].tolist()
+        for i, k in enumerate(range(pio._K_MIN, pio._K_MAX + 1)):
+            g = (g1[i] << 63) + g0_lo[i] + (g0_hi[i] << 32)
+            # g = floor(10^-k 2^-r) + 1, 2^125 <= g < 2^126
+            assert 2**125 <= g < 2**126
+            assert (g - 1) * 2 ** Fraction(pio._flog2pow10(-k) - 125) <= Fraction(10) ** -k
+            assert Fraction(10) ** -k < g * 2 ** Fraction(pio._flog2pow10(-k) - 125)
+        for e in range(-pio._K_MAX, 1 - pio._K_MIN):
+            f = pio._flog2pow10(e)
+            assert 2 ** Fraction(f) <= Fraction(10) ** e < 2 ** Fraction(f + 1)
+        for q in range(-1074, 972):
+            for scale, three_quarters in ((1, False), (Fraction(3, 4), True)):
+                k = pio._flog10pow2(q, three_quarters)
+                assert Fraction(10) ** k <= scale * 2 ** Fraction(q) < Fraction(10) ** (k + 1)
+
+    def test_import_builds_no_kernel_table(self):
+        src = os.path.dirname(os.path.dirname(pio.__file__))
+        code = "import purecomb.cli, purecomb.io as m; print(m._kernel_tables.cache_info().currsize)"
+        out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                             env={**os.environ, "PYTHONPATH": src}, check=True).stdout
+        assert out.strip() == "0"
 
 
 def _write(tmp_path, entries, version="1"):
