@@ -12,30 +12,23 @@ from .spaces import (
     Vec,
     adjoint,
     apply_op,
-    basis_state,
     canonical_phase,
     compose,
     contract_bra,
     identity,
     is_unitary,
     kron,
-    kron_vec,
     partial_trace,
-    partial_transpose,
     permute_systems,
     phase_distance,
-    tensor,
     trace_matching,
 )
 from .subspaces import (
     Subspace,
-    angle_sine,
     complement,
-    equal_subspaces,
     from_spanning,
     image,
     intersect,
-    is_orthogonal,
     is_subset,
     orthogonality_residual,
     product_subspace,
@@ -44,7 +37,7 @@ from .subspaces import (
     sum_subspaces,
 )
 from .families import spanning_family
-from .choi import ChoiOp, apply_channel, choi_of_unitary, choi_vector, link_product, plug_unitaries
+from .choi import ChoiOp, choi_of_unitary, choi_vector, link_product, plug_unitaries
 from .combs import (
     CombChoiReport,
     CombCircuit,
@@ -74,7 +67,6 @@ from .builders import (
     build_d3d_example,
     build_direct_sum,
     build_quantum_switch,
-    build_staircase_comb,
     d3d_layout,
     haar_unitary,
     random_pure_comb,

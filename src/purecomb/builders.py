@@ -42,16 +42,6 @@ def ancilla_chain(layout: SlotLayout) -> tuple[int, ...]:
     return tuple(ks)
 
 
-def build_staircase_comb(unitaries: list[LinOp], layout: SlotLayout) -> LinOp:
-    """Compose explicit staircase elements after validating the dimension chain."""
-    ks = ancilla_chain(layout)
-    anc_labels = []
-    for m, el in enumerate(unitaries):
-        anc_labels.extend(lab for lab in el.all_labels if lab not in set(layout.labels))
-    circuit = CombCircuit(layout, tuple(unitaries), ks, tuple(dict.fromkeys(anc_labels)))
-    return compose_staircase(circuit)
-
-
 def random_staircase_circuit(layout: SlotLayout, seed: int) -> CombCircuit:
     """Seeded staircase with Haar-random elements respecting the ancilla chain."""
     ks = ancilla_chain(layout)

@@ -1,6 +1,6 @@
 """Operator representations of maps and higher-order maps: vectorization,
-the label-matched link product, channel application, and plugging slot
-unitaries into a representing operator.
+the label-matched link product, and plugging slot unitaries into a
+representing operator.
 
 The vectorization of A : H_in -> H_out is sum_i |i> (x) A|i>, living on
 the concatenation in (x) out.  Link-product and plugging contractions are
@@ -18,23 +18,15 @@ import dataclasses
 import numpy as np
 
 from .layouts import SlotLayout
-from .spaces import (
-    TOL,
-    LinOp,
-    Spaces,
-    Vec,
-    canonical_phase,
-    partial_trace,
-)
+from .spaces import LinOp, Spaces, Vec, canonical_phase
 
 
 @dataclasses.dataclass(frozen=True)
 class ChoiOp:
     """Square operator on map-input (x) map-output factors, with role metadata.
 
-    Structural properties (hermiticity, positivity, trace preservation)
-    are checked lazily through the residual methods; intermediate link
-    results are legitimately non-TP.
+    Hermiticity and positivity are read lazily through the residual
+    methods; intermediate link results are legitimately non-TP.
     """
 
     op: LinOp
@@ -55,27 +47,12 @@ class ChoiOp:
     def space(self) -> Spaces:
         return self.op.out_space
 
-    @property
-    def trace(self) -> complex:
-        return complex(np.trace(self.op.data))
-
     def hermiticity_residual(self) -> float:
         return float(np.abs(self.op.data - self.op.data.conj().T).max())
 
     def min_eigenvalue(self) -> float:
         h = (self.op.data + self.op.data.conj().T) / 2
         return float(np.linalg.eigvalsh(h)[0])
-
-    def tp_residual(self) -> float:
-        """Max-norm deviation of the output partial trace from the identity."""
-        red = partial_trace(self.op, self.map_out)
-        return float(np.abs(red.data - np.eye(red.out_space.dim)).max())
-
-    def is_cp(self, tol: float = TOL) -> bool:
-        return self.hermiticity_residual() <= tol and self.min_eigenvalue() >= -tol
-
-    def is_channel(self, tol: float = TOL) -> bool:
-        return self.is_cp(tol) and self.tp_residual() <= tol
 
 
 def choi_vector(a: LinOp) -> Vec:
@@ -117,14 +94,6 @@ def link_product(e: ChoiOp, f: ChoiOp) -> ChoiOp:
     roles_in = tuple(lab for lab in space.labels if lab in set(e.map_in) | set(f.map_in))
     roles_out = tuple(lab for lab in space.labels if lab in set(e.map_out) | set(f.map_out))
     return ChoiOp(out, roles_in, roles_out)
-
-
-def apply_channel(e: ChoiOp, rho: LinOp) -> LinOp:
-    """Apply a channel given by its Choi operator to a state on the map input."""
-    if set(rho.out_space.labels) != set(e.map_in):
-        raise ValueError(f"state labels {rho.out_space.labels} do not match map input {e.map_in}")
-    state = ChoiOp(rho, (), tuple(rho.out_space.labels))
-    return link_product(state, e).op
 
 
 def plug_unitaries(u: LinOp, layout: SlotLayout, slot_ops: list[LinOp]) -> LinOp:

@@ -150,8 +150,8 @@ def verify_comb_choi(r, layout: SlotLayout, tol: float = TOL) -> CombChoiReport:
     have = {lab: op.out_space.dim_of(lab) for lab in op.out_space.labels}
     if want != have:
         raise ValueError(f"Choi factors {have} do not match layout {want}")
-    herm = float(np.abs(op.data - op.data.conj().T).max())
-    min_eig = float(np.linalg.eigvalsh((op.data + op.data.conj().T) / 2)[0])
+    choi = ChoiOp(op, layout.labels[0::2], layout.labels[1::2])
+    herm, min_eig = choi.hermiticity_residual(), choi.min_eigenvalue()
     n_slots = layout.n_slots
     residuals = [0.0] * (n_slots + 1)
     norm_res = 0.0

@@ -6,7 +6,10 @@ normalized pairwise sums e_i + e_j and e_i + i e_j, cross-checked with a
 fixed-seed batch of random vectors.  The library itself no longer uses
 them: verification and the global past split are closed-form.  They back
 the tests' reference paths, which evaluate the conditions and aggregate
-the pointwise past splits over these families.
+the pointwise past splits over these families.  The module stays in the
+package while ``bench/tracer.py`` wraps both functions (its ``install``
+finds the module in ``sys.modules``, so ``purecomb/__init__`` imports it),
+and moves to the tests once its ``WRAPPED`` drops them.
 """
 
 from __future__ import annotations

@@ -6,6 +6,11 @@ index of per-factor indices (i_0, ..., i_{m-1}) is
 sum_k i_k * prod(dims[k+1:]), which matches the numpy Kronecker product
 convention.  All operations are pure; arrays are frozen after
 construction.
+
+``Vec`` and ``_permuted_vec`` carry vectors for ``permute_systems``,
+``choi.choi_vector``, ``apply_op`` and ``contract_bra``.  The last two
+have no library caller and stay while ``bench/tracer.py`` wraps their
+names.
 """
 
 from __future__ import annotations
@@ -154,34 +159,6 @@ def kron(a: LinOp, b: LinOp) -> LinOp:
     )
 
 
-def tensor(*ops: LinOp) -> LinOp:
-    out = ops[0]
-    for op in ops[1:]:
-        out = kron(out, op)
-    return out
-
-
-def kron_vec(x: Vec, y: Vec) -> Vec:
-    return Vec(x.space.concat(y.space), np.kron(x.data, y.data))
-
-
-def basis_state(spaces: Spaces, index) -> Vec:
-    """Computational basis vector, by composite index or per-factor tuple."""
-    if isinstance(index, (tuple, list)):
-        if len(index) != len(spaces):
-            raise ValueError("multi-index length mismatch")
-        flat = 0
-        for i, d in zip(index, spaces.dims):
-            if not 0 <= i < d:
-                raise ValueError(f"index {i} out of range for dim {d}")
-            flat = flat * d + i
-    else:
-        flat = int(index)
-    data = np.zeros(spaces.dim)
-    data[flat] = 1.0
-    return Vec(spaces, data)
-
-
 def _permuted_vec(x: Vec, new_order: Sequence[str]) -> Vec:
     if sorted(new_order) != sorted(x.space.labels):
         raise ValueError(f"{list(new_order)} is not a permutation of {x.space.labels}")
@@ -252,22 +229,6 @@ def trace_matching(a: LinOp, labels: Iterable[str]) -> LinOp:
     t = b.out_space.dim // out_sp.dim
     m = b.data.reshape(out_sp.dim, t, in_sp.dim, t)
     return LinOp(out_sp, in_sp, np.einsum("aibi->ab", m))
-
-
-def partial_transpose(a: LinOp, labels: Iterable[str]) -> LinOp:
-    """Transpose the row/column indices of the listed factors only."""
-    traced = list(labels)
-    a = _aligned_square(a)
-    for lab in traced:
-        a.out_space.index(lab)
-    m = len(a.out_space)
-    axes = list(range(2 * m))
-    for lab in traced:
-        j = a.out_space.index(lab)
-        axes[j], axes[m + j] = axes[m + j], axes[j]
-    dims = a.out_space.dims
-    data = a.data.reshape(dims + dims).transpose(axes).reshape(a.data.shape)
-    return LinOp(a.out_space, a.in_space, data)
 
 
 def contract_bra(phi: Vec, x: Vec) -> Vec:

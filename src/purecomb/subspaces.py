@@ -6,6 +6,14 @@ else.  Every function that decides a rank takes the tolerance as an argument
 (singular values above tol * max(sigma_max, 1) are kept); no subspace carries
 one on to the next call.  Bases are never canonical; all comparisons
 downstream are projector or angle based.
+
+In the package, spans, sums, complements and intersections serve the
+pointwise future split of ``twoslot``, and ``orthogonality_residual`` the
+overlap of its triples.  ``image``, ``product_subspace``,
+``reduced_subspace`` and ``is_subset`` (with ``subset_residual`` under it)
+have no library caller: they are the tests' SVD reference, kept here while
+``bench/tracer.py`` wraps their names, and they move to the tests once its
+``WRAPPED`` drops them.
 """
 
 from __future__ import annotations
@@ -119,10 +127,6 @@ def intersect(*parts: Subspace, tol: float = TOL) -> Subspace:
     return out
 
 
-def is_orthogonal(s: Subspace, t: Subspace, tol: float = TOL) -> bool:
-    return orthogonality_residual(s, t) <= tol
-
-
 def orthogonality_residual(s: Subspace, t: Subspace) -> float:
     if s.dim == 0 or t.dim == 0:
         return 0.0
@@ -138,25 +142,6 @@ def subset_residual(s: Subspace, t: Subspace) -> float:
         return 0.0
     rem = s.basis - t.basis @ (t.basis.conj().T @ s.basis)
     return float(np.abs(rem).max())
-
-
-def equal_subspaces(s: Subspace, t: Subspace, tol: float = TOL) -> bool:
-    return is_subset(s, t, tol) and is_subset(t, s, tol)
-
-
-def angle_sine(s: Subspace, t: Subspace) -> float:
-    """Largest principal-angle sine between two equal-dimension subspaces.
-
-    Well conditioned for small angles, unlike arccos of Gram singular
-    values; for angles below 1e-8 the sine equals the angle to machine
-    precision.
-    """
-    if s.dim != t.dim:
-        return 1.0
-    if s.dim == 0:
-        return 0.0
-    rem = s.basis - t.basis @ (t.basis.conj().T @ s.basis)
-    return float(np.linalg.svd(rem, compute_uv=False)[0])
 
 
 def reduced_subspace(

@@ -10,8 +10,11 @@ B output signals the A input (reverse), and the parallel rest; then the
 future split; then the blocks, slices of U in the stacked block bases.
 Each split is one orthonormal frame of two nested ``eigh`` cuts at ``tol``:
 the reverse part and its complement, then forward and parallel inside it.
-The pointwise split at slot outputs (alpha, beta) pulls the future parts
-of an SVD subspace calculus back to the past by the same rule.
+The pointwise split at slot outputs (alpha, beta) reads its future parts
+off the same view of U, as SVD spans and their intersections, and pulls
+them back to the past by the nested rule.  No library code calls
+``f_point_decomposition`` or ``p_point_decomposition``: they are the
+paper's pointwise splits, public with their signatures kept.
 """
 
 from __future__ import annotations
@@ -33,15 +36,7 @@ from .spaces import (
     is_unitary,
     permute_systems,
 )
-from .subspaces import (
-    Subspace,
-    complement,
-    image,
-    intersect,
-    orthogonality_residual,
-    product_subspace,
-    reduced_subspace,
-)
+from .subspaces import Subspace, complement, from_spanning, intersect, orthogonality_residual
 
 __all__ = [
     "SubspaceTriple",
@@ -201,7 +196,11 @@ def _nested_triple(space: Spaces, op_of, tol: float, what: str) -> SubspaceTripl
 def _point_triples(u: LinOp, layout: TwoSlotLayout, tol: float, alpha: np.ndarray, beta: np.ndarray):
     """Forward/parallel/reverse split of the future reachable from one
     slot-output pair, and the past split it induces; every rank is cut at
-    ``tol``.  The past triple is the nested frame of the pull-backs
+    ``tol``.  The future reachable from slot-output subspaces with bases A
+    and B is the column span of m[f, (s, p, k, l)] = sum t[s, f, p, (a, b)]
+    A[a, k] B[b, l] on the view t of U; the parts are intersections of
+    these spans for the lines of alpha and beta and their complements.  The
+    past triple is the nested frame of the pull-backs
     V^dagger (I_slots (x) Pi_f) V, V = U (I_P (x) |alpha> (x) |beta>), of
     the future parts: in the class they are projectors summing to I_P."""
     alpha = np.asarray(alpha, dtype=np.complex128).reshape(-1)
@@ -210,14 +209,14 @@ def _point_triples(u: LinOp, layout: TwoSlotLayout, tol: float, alpha: np.ndarra
         raise ValueError("slot-output vectors must be nonzero")
     alpha = alpha / np.linalg.norm(alpha)
     beta = beta / np.linalg.norm(beta)
-    p_space = Spaces((layout.past,))
+    p_space, f_space = Spaces((layout.past,)), Spaces((layout.future,))
     sub_a = Subspace(Spaces((layout.a_out,)), alpha.reshape(-1, 1))
     sub_b = Subspace(Spaces((layout.b_out,)), beta.reshape(-1, 1))
-    slot_inputs = [layout.a_in[0], layout.b_in[0]]
+    t = _view(u, layout)
 
     def f_of(a_sub, b_sub):
-        v = image(u, product_subspace([p_space, a_sub, b_sub]), tol)
-        return reduced_subspace(v, slot_inputs, tol=tol)
+        m = (t @ np.kron(a_sub.basis, b_sub.basis)).transpose(1, 0, 2, 3)
+        return from_spanning(m.reshape(f_space.dim, -1), f_space, tol)
 
     f_ab = f_of(sub_a, sub_b)
     f_fwd = intersect(f_ab, f_of(complement(sub_a), sub_b), tol=tol)
@@ -234,7 +233,7 @@ def _point_triples(u: LinOp, layout: TwoSlotLayout, tol: float, alpha: np.ndarra
         )
 
     # v[s, f, p] = <s, f| U |p, alpha, beta>, s over both slot inputs
-    v = _view(u, layout) @ np.kron(alpha, beta)
+    v = t @ np.kron(alpha, beta)
 
     def pullback(part, frame):
         f_part = getattr(f_triple, part).basis

@@ -32,8 +32,23 @@ list per entry; a per-entry scan naming the first bad data entry; and a
 load that parses the whole document with ``json.load`` before any check.
 The block-streamed save must write the same bytes, and the chunked load
 must give the same bits or raise the same messages.
+
+The pointwise-split reference is the SVD chain ``twoslot`` once took:
+each future part an intersection of reduced images
+(``product_subspace`` -> ``image`` -> ``reduced_subspace`` ->
+``intersect``), and the past parts the nested rule on the pull-backs,
+each cut by an SVD of its factor.  The splits read off the view of U must
+give the same dims and spans.
+
+The rest are small references that only tests call, moved here from the
+package: ``basis_state``, ``kron_vec`` and ``partial_transpose`` on labeled
+vectors and operators; ``angle_sine`` between subspaces; ``apply_channel``
+and the Choi-operator predicates ``choi_trace``, ``tp_residual``,
+``is_cp`` and ``is_channel``; and ``build_staircase_comb`` from explicit
+elements.
 """
 
+import functools
 import io
 import itertools
 import json
@@ -41,8 +56,9 @@ import math
 
 import numpy as np
 
-from purecomb.builders import haar_unitary
-from purecomb.choi import ChoiOp
+from purecomb.builders import ancilla_chain, haar_unitary
+from purecomb.choi import ChoiOp, link_product
+from purecomb.combs import CombCircuit, compose_staircase
 from purecomb.errors import VerificationError
 from purecomb.families import spanning_family, stability_vectors
 from purecomb.io import FORMAT_VERSION, MatrixFileError, _parse_dims
@@ -50,17 +66,18 @@ from purecomb.spaces import (
     TOL,
     LinOp,
     Spaces,
+    Vec,
+    _aligned_square,
     canonical_phase,
     compose,
     identity,
     kron,
     partial_trace,
-    partial_transpose,
     permute_systems,
-    tensor,
     trace_matching,
 )
 from purecomb.subspaces import (
+    Subspace,
     complement,
     from_spanning,
     image,
@@ -72,6 +89,135 @@ from purecomb.subspaces import (
     sum_subspaces,
 )
 from purecomb.twoslot import SubspaceTriple, p_point_decomposition
+
+
+def basis_state(spaces, index):
+    """Computational basis vector, by composite index or per-factor tuple."""
+    if isinstance(index, (tuple, list)):
+        if len(index) != len(spaces):
+            raise ValueError("multi-index length mismatch")
+        flat = 0
+        for i, d in zip(index, spaces.dims):
+            if not 0 <= i < d:
+                raise ValueError(f"index {i} out of range for dim {d}")
+            flat = flat * d + i
+    else:
+        flat = int(index)
+    data = np.zeros(spaces.dim)
+    data[flat] = 1.0
+    return Vec(spaces, data)
+
+
+def kron_vec(x, y):
+    return Vec(x.space.concat(y.space), np.kron(x.data, y.data))
+
+
+def partial_transpose(a, labels):
+    """Transpose the row/column indices of the listed factors only."""
+    traced = list(labels)
+    a = _aligned_square(a)
+    for lab in traced:
+        a.out_space.index(lab)
+    m = len(a.out_space)
+    axes = list(range(2 * m))
+    for lab in traced:
+        j = a.out_space.index(lab)
+        axes[j], axes[m + j] = axes[m + j], axes[j]
+    dims = a.out_space.dims
+    data = a.data.reshape(dims + dims).transpose(axes).reshape(a.data.shape)
+    return LinOp(a.out_space, a.in_space, data)
+
+
+def angle_sine(s, t):
+    """Largest principal-angle sine between two equal-dimension subspaces.
+
+    Well conditioned for small angles, unlike arccos of Gram singular
+    values; for angles below 1e-8 the sine equals the angle to machine
+    precision.
+    """
+    if s.dim != t.dim:
+        return 1.0
+    if s.dim == 0:
+        return 0.0
+    rem = s.basis - t.basis @ (t.basis.conj().T @ s.basis)
+    return float(np.linalg.svd(rem, compute_uv=False)[0])
+
+
+def apply_channel(e, rho):
+    """Apply a channel given by its Choi operator to a state on the map input."""
+    if set(rho.out_space.labels) != set(e.map_in):
+        raise ValueError(f"state labels {rho.out_space.labels} do not match map input {e.map_in}")
+    state = ChoiOp(rho, (), tuple(rho.out_space.labels))
+    return link_product(state, e).op
+
+
+def choi_trace(c):
+    return complex(np.trace(c.op.data))
+
+
+def tp_residual(c):
+    """Max-norm deviation of the output partial trace from the identity."""
+    red = partial_trace(c.op, c.map_out)
+    return float(np.abs(red.data - np.eye(red.out_space.dim)).max())
+
+
+def is_cp(c, tol=TOL):
+    return c.hermiticity_residual() <= tol and c.min_eigenvalue() >= -tol
+
+
+def is_channel(c, tol=TOL):
+    return is_cp(c, tol) and tp_residual(c) <= tol
+
+
+def build_staircase_comb(unitaries, layout):
+    """Compose explicit staircase elements after validating the dimension chain."""
+    ks = ancilla_chain(layout)
+    anc_labels = []
+    for el in unitaries:
+        anc_labels.extend(lab for lab in el.all_labels if lab not in set(layout.labels))
+    circuit = CombCircuit(layout, tuple(unitaries), ks, tuple(dict.fromkeys(anc_labels)))
+    return compose_staircase(circuit)
+
+
+def reference_point_triples(u, layout, alpha, beta, tol=TOL):
+    """(future triple, past triple) of the pair (alpha, beta) by SVDs.
+
+    The future reachable from slot-output subspaces is the reduced image of
+    P (x) A (x) B, and the parts intersect it for the lines and their
+    complements.  The past parts follow the nested rule on the factors
+    X_part = (I_slots (x) F_part)^dagger U (I_P (x) |alpha> (x) |beta>) of the
+    pull-backs: the reverse part is the row span of X_rev, the forward part
+    that of X_fwd inside the complement of the reverse part, and the
+    parallel part the rest of that complement."""
+    ai, bi = layout.a_in[0], layout.b_in[0]
+    sub_a, sub_b = _line(alpha, layout.a_out), _line(beta, layout.b_out)
+
+    def f_of(a_part, b_part):
+        v = image(u, product_subspace([Spaces((layout.past,)), a_part, b_part]), tol)
+        return reduced_subspace(v, [ai, bi], tol=tol)
+
+    f_ab = f_of(sub_a, sub_b)
+    f_fwd = intersect(f_ab, f_of(complement(sub_a), sub_b), tol=tol)
+    f_rev = intersect(f_ab, f_of(sub_a, complement(sub_b)), tol=tol)
+    f_par = intersect(f_ab, complement(f_fwd), complement(f_rev), tol=tol)
+
+    d_f, d_p = layout.future[1], layout.past[1]
+    mat = permute_systems(u, layout.in_space().labels + layout.out_space().labels).data
+    v = mat.reshape(-1, d_f, d_p, sub_a.ambient.dim * sub_b.ambient.dim) @ np.kron(
+        sub_a.basis[:, 0], sub_b.basis[:, 0])
+
+    def row_span(part, frame):
+        """Right singular vectors of X_part in ``frame`` above the cut, then the rest."""
+        x = np.einsum("fk,sfp->skp", part.basis.conj(), v).reshape(-1, d_p) @ frame
+        _, s, vh = np.linalg.svd(x)
+        k = int(np.sum(s > tol * max(s[0] if s.size else 0.0, 1.0)))
+        return frame @ vh[:k].conj().T, frame @ vh[k:].conj().T
+
+    p_rev, rest = row_span(f_rev, np.eye(d_p))
+    p_fwd, p_par = row_span(f_fwd, rest)
+    p_space = Spaces((layout.past,))
+    return (SubspaceTriple(f_fwd, f_par, f_rev),
+            SubspaceTriple(*(Subspace(p_space, b) for b in (p_fwd, p_par, p_rev))))
 
 
 def _family(dim):
@@ -242,7 +388,7 @@ def dense_plug_unitaries(u, layout, slot_ops):
             raise ValueError(f"slot {k} operator does not produce {lab_out!r} (dim {d_out})")
     if n == 0:
         return canonical_phase(u)
-    lifted = tensor(identity(future), *slot_ops)
+    lifted = functools.reduce(kron, slot_ops, identity(future))
     prod = compose(lifted, u, pad=True)
     traced = trace_matching(prod, [layout.factor(2 * k)[0] for k in range(1, n + 1)])
     return canonical_phase(traced)

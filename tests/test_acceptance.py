@@ -10,6 +10,7 @@ import sys
 import numpy as np
 import pytest
 
+from helpers import angle_sine
 from purecomb.builders import (
     build_direct_sum,
     build_d3d_example,
@@ -24,10 +25,9 @@ from purecomb.layouts import SlotLayout, TwoSlotLayout
 from purecomb.spaces import LinOp, Spaces, is_unitary, phase_distance
 from purecomb.subspaces import (
     Subspace,
-    angle_sine,
-    equal_subspaces,
     from_spanning,
     intersect,
+    is_subset,
     reduced_subspace,
 )
 from purecomb.twoslot import (
@@ -341,7 +341,8 @@ def test_criterion_09_beta_independence(comb_pool, decomposed_direct_sums, annou
             first = triples[0].forward
             for t in triples[1:]:
                 ok &= t.forward.dim == first.dim
-                ok &= first.dim == 0 or equal_subspaces(t.forward, first, 1e-8)
+                ok &= first.dim == 0 or (is_subset(t.forward, first, 1e-8)
+                                         and is_subset(first, t.forward, 1e-8))
         if not ok:
             break
     announce(9, ok, "forward past parts agree across 5 slot-B vectors per slot-A vector")

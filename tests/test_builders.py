@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from helpers import basis_state
 from purecomb.builders import (
     ancilla_chain,
     build_d3d_example,
@@ -12,7 +13,7 @@ from purecomb.builders import (
 )
 from purecomb.combs import verify_pure_comb_unitary
 from purecomb.layouts import SlotLayout
-from purecomb.spaces import basis_state, apply_op, is_unitary
+from purecomb.spaces import apply_op, is_unitary
 from purecomb.twoslot import verify_pure_superchannel
 
 

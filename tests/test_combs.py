@@ -1,10 +1,15 @@
 import numpy as np
 import pytest
 
-from helpers import family_slot_residuals, family_verdict, locally_rotated, perturbed
+from helpers import (
+    build_staircase_comb,
+    family_slot_residuals,
+    family_verdict,
+    locally_rotated,
+    perturbed,
+)
 from purecomb.builders import (
     ancilla_chain,
-    build_staircase_comb,
     haar_unitary,
     random_pure_comb,
     random_staircase_circuit,

@@ -1,22 +1,20 @@
 import numpy as np
 import pytest
 
+from helpers import basis_state, kron_vec, partial_transpose
 from purecomb.spaces import (
     LinOp,
     Spaces,
     Vec,
     adjoint,
     apply_op,
-    basis_state,
     canonical_phase,
     compose,
     contract_bra,
     identity,
     is_unitary,
     kron,
-    kron_vec,
     partial_trace,
-    partial_transpose,
     permute_systems,
     phase_distance,
     trace_matching,

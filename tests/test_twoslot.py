@@ -6,6 +6,8 @@ import numpy as np
 import pytest
 
 from helpers import (
+    angle_sine,
+    build_staircase_comb,
     family_global_p,
     family_residuals,
     family_verdict,
@@ -13,12 +15,12 @@ from helpers import (
     locally_rotated,
     perturbed,
     reference_joint_residual,
+    reference_point_triples,
 )
 from purecomb.builders import (
     build_d3d_example,
     build_direct_sum,
     build_quantum_switch,
-    build_staircase_comb,
     haar_unitary,
     random_pure_comb,
     switch_layout,
@@ -37,7 +39,7 @@ from purecomb.spaces import (
     permute_systems,
     phase_distance,
 )
-from purecomb.subspaces import Subspace, angle_sine, equal_subspaces
+from purecomb.subspaces import Subspace, is_subset
 from purecomb import twoslot
 from purecomb.twoslot import (
     SubspaceTriple,
@@ -474,6 +476,33 @@ class TestPointDecompositions:
                 oracle = _oracle_f_triple_dims(u.data, 4, 2, 2, 4, alpha, beta)
                 assert triple.dims == oracle
 
+    @pytest.mark.parametrize("case", ["switch2", "switch3", "d3d", "direct-sum"])
+    @pytest.mark.parametrize("eps", [0.0, 1e-10])
+    def test_matches_the_svd_chain_reference(self, case, eps):
+        # the spans read off the view of U are those of the image -> reduce
+        # -> intersect chain, at every pair of the polarization families
+        u, lay = {"switch2": lambda: build_quantum_switch(2),
+                  "switch3": lambda: build_quantum_switch(3),
+                  "d3d": build_d3d_example,
+                  "direct-sum": lambda: _random_direct_sum(11, 2, 4)[:2]}[case]()
+        if eps:
+            u = perturbed(u, eps)
+        for alpha in spanning_family(lay.a_out[1]):
+            for beta in spanning_family(lay.b_out[1]):
+                want = reference_point_triples(u, lay, alpha, beta)
+                got = (f_point_decomposition(u, lay, alpha, beta),
+                       p_point_decomposition(u, lay, alpha, beta))
+                for g, w in zip(got, want):
+                    assert g.dims == w.dims
+                    assert max(map(angle_sine, g.parts(), w.parts())) <= 1e-10
+
+    @pytest.mark.parametrize("split", [f_point_decomposition, p_point_decomposition])
+    def test_rejects_zero_or_wrong_length_vectors(self, split):
+        u, lay = build_quantum_switch(2)
+        for alpha, beta in [(np.zeros(2), E0), (E0, np.zeros(2)), (np.ones(3), E0), (E0, E0[:1])]:
+            with pytest.raises(ValueError):
+                split(u, lay, alpha, beta)
+
 
 class TestGlobalDecompositions:
     def test_switch_global_past(self):
@@ -856,7 +885,8 @@ class TestBetaIndependence:
                 first = triples[0].forward
                 for t in triples[1:]:
                     assert t.forward.dim == first.dim
-                    assert equal_subspaces(t.forward, first, 1e-8)
+                    assert is_subset(t.forward, first, 1e-8)
+                    assert is_subset(first, t.forward, 1e-8)
 
     def test_reverse_past_constant_in_alpha(self):
         alphas = [E0, E1, PLUS, np.array([1, -1j]) / np.sqrt(2)]
@@ -864,4 +894,5 @@ class TestBetaIndependence:
         triples = [p_point_decomposition(u, lay, a, PLUS) for a in alphas]
         first = triples[0].reverse
         for t in triples[1:]:
-            assert equal_subspaces(t.reverse, first, 1e-8)
+            assert is_subset(t.reverse, first, 1e-8)
+            assert is_subset(first, t.reverse, 1e-8)
