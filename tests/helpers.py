@@ -40,6 +40,13 @@ each future part an intersection of reduced images
 each cut by an SVD of its factor.  The splits read off the view of U must
 give the same dims and spans.
 
+The future-traced reference is the dense form ``trace_future_check``
+once took: Tr_F of the Choi operator of the assembled operator and of each
+embedded block, each formed as a (D^2/d_F)^2 matrix, the residual the
+max-abs of the total minus the block sum and the weights the traces.  The
+factored check's cross-term residual and factor norms must agree with it
+to rounding.
+
 The rest are small references that only tests call, moved here from the
 package: ``basis_state``, ``kron_vec`` and ``partial_transpose`` on labeled
 vectors and operators; ``angle_sine`` between subspaces; ``apply_channel``
@@ -88,7 +95,8 @@ from purecomb.subspaces import (
     reduced_subspace,
     sum_subspaces,
 )
-from purecomb.twoslot import SubspaceTriple, p_point_decomposition
+from purecomb.layouts import TwoSlotLayout
+from purecomb.twoslot import SubspaceTriple, assemble, embed_block, p_point_decomposition
 
 
 def basis_state(spaces, index):
@@ -429,6 +437,35 @@ def reference_joint_residual(u, layout):
                     k += both_traced
             worst = max(worst, float(np.abs(k).max()))
     return worst
+
+
+def future_traced_choi(op, layout):
+    """Tr_F of the Choi operator of a canonically ordered two-slot operator,
+    formed by contracting the operator with itself over F: (D^2 / d_F)^2
+    entries instead of the D^2 x D^2 Choi operator."""
+    d_f = layout.future[1]
+    # m[(in, AI, BI), f] = <AI, BI, f| op |in>
+    m = op.data.reshape(-1, d_f, op.in_space.dim).transpose(2, 0, 1).reshape(-1, d_f)
+    space = op.in_space.concat(op.out_space.without([layout.future[0]]))
+    return LinOp(space, space, m @ m.conj().T)
+
+
+def reference_trace_future(d, tol=TOL):
+    """Residual and weights of the future-traced check of a decomposition,
+    from the dense traced total and traced blocks."""
+    layout = d.layout
+    traced_total = future_traced_choi(assemble(d, tol), layout)
+    traced = [None if blk is None else future_traced_choi(embed_block(blk, p_e, f_e, layout), layout)
+              for blk, p_e, f_e in d.parts().values()]
+    residual = float(np.abs(traced_total.data - sum(t.data for t in traced if t is not None)).max())
+    weights = [0.0 if t is None else float(np.trace(t.data).real) for t in traced]
+    return residual, tuple(w / sum(weights) for w in weights)
+
+
+def square_two_slot_layout(p_ab, p_ba):
+    """Qubit slots, with past and future both of dimension p_ab + p_ba."""
+    d = p_ab + p_ba
+    return TwoSlotLayout.of(("P", d), ("AI", 2), ("AO", 2), ("BI", 2), ("BO", 2), ("F", d))
 
 
 def reference_matrix_text(op):

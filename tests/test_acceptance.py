@@ -10,9 +10,8 @@ import sys
 import numpy as np
 import pytest
 
-from helpers import angle_sine
+from helpers import angle_sine, square_two_slot_layout
 from purecomb.builders import (
-    build_direct_sum,
     build_d3d_example,
     build_quantum_switch,
     haar_unitary,
@@ -76,36 +75,6 @@ def comb_pool():
         lay = SlotLayout(TWO_SLOT_LAYOUTS[seed % len(TWO_SLOT_LAYOUTS)])
         pool.append((lay, random_pure_comb(lay, 1000 + seed)))
     return pool
-
-
-def _two_slot_layout(p_ab, p_ba):
-    d = p_ab + p_ba
-    return TwoSlotLayout.of(("P", d), ("AI", 2), ("AO", 2), ("BI", 2), ("BO", 2), ("F", d))
-
-
-@pytest.fixture(scope="session")
-def direct_sum_pool():
-    """50 seeded orthogonal sums of independent A-first and B-first combs."""
-    shapes = [(2, 2), (2, 4), (4, 2), (4, 4)]
-    pool = []
-    for seed in range(50):
-        p_ab, p_ba = shapes[seed % len(shapes)]
-        layout = _two_slot_layout(p_ab, p_ba)
-        u_ab = random_pure_comb(layout.with_dims(p_ab, p_ab).slot_chain("ab"), 3000 + seed)
-        u_ba = random_pure_comb(layout.with_dims(p_ba, p_ba).slot_chain("ba"), 4000 + seed)
-        rng = np.random.default_rng(5000 + seed)
-        ep = haar_unitary(p_ab + p_ba, rng)
-        ef = haar_unitary(p_ab + p_ba, rng)
-        u = build_direct_sum(
-            u_ab, u_ba, ep[:, :p_ab], ep[:, p_ab:], ef[:, :p_ab], ef[:, p_ab:], layout
-        )
-        pool.append((u, layout, (ep[:, :p_ab], ep[:, p_ab:], ef[:, :p_ab], ef[:, p_ab:])))
-    return pool
-
-
-@pytest.fixture(scope="session")
-def decomposed_direct_sums(direct_sum_pool):
-    return [(u, lay, emb, direct_sum_decompose(u, lay)) for u, lay, emb in direct_sum_pool]
 
 
 def _chain_as_two_slot(lay: SlotLayout) -> TwoSlotLayout:
@@ -198,7 +167,7 @@ def test_criterion_04_direct_sum_round_trip(decomposed_direct_sums, announce):
 
 
 def test_criterion_05_negative_controls(announce):
-    lay = _two_slot_layout(2, 2)
+    lay = square_two_slot_layout(2, 2)
     ok = True
     for seed in range(100):
         rng = np.random.default_rng(90_000 + seed)

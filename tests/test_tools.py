@@ -27,11 +27,13 @@ def test_digests_and_matrix_diff(tmp_path):
     assert _tool("cli_digests.py", work_b) == manifest
 
     parsed = json.loads(manifest)
-    assert len(parsed["ops"]) == 22
+    assert len(parsed["ops"]) == 24
     failing = [op["argv"][:2] for op in parsed["ops"] if op["exit"] != 0]
     assert failing == [["verify", "fixture-random-unitary.json"],
-                       ["decompose", "fixture-random-unitary.json"]]
-    assert sum(op["exit"] == 0 for op in parsed["ops"]) == 20
+                       ["decompose", "fixture-random-unitary.json"],
+                       ["verify", "fixture-comb-choi.json"]]
+    assert [op["exit"] for op in parsed["ops"][-2:]] == [0, 1]
+    assert sum(op["exit"] == 0 for op in parsed["ops"]) == 21
     assert len(parsed["files"]) == 30
     # every matrix file the CLI wrote has the bytes of one json.dump
     written = [name for name in parsed["files"] if not name.endswith(".report.json")]

@@ -1,6 +1,7 @@
 import dataclasses
 import itertools
 import os
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -16,6 +17,7 @@ from helpers import (
     perturbed,
     reference_joint_residual,
     reference_point_triples,
+    reference_trace_future,
 )
 from purecomb.builders import (
     build_d3d_example,
@@ -31,6 +33,7 @@ from purecomb.families import spanning_family
 from purecomb.io import load_matrix
 from purecomb.layouts import SlotLayout, TwoSlotLayout
 from purecomb.spaces import (
+    TOL,
     LinOp,
     Spaces,
     is_unitary,
@@ -854,10 +857,7 @@ class TestTraceFutureCheck:
         d = direct_sum_decompose(u, lay)
         base, loose = trace_future_check(d), trace_future_check(d, tol=1e-5)
         assert (loose.residual, loose.weights) == (base.residual, base.weights)
-        # tilt the A-first future embedding by 1e-6 towards the B-first one
-        tilt = np.zeros((d.f_dims[1], d.f_dims[0]))
-        tilt[0, 0] = 1e-6
-        bent = dataclasses.replace(d, f_embed_ab=d.f_embed_ab + d.f_embed_ba @ tilt)
+        bent = self._bent(d, 1e-6)
         # the assembly's unitarity residual bounds the traced one, so at the
         # default tol the tilt fails there first
         with pytest.raises(VerificationError, match="not unitary"):
@@ -866,12 +866,60 @@ class TestTraceFutureCheck:
         assert rep.ok and rep.tol == 1e-5 and 1e-8 < rep.residual <= 1e-5
         assert not dataclasses.replace(rep, tol=1e-8).ok
 
-    def test_switch_d4_fits_in_memory(self):
-        # the dense Choi operator of the d=4 switch alone would take 4 GiB
-        u, lay = build_quantum_switch(4)
-        rep = trace_future_check(direct_sum_decompose(u, lay))
+    @staticmethod
+    def _bent(d, eps):
+        """``d`` with its A-first future embedding tilted by ``eps`` towards
+        the B-first one."""
+        tilt = np.zeros((d.f_dims[1], d.f_dims[0]))
+        tilt[0, 0] = eps
+        return dataclasses.replace(d, f_embed_ab=d.f_embed_ab + d.f_embed_ba @ tilt)
+
+    def test_matches_dense_reference(self, decomposed_direct_sums):
+        named = [direct_sum_decompose(*build_quantum_switch(dim)) for dim in (2, 3)]
+        named.append(direct_sum_decompose(*build_d3d_example()))
+        one_block = direct_sum_decompose(*_wire_comb(14))
+        assert one_block.block_ba is None
+        cases = [(d, TOL) for d in named + [d for *_, d in decomposed_direct_sums] + [one_block]]
+        cases += [(self._bent(d, eps), 1e-3) for d in named for eps in (1e-6, 1e-4)]
+        for d, tol in cases:
+            rep = trace_future_check(d, tol)
+            residual, weights = reference_trace_future(d, tol)
+            assert abs(rep.residual - residual) <= 1e-15 + 1e-9 * residual
+            assert np.abs(np.subtract(rep.weights, weights)).max() <= 1e-12
+        assert trace_future_check(one_block).residual == 0.0
+        assert trace_future_check(self._bent(named[0], 1e-4), 1e-3).residual > 1e-6
+
+    @staticmethod
+    def _switch_fits(dim, mib):
+        d = direct_sum_decompose(*build_quantum_switch(dim))
+        tracemalloc.start()  # numpy reports its buffers to tracemalloc
+        try:
+            rep, peak = trace_future_check(d), tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= mib * 2**20
         assert rep.residual <= 1e-8
         assert abs(rep.weights[0] - 0.5) < 1e-10 and abs(rep.weights[1] - 0.5) < 1e-10
+
+    def test_switch_d4_fits_in_memory(self):
+        # the dense traced operators and their difference peaked at 321 MiB
+        self._switch_fits(4, 32)
+
+    def test_switch_d5_fits_in_memory(self):
+        # each dense traced operator would need 596 MiB
+        self._switch_fits(5, 64)
+
+    def test_invariant_under_local_rotations(self):
+        rng = np.random.default_rng(31)
+        cases = [build_quantum_switch(3), build_d3d_example()]
+        cases += [_random_direct_sum(seed)[:2] for seed in (32, 33)]
+        for u, lay in cases:
+            base = trace_future_check(direct_sum_decompose(u, lay))
+            assert base.ok and base.residual <= 1e-8
+            for _ in range(2):
+                rep = trace_future_check(direct_sum_decompose(locally_rotated(u, rng), lay))
+                assert rep.ok == base.ok and rep.residual <= 1e-8
+                assert np.abs(np.subtract(rep.weights, base.weights)).max() <= 1e-10
 
 
 class TestBetaIndependence:

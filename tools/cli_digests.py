@@ -2,7 +2,7 @@
 
     python3 tools/cli_digests.py WORKDIR > manifest.json
 
-Runs 22 ops in-process through ``purecomb.cli.main`` (imported from the
+Runs 24 ops in-process through ``purecomb.cli.main`` (imported from the
 ``src/`` of the checkout this file is in), with the BLAS thread count pinned
 to 1, inside WORKDIR with relative paths, and prints one JSON manifest: per
 op its argv, exit code and the sha256 of its stdout, then the sha256 of
@@ -13,7 +13,9 @@ The ops: ``build``, ``verify --kind pure-superchannel`` and ``decompose
 --kind direct-sum`` on switch d=2/3/4 and ``d3d``; ``verify`` and
 ``decompose`` on the three ``tests/fixtures``; ``assemble`` of the switch-3
 blocks; ``build random-comb`` on a 3-slot chain, then ``verify --kind
-pure-comb`` and ``decompose --kind staircase`` on it.
+pure-comb`` and ``decompose --kind staircase`` on it; last, ``verify --kind
+comb-choi`` on the ``tests/fixtures/comb-choi.json`` Choi operator with its
+chain ``--order`` (exit 0) and with its two slots swapped (exit 1).
 """
 
 import os
@@ -35,6 +37,8 @@ sys.path.insert(0, str(ROOT / "src"))
 from purecomb import cli  # noqa: E402
 
 FIXTURES = ("switch", "d3d", "random-unitary")
+CHOI_FIXTURE = "comb-choi"
+CHOI_ORDERS = ("P,AI,AO,BI,BO,F", "P,BI,BO,AI,AO,F")
 COMB_CHAIN = "H0=8,H1=2,H2=4,H3=4,H4=4,H5=4,H6=2,H7=8"
 
 
@@ -57,6 +61,8 @@ def op_list() -> list[list[str]]:
              "--json"],
             ["verify", "comb.json", "--kind", "pure-comb", "--json"],
             ["decompose", "comb.json", "--kind", "staircase", "--out", "dec-comb", "--json"]]
+    ops += [["verify", f"fixture-{CHOI_FIXTURE}.json", "--kind", "comb-choi", "--order", order,
+             "--json"] for order in CHOI_ORDERS]
     return ops
 
 
@@ -70,8 +76,8 @@ def main(argv: list[str]) -> int:
         return 2
     work = Path(argv[0])
     work.mkdir(parents=True, exist_ok=True)
-    inputs = {f"fixture-{name}.json" for name in FIXTURES}
-    for name in FIXTURES:
+    inputs = {f"fixture-{name}.json" for name in (*FIXTURES, CHOI_FIXTURE)}
+    for name in (*FIXTURES, CHOI_FIXTURE):
         shutil.copyfile(ROOT / "tests" / "fixtures" / f"{name}.json", work / f"fixture-{name}.json")
     os.chdir(work)
     ops = []
