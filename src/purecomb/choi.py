@@ -21,6 +21,9 @@ from .layouts import SlotLayout
 from .spaces import LinOp, Spaces, Vec, canonical_phase
 
 
+_TILE = 256  # rows per tile of the Hermitian checks, as in twoslot
+
+
 @dataclasses.dataclass(frozen=True)
 class ChoiOp:
     """Square operator on map-input (x) map-output factors, with role metadata.
@@ -48,10 +51,28 @@ class ChoiOp:
         return self.op.out_space
 
     def hermiticity_residual(self) -> float:
-        return float(np.abs(self.op.data - self.op.data.conj().T).max())
+        """max |A - A^dagger|, one tile of _TILE rows at a time in one reused
+        buffer: no full-size temporary."""
+        a, n = self.op.data, len(self.op.data)
+        buf = np.empty((min(_TILE, n), n), dtype=np.complex128)
+        worst = []
+        for i in range(0, n, _TILE):
+            rows = buf[:min(_TILE, n - i)]
+            np.conjugate(a[:, i:i + _TILE].T, out=rows)
+            np.subtract(a[i:i + _TILE], rows, out=rows)
+            worst.append(np.abs(rows).max())
+        return float(np.max(worst))
 
     def min_eigenvalue(self) -> float:
-        h = (self.op.data + self.op.data.conj().T) / 2
+        """Lowest eigenvalue of (A + A^dagger) / 2, written tile by tile into
+        the one buffer ``eigvalsh`` reads."""
+        a = self.op.data
+        h = np.empty_like(a)
+        for i in range(0, len(a), _TILE):
+            rows = h[i:i + _TILE]
+            np.conjugate(a[:, i:i + _TILE].T, out=rows)
+            np.add(a[i:i + _TILE], rows, out=rows)
+            rows /= 2
         return float(np.linalg.eigvalsh(h)[0])
 
 

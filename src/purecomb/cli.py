@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import json
 import math
 import sys
@@ -65,11 +66,11 @@ class Report:
 
 
 def _emit(report: Report, as_json: bool, out_path=None) -> None:
-    text = report.to_json() if as_json else report.to_text()
-    print(text)
+    encoded = report.to_json() if as_json or out_path else None
+    print(encoded if as_json else report.to_text())
     if out_path:
         with open(out_path, "w") as fh:
-            fh.write(report.to_json())
+            fh.write(encoded)
             fh.write("\n")
 
 
@@ -331,7 +332,10 @@ def dimension(raw: str) -> int:
     return dim
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built on the first call and shared by every
+    later ``main`` in the process: parsing leaves it unchanged."""
     parser = argparse.ArgumentParser(prog="purecomb", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 

@@ -16,16 +16,20 @@ from .spaces import Spaces
 
 @dataclasses.dataclass(frozen=True)
 class SlotLayout:
-    """Ordered factor chain H_0 .. H_{2N+1} with labels and dimensions."""
+    """Ordered factor chain H_0 .. H_{2N+1} with labels and dimensions;
+    ``labels`` and ``dims`` are computed once at construction and are not
+    fields."""
 
     factors: tuple[tuple[str, int], ...]
 
     def __post_init__(self):
         if len(self.factors) < 2 or len(self.factors) % 2 != 0:
             raise ValueError("a slot layout needs an even number of factors, at least 2")
-        labels = [lab for lab, _ in self.factors]
+        labels = tuple(lab for lab, _ in self.factors)
         if len(set(labels)) != len(labels):
-            raise ValueError(f"duplicate labels in layout: {labels}")
+            raise ValueError(f"duplicate labels in layout: {list(labels)}")
+        object.__setattr__(self, "labels", labels)
+        object.__setattr__(self, "dims", tuple(d for _, d in self.factors))
 
     @staticmethod
     def of(*factors) -> "SlotLayout":
@@ -34,14 +38,6 @@ class SlotLayout:
     @property
     def n_slots(self) -> int:
         return len(self.factors) // 2 - 1
-
-    @property
-    def labels(self) -> tuple[str, ...]:
-        return tuple(lab for lab, _ in self.factors)
-
-    @property
-    def dims(self) -> tuple[int, ...]:
-        return tuple(d for _, d in self.factors)
 
     def factor(self, m: int) -> tuple[str, int]:
         return self.factors[m]

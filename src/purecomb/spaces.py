@@ -28,49 +28,46 @@ TOL = 1e-8  # default of every ``tol``: max-norm residuals and rank cuts
 class Spaces:
     """Ordered list of labeled Hilbert-space factors.
 
-    The empty list denotes the one-dimensional space C.
+    The empty list denotes the one-dimensional space C.  ``labels``,
+    ``dims``, ``dim`` and the label-to-index map are computed once at
+    construction and are not fields, so equality, hashing, repr and
+    ``dataclasses.replace`` see ``factors`` only.
     """
 
     factors: tuple[tuple[str, int], ...]
 
     def __post_init__(self):
-        labels = [lab for lab, _ in self.factors]
-        if len(set(labels)) != len(labels):
-            raise ValueError(f"duplicate factor labels in {labels}")
+        labels = tuple(lab for lab, _ in self.factors)
+        positions = {lab: i for i, lab in enumerate(labels)}
+        if len(positions) != len(labels):
+            raise ValueError(f"duplicate factor labels in {list(labels)}")
         for lab, d in self.factors:
             if not isinstance(d, int) or d < 1:
                 raise ValueError(f"factor {lab!r} has invalid dimension {d!r}")
+        dims = tuple(d for _, d in self.factors)
+        object.__setattr__(self, "labels", labels)
+        object.__setattr__(self, "dims", dims)
+        object.__setattr__(self, "dim", math.prod(dims))
+        object.__setattr__(self, "_positions", positions)
 
     @staticmethod
     def of(*factors) -> "Spaces":
         return Spaces(tuple((str(lab), int(d)) for lab, d in factors))
 
-    @property
-    def labels(self) -> tuple[str, ...]:
-        return tuple(lab for lab, _ in self.factors)
-
-    @property
-    def dims(self) -> tuple[int, ...]:
-        return tuple(d for _, d in self.factors)
-
-    @property
-    def dim(self) -> int:
-        return math.prod(self.dims)
-
     def __len__(self) -> int:
         return len(self.factors)
 
     def has(self, label: str) -> bool:
-        return label in self.labels
+        return label in self._positions
 
     def index(self, label: str) -> int:
         try:
-            return self.labels.index(label)
-        except ValueError:
+            return self._positions[label]
+        except KeyError:
             raise ValueError(f"unknown label {label!r}; have {self.labels}") from None
 
     def dim_of(self, label: str) -> int:
-        return self.factors[self.index(label)][1]
+        return self.dims[self.index(label)]
 
     def select(self, labels: Iterable[str]) -> "Spaces":
         """Sub-list of factors in the order given."""

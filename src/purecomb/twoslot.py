@@ -298,25 +298,43 @@ def _global_p(u: LinOp, layout: TwoSlotLayout, tol: float) -> SubspaceTriple:
 
 def _past_support(u: LinOp, layout: TwoSlotLayout, wire: str, reached: str, frame: np.ndarray,
                   other: np.ndarray, tol: float) -> tuple[np.ndarray, np.ndarray, float]:
-    """Support in the columns of ``frame`` of the past-indexed rows and
-    conjugated columns of every signalling component of U^dagger from
-    ``wire`` to ``reached`` (the columns stand in for the unformed a > a'):
-    the eigenvectors of the rows' Gram in ``frame`` whose max-abs overlap
-    with some row exceeds ``tol``, the others, and the rows' max-abs weight
-    on the columns of ``other``; the components are streamed twice."""
-    past, d_p = layout.past
-
-    def rows():
-        for k in signalling_components(adjoint(u), wire, [reached]):
-            m = permute_systems(k, [past, *k.out_space.without([past]).labels]).data
-            yield np.hstack([m.reshape(d_p, -1), m.T.conj().reshape(d_p, -1)])
-
-    _, vecs = np.linalg.eigh(frame.conj().T @ sum(b @ b.conj().T for b in rows()) @ frame)
-    vecs = frame @ vecs
-    amp = np.max([np.abs(np.hstack([vecs, other]).conj().T @ b).max(axis=1) for b in rows()],
-                 axis=0)
+    """Support in the columns of ``frame`` of the ``_past_rows`` from ``wire``
+    to ``reached``: the eigenvectors of the rows' Gram in ``frame`` whose
+    max-abs overlap with some row exceeds ``tol``, the others, and the rows'
+    max-abs weight on the columns of ``other``.  The rows are streamed twice,
+    for the Gram and for the overlaps, and never held together."""
+    gram = sum(b @ b.conj().T for b in _past_rows(u, layout, wire, reached))
+    vecs = frame @ np.linalg.eigh(frame.conj().T @ gram @ frame)[1]
+    amp = np.max([np.abs(np.hstack([vecs, other]).conj().T @ b).max(axis=1)
+                  for b in _past_rows(u, layout, wire, reached)], axis=0)
     keep = amp[:vecs.shape[1]] > tol
     return vecs[:, keep], vecs[:, ~keep], float(amp[vecs.shape[1]:].max(initial=0.0))
+
+
+def _past_rows(u: LinOp, layout: TwoSlotLayout, wire: str, reached: str):
+    """The past-indexed rows and conjugated columns of each signalling
+    component K of U^dagger from ``wire`` to ``reached`` (the columns stand
+    in for the unformed a > a'), one (d_P, 2 D^2 / d_P) array per component.
+
+    With K's factors read past first, row p is K[(p, r), (p', r')] over
+    (r, p', r'), then conj K[(p', r'), (p, r)] over (r, p', r').  Each half
+    is one strided assignment from K's array into one buffer, reused for
+    every component: no permuted or conjugated copy of K is formed, and
+    each yielded array is overwritten by the next.
+    """
+    past, d_p = layout.past
+    buf = None
+    for k in signalling_components(adjoint(u), wire, [reached]):
+        dims, n = k.out_space.dims, len(k.out_space)
+        first = [k.out_space.index(past)]
+        first += [i for i in range(n) if i != first[0]]
+        # t[p, r, p', r'] = K[(p, r), (p', r')], one axis per factor
+        t = k.data.reshape(dims + dims).transpose(first + [n + i for i in first])
+        if buf is None:
+            buf = np.empty((d_p, 2, *t.shape[1:]), dtype=np.complex128)
+        buf[:, 0] = t
+        np.conjugate(t.transpose([*range(n, 2 * n), *range(n)]), out=buf[:, 1])
+        yield buf.reshape(d_p, -1)
 
 
 def global_f_decomposition(

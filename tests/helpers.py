@@ -47,6 +47,17 @@ max-abs of the total minus the block sum and the weights the traces.  The
 factored check's cross-term residual and factor norms must agree with it
 to rounding.
 
+The past-row reference is the builder ``twoslot._past_rows`` replaced:
+each signalling component of U^dagger permuted past first as an operator,
+then its reshaped rows stacked with its reshaped conjugate transpose.  The
+strided writes into one buffer must give the same bytes, so the Gram and
+the global past split stay bit-identical.
+
+The Choi-check reference is the full-size form ``ChoiOp`` once took: the
+hermiticity residual max |A - A^dagger| and the lowest eigenvalue of
+(A + A^dagger) / 2, each over whole-matrix temporaries.  The row-tiled
+checks must return the same floats.
+
 The rest are small references that only tests call, moved here from the
 package: ``basis_state``, ``kron_vec`` and ``partial_transpose`` on labeled
 vectors and operators; ``angle_sine`` between subspaces; ``apply_channel``
@@ -65,7 +76,7 @@ import numpy as np
 
 from purecomb.builders import ancilla_chain, haar_unitary
 from purecomb.choi import ChoiOp, link_product
-from purecomb.combs import CombCircuit, compose_staircase
+from purecomb.combs import CombCircuit, compose_staircase, signalling_components
 from purecomb.errors import VerificationError
 from purecomb.families import spanning_family, stability_vectors
 from purecomb.io import FORMAT_VERSION, MatrixFileError, _parse_dims
@@ -75,6 +86,7 @@ from purecomb.spaces import (
     Spaces,
     Vec,
     _aligned_square,
+    adjoint,
     canonical_phase,
     compose,
     identity,
@@ -437,6 +449,23 @@ def reference_joint_residual(u, layout):
                     k += both_traced
             worst = max(worst, float(np.abs(k).max()))
     return worst
+
+
+def reference_past_rows(u, layout, wire, reached):
+    """The past-indexed rows and conjugated columns of each signalling
+    component of U^dagger from ``wire`` to ``reached``, built as one
+    ``permute_systems`` and one ``hstack`` with the conjugate transpose."""
+    past, d_p = layout.past
+    for k in signalling_components(adjoint(u), wire, [reached]):
+        m = permute_systems(k, [past, *k.out_space.without([past]).labels]).data
+        yield np.hstack([m.reshape(d_p, -1), m.T.conj().reshape(d_p, -1)])
+
+
+def reference_choi_checks(c):
+    """Hermiticity residual and lowest eigenvalue of the Hermitian part of a
+    ``ChoiOp``, each from whole-matrix temporaries."""
+    a = c.op.data
+    return float(np.abs(a - a.conj().T).max()), float(np.linalg.eigvalsh((a + a.conj().T) / 2)[0])
 
 
 def future_traced_choi(op, layout):

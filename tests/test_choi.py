@@ -11,6 +11,7 @@ from helpers import (
     dense_plug_unitaries,
     is_channel,
     is_cp,
+    reference_choi_checks,
 )
 from purecomb.builders import (
     build_d3d_example,
@@ -20,6 +21,7 @@ from purecomb.builders import (
     random_pure_comb,
 )
 from purecomb.choi import ChoiOp, choi_of_unitary, choi_vector, link_product, plug_unitaries
+from purecomb.combs import verify_comb_choi
 from purecomb.layouts import SlotLayout, TwoSlotLayout
 from purecomb.spaces import LinOp, Spaces, canonical_phase, is_unitary, permute_systems, phase_distance
 
@@ -520,3 +522,41 @@ class TestIsCpTolerance:
         assert c.min_eigenvalue() > 0.4
         assert is_cp(c, 1e-8)
         assert not is_cp(c, 1e-10)
+
+
+def _wide_comb_choi():
+    """A D=512 comb Choi operator: a two-slot comb's Choi with a
+    prepared qubit appended to its future, so F has dimension 8."""
+    lay = SlotLayout.of(("P", 4), ("AI", 2), ("AO", 2), ("BI", 2), ("BO", 2), ("F", 4))
+    c = permute_systems(choi_of_unitary(random_pure_comb(lay, 5)).op, list(lay.labels))
+    chain = SlotLayout(lay.factors[:-1] + (("F", 8),))
+    sp = Spaces(chain.factors)
+    return LinOp(sp, sp, np.kron(c.data, np.diag([1.0, 0.0]))), chain
+
+
+class TestTiledChoiChecks:
+    def test_values_equal_the_untiled_formula(self):
+        rng = np.random.default_rng(23)
+        op, chain = _wide_comb_choi()
+        ops = [op]
+        for d in (1, 7, 256, 300):
+            sp = Spaces.of(("X", d))
+            g = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
+            ops += [LinOp(sp, sp, g), LinOp(sp, sp, g + g.conj().T + 1e-9 * g)]
+        for op in ops:
+            c = ChoiOp(op, tuple(op.out_space.labels[:1]), tuple(op.out_space.labels[1:]))
+            assert (c.hermiticity_residual(), c.min_eigenvalue()) == reference_choi_checks(c)
+
+    def test_d512_comb_choi_forms_no_full_size_temporary(self):
+        op, chain = _wide_comb_choi()
+        c = ChoiOp(op, chain.labels[0::2], chain.labels[1::2])
+        calls = [c.hermiticity_residual, c.min_eigenvalue, lambda: verify_comb_choi(op, chain)]
+        for call in calls:
+            tracemalloc.start()
+            try:
+                call()
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak <= 1.5 * op.data.nbytes, f"peak {peak / op.data.nbytes:.2f}x the operator"
+        assert op.data.shape == (512, 512) and verify_comb_choi(op, chain).ok

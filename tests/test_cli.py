@@ -7,7 +7,7 @@ import pytest
 
 from helpers import perturbed
 from purecomb import builders
-from purecomb.cli import main
+from purecomb.cli import Report, build_parser, main
 from purecomb.combs import CombCircuit, ancilla_labels, compose_staircase
 from purecomb.io import MatrixFileError, file_digest, load_matrix, save_matrix
 from purecomb.spaces import LinOp, Spaces, permute_systems, phase_distance
@@ -216,6 +216,18 @@ class TestDecomposeAssemble:
         assert main(["assemble", *blocks, "--out", out]) == 0
         assert phase_distance(load_matrix(out), load_matrix(SWITCH)) < 1e-7
 
+    @pytest.mark.parametrize("as_json", [True, False])
+    def test_report_is_encoded_once(self, as_json, tmp_path, capsys, monkeypatch):
+        calls = []
+        encode = Report.to_json
+        monkeypatch.setattr(Report, "to_json", lambda self: calls.append(1) or encode(self))
+        prefix = str(tmp_path / "sw")
+        argv = ["decompose", SWITCH, "--kind", "direct-sum", "--out", prefix]
+        assert main(argv + ["--json"] * as_json) == 0
+        out, text = capsys.readouterr().out, open(prefix + ".report.json").read()
+        assert len(calls) == 1 and text.endswith("}\n")
+        assert (out == text) if as_json else out.startswith("command: decompose\n")
+
     def test_d3d_report(self, tmp_path):
         prefix = str(tmp_path / "d3")
         assert main(["decompose", D3D, "--kind", "direct-sum", "--out", prefix]) == 0
@@ -339,6 +351,22 @@ class TestDecomposeAssemble:
 
 
 class TestExitContract:
+    def test_cached_parser_answers_like_a_fresh_one(self, capsys):
+        # a usage error, help, then one valid call twice, all in one process
+        argvs = [["verify", SWITCH, "--kind", "bogus"], ["--help"],
+                 ["verify", SWITCH, "--kind", "pure-superchannel"],
+                 ["verify", SWITCH, "--kind", "pure-superchannel"]]
+        fresh = []
+        for argv in argvs:
+            build_parser.cache_clear()
+            fresh.append((main(argv), capsys.readouterr()))
+        build_parser.cache_clear()
+        cached = [(main(argv), capsys.readouterr()) for argv in argvs]
+        assert build_parser.cache_info().misses == 1
+        assert cached == fresh
+        assert [rc for rc, _ in cached] == [2, 0, 0, 0]
+        assert "invalid choice: 'bogus'" in cached[0][1].err and "usage: purecomb" in cached[1][1].out
+
     @pytest.mark.parametrize("tol", ["inf", "nan", "0", "-1"])
     def test_bad_tol_exit_2(self, tol, tmp_path, capsys):
         out = tmp_path / "o"

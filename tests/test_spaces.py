@@ -1,7 +1,11 @@
+import dataclasses
+import math
+
 import numpy as np
 import pytest
 
 from helpers import basis_state, kron_vec, partial_transpose
+from purecomb.layouts import SlotLayout
 from purecomb.spaces import (
     LinOp,
     Spaces,
@@ -48,6 +52,45 @@ class TestSpaces:
         assert sp.without(["B"]).labels == ("A", "C")
         with pytest.raises(ValueError):
             sp.select(["Z"])
+
+
+    @pytest.mark.parametrize("factors", [(), (("A", 3),), (("A", 2), ("B", 3), ("C", 4), ("D", 1))])
+    def test_cached_fields_match_the_factors(self, factors):
+        sp = Spaces(factors)
+        assert sp.labels == tuple(lab for lab, _ in factors)
+        assert sp.dims == tuple(d for _, d in factors)
+        assert sp.dim == math.prod(d for _, d in factors)
+        for i, (lab, d) in enumerate(factors):
+            assert sp.has(lab) and sp.index(lab) == i and sp.dim_of(lab) == d
+        assert not sp.has("Z")
+        with pytest.raises(ValueError, match="unknown label 'Z'"):
+            sp.index("Z")
+
+    def test_cached_fields_are_not_dataclass_fields(self):
+        a = Spaces.of(("A", 2), ("B", 3))
+        b = Spaces(tuple(list(a.factors)))
+        assert [f.name for f in dataclasses.fields(a)] == ["factors"]
+        assert a == b and hash(a) == hash(b) and a is not b
+        assert repr(a) == "Spaces(factors=(('A', 2), ('B', 3)))"
+        assert {a: 1}[b] == 1
+        assert a != Spaces.of(("B", 3), ("A", 2))
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            a.factors = ()
+
+    def test_replace_recomputes_the_cached_fields(self):
+        sp = dataclasses.replace(Spaces.of(("A", 2), ("B", 3)), factors=(("C", 5), ("A", 2)))
+        assert (sp.labels, sp.dims, sp.dim) == (("C", "A"), (5, 2), 10)
+        assert sp.index("A") == 1 and not sp.has("B")
+        with pytest.raises(ValueError, match="duplicate"):
+            dataclasses.replace(sp, factors=(("A", 2), ("A", 2)))
+
+    def test_slot_layout_fields_are_cached_and_recomputed(self):
+        lay = SlotLayout.of(("H0", 2), ("H1", 3), ("H2", 4), ("H3", 5))
+        assert (lay.labels, lay.dims) == (("H0", "H1", "H2", "H3"), (2, 3, 4, 5))
+        assert [f.name for f in dataclasses.fields(lay)] == ["factors"]
+        assert lay == SlotLayout(tuple(list(lay.factors))) and hash(lay) == hash(SlotLayout(lay.factors))
+        moved = dataclasses.replace(lay, factors=(("X", 7), ("Y", 8)))
+        assert (moved.labels, moved.dims, moved.n_slots) == (("X", "Y"), (7, 8), 0)
 
 
 class TestKron:

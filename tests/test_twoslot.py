@@ -16,6 +16,7 @@ from helpers import (
     locally_rotated,
     perturbed,
     reference_joint_residual,
+    reference_past_rows,
     reference_point_triples,
     reference_trace_future,
 )
@@ -377,6 +378,40 @@ class TestJointResidual:
     @pytest.mark.parametrize("u,lay", [pytest.param(u, lay, id=name) for name, u, lay in _joint_cases()])
     def test_matches_every_block_loop_exactly(self, u, lay):
         assert twoslot._joint_residual(u, lay) == reference_joint_residual(u, lay)
+
+
+def _past_row_cases(direct_sum_pool):
+    """Switch d=2/3/4, d3d and the seeded direct sums, each also with one
+    ``locally_rotated`` dressing."""
+    rng = np.random.default_rng(17)
+    cases = [build_quantum_switch(d) for d in (2, 3, 4)] + [build_d3d_example()]
+    cases += [(u, lay) for u, lay, _ in direct_sum_pool]
+    return cases + [(locally_rotated(u, rng), lay) for u, lay in cases]
+
+
+class TestPastRows:
+    def test_rows_and_gram_match_the_permute_reference_bytes(self, direct_sum_pool):
+        for u, lay in _past_row_cases(direct_sum_pool):
+            c = twoslot._checked(u, lay, TOL)
+            for wire, reached in ((lay.a_in[0], lay.b_out[0]), (lay.b_in[0], lay.a_out[0])):
+                gram = want_gram = 0
+                # each yielded array is overwritten by the next: compare in step
+                for got, want in itertools.zip_longest(twoslot._past_rows(c, lay, wire, reached),
+                                                       reference_past_rows(c, lay, wire, reached)):
+                    assert got.shape == want.shape and got.tobytes() == want.tobytes()
+                    gram = gram + got @ got.conj().T
+                    want_gram = want_gram + want @ want.conj().T
+                assert gram.tobytes() == want_gram.tobytes()
+
+    def test_global_past_bases_match_the_permute_reference_bytes(self, direct_sum_pool,
+                                                                  monkeypatch):
+        cases = _past_row_cases(direct_sum_pool)
+        got = [global_p_decomposition(u, lay) for u, lay in cases]
+        monkeypatch.setattr(twoslot, "_past_rows", reference_past_rows)
+        for triple, (u, lay) in zip(got, cases):
+            want = global_p_decomposition(u, lay)
+            for part, want_part in zip(triple.parts(), want.parts()):
+                assert part.basis.tobytes() == want_part.basis.tobytes()
 
 
 class TestPerturbedDecomposition:
