@@ -4,16 +4,18 @@ representing operator.
 
 The vectorization of A : H_in -> H_out is sum_i |i> (x) A|i>, living on
 the concatenation in (x) out.  Link-product and plugging contractions are
-matched by factor label, never by position: each is an einsum over the
-operators reshaped to one axis per factor and side, summing the legs two
-operators share.  No identity-padded operator is formed, so a contraction
-costs the size of its result times the dimension it sums over, and holds
-nothing larger than its operands and its result.
+matched by factor label, never by position: each sums the legs two
+operators share, with the operators reshaped to one axis per factor and
+side, as one matrix product of the two permuted operands.  No
+identity-padded operator is formed, so a contraction costs the size of its
+result times the dimension it sums over, and holds nothing larger than its
+operands and its result.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import math
 
 import numpy as np
 
@@ -94,10 +96,10 @@ def link_product(e: ChoiOp, f: ChoiOp) -> ChoiOp:
 
     With s the shared factors, e and f the rest of each operand,
     (E * F)[e,f; e',f'] = sum over s, s' of E[e,s; e',s'] F[s,f; s',f']:
-    one einsum over the operators reshaped to tensors, equal to the trace
-    over s of (E (x) I_f)(I_e (x) F^{T_s}) without forming either padded
-    factor.  Its cost is the result size times the shared dimension
-    squared.  The result's factors are e's in e's order, then f's in f's
+    one matrix product of the operators reshaped to tensors (``_contract``),
+    equal to the trace over s of (E (x) I_f)(I_e (x) F^{T_s}) without
+    forming either padded factor.  Its cost is the result size times the
+    shared dimension squared.  The result's factors are e's in e's order, then f's in f's
     order; commutative up to that reordering.
     """
     shared = [lab for lab in e.space.labels if f.space.has(lab)]
@@ -126,15 +128,15 @@ def plug_unitaries(u: LinOp, layout: SlotLayout, slot_ops: list[LinOp]) -> LinOp
     output is scaled to the canonical global phase so repeated calls are
     bit-identical.
 
-    The slots are contracted into u one at a time, as einsums over the
-    operators reshaped to tensors: slot n consumes u's output H_{2n-1},
-    closes the loop on u's input H_{2n} and adds its ancilla legs.  Each
-    step costs the size of its result times the two wire dimensions, and
-    nothing larger than the operands and the result is formed.  The result
-    maps (slot input ancillas, in slot order, then H_0) to (H_{2N+1}, then
-    the slot output ancillas); a slot operator may share labels with no
-    other slot operator or the future, and its input ancillas none with
-    u's inputs.
+    The slots are contracted into u one at a time, each as one matrix
+    product of the operators reshaped to tensors (``_contract``): slot n
+    consumes u's output H_{2n-1}, closes the loop on u's input H_{2n} and
+    adds its ancilla legs.  Each step costs the size of its result times
+    the two wire dimensions, and nothing larger than the operands and the
+    result is formed.  The result maps (slot input ancillas, in slot order,
+    then H_0) to (H_{2N+1}, then the slot output ancillas); a slot operator
+    may share labels with no other slot operator or the future, and its
+    input ancillas none with u's inputs.
     """
     n = layout.n_slots
     if len(slot_ops) != n:
@@ -182,8 +184,29 @@ def _tensor(a: LinOp) -> np.ndarray:
 
 
 def _contract(a: np.ndarray, a_keys: list, b: np.ndarray, b_keys: list, out_keys: list):
-    """einsum of two tensors whose axes are named by hashable keys: a key on
-    both operands and not in ``out_keys`` is summed over."""
-    ids = {key: i for i, key in enumerate(dict.fromkeys(a_keys + b_keys))}
-    return np.einsum(a, [ids[key] for key in a_keys], b, [ids[key] for key in b_keys],
-                     [ids[key] for key in out_keys], optimize=True)
+    """Contract two tensors whose axes are named by hashable keys, summing
+    every key they share, as one matrix product.
+
+    ``b`` is permuted to its free axes, then the shared ones in its own
+    order, and reshaped to (free_b, K); ``a`` to the same shared axes, then
+    its free ones, reshaped to (K, free_a).  The product is reshaped to the
+    free axes and transposed to ``out_keys``, which must name each free axis
+    once.  That is the operand and summation order of ``np.einsum``'s
+    matrix-product path for two operands, so the sums round as its do and
+    entries tied in magnitude keep their order (the canonical-phase pivot).
+    """
+    a_set, b_set = set(a_keys), set(b_keys)
+    shared = [key for key in b_keys if key in a_set]
+    b_free = [key for key in b_keys if key not in a_set]
+    a_free = [key for key in a_keys if key not in b_set]
+    b_axes = [b_keys.index(key) for key in b_free + shared]
+    a_axes = [a_keys.index(key) for key in shared + a_free]
+    b_dims, a_dims = [b.shape[i] for i in b_axes], [a.shape[i] for i in a_axes]
+    n_b, n_s, free = len(b_free), len(shared), b_free + a_free
+    if (len(a_set) != len(a_keys) or len(b_set) != len(b_keys) or len(out_keys) != len(free)
+            or set(out_keys) != set(free) or b_dims[n_b:] != a_dims[:n_s]):
+        raise ValueError(f"cannot contract {a_keys} x {b_keys} -> {out_keys}: each key must name one "
+                         "axis, shared keys equal dims, and out_keys each unshared key once")
+    k = math.prod(a_dims[:n_s])
+    prod = b.transpose(b_axes).reshape(-1, k) @ a.transpose(a_axes).reshape(k, -1)
+    return prod.reshape(b_dims[:n_b] + a_dims[n_s:]).transpose([free.index(key) for key in out_keys])

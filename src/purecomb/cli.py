@@ -28,7 +28,7 @@ from . import builders, combs, twoslot
 from .errors import VerificationError
 from .io import file_digest, load_matrix, save_matrix
 from .layouts import SlotLayout, TwoSlotLayout
-from .spaces import TOL, LinOp, Spaces, is_unitary
+from .spaces import TOL, LinOp, Spaces, is_unitary, permute_systems
 
 EXIT_PASS = 0
 EXIT_FAIL = 1
@@ -296,8 +296,15 @@ def cmd_assemble(args) -> int:
     ops = [load_matrix(p) for p in args.paths]
     inputs = {f"block-{i}": file_digest(p) for i, p in enumerate(args.paths)}
     first = ops[0]
+    order = list(dict.fromkeys(first.out_space.labels + first.in_space.labels))
     total = first.data.copy()
     for op in ops[1:]:
+        # A block may list its factors in another order: align it to the
+        # first block's by label.  One permutation orders both sides, so a
+        # label on both sides of the first block must keep one relative order.
+        if all(dict(x.factors) == dict(y.factors)
+               for x, y in ((op.in_space, first.in_space), (op.out_space, first.out_space))):
+            op = permute_systems(op, order)
         if op.in_space != first.in_space or op.out_space != first.out_space:
             raise UsageError(
                 f"blocks act on different spaces: {op.in_space.factors} vs {first.in_space.factors}"

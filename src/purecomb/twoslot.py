@@ -154,9 +154,10 @@ def _joint_residual(u: LinOp, layout: TwoSlotLayout) -> float:
     orthogonal to alpha, so this is 0 exactly when the joint condition holds.
     One (a, a', b, b') block of (d_AI d_BI d_P)^2 entries is formed at a time.
     Block (a', a, b', b) is the conjugate transpose of block (a, a', b, b'),
-    so off the a = a' diagonal only a < a' is formed.  The traced-over-a
-    Gram of each (b, b') is formed once and serves every diagonal a, and the
-    d_a diagonal traced-over-b Grams are kept for it.
+    so off the a = a' diagonal only a < a' is formed, and on it only
+    b <= b'.  The traced-over-a Gram of each such (b, b') is formed once and
+    serves every diagonal a, and the d_a diagonal traced-over-b Grams are
+    kept for it.
     """
     d_a, d_b = layout.a_out[1], layout.b_out[1]
     d_s, d_f = layout.a_in[1] * layout.b_in[1], layout.future[1]
@@ -170,7 +171,7 @@ def _joint_residual(u: LinOp, layout: TwoSlotLayout) -> float:
     both_traced = gram(m, m) / (d_a * d_b)
     b_traced = [gram(m[:, a], m[:, a]) / d_b for a in range(d_a)]
     worst = 0.0
-    for b, b2 in itertools.product(range(d_b), repeat=2):
+    for b, b2 in itertools.combinations_with_replacement(range(d_b), 2):
         a_traced = gram(m[:, :, b], m[:, :, b2]) / d_a
         for a in range(d_a):
             k = gram(m[:, a, b], m[:, a, b2])

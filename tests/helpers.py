@@ -15,16 +15,19 @@ and the link product once took: the slot operators tensored with the
 identity on the future and composed with the map as one square product
 before the slot wires are traced, and the link as the trace of
 (E (x) I)(I (x) F)^{T_shared}.  The label-matched contractions must give
-the same factor order, the same roles and the same entries.
+the same factor order, the same roles and the same entries.  The einsum
+form of the one contraction both take, ``reference_contract``, is what
+``choi._contract`` replaced by one matrix product; it must give the same
+entries and the same canonical-phase pivots.
 
 The restriction reference is the dense form the direct-sum split once
 took: each block and each off-diagonal corner read off U through
 Kronecker lifts of the embeddings, (I (x) f_e)^dagger U (p_e (x) I).  The
 stacked change of basis must give the same blocks and off-block weight.
 
-The joint-residual reference is the loop over every ordered pair of
-slot-A outputs that the library once ran; the halved loop must return the
-same float.
+The joint-residual reference is the loop over every ordered
+(a, a', b, b') block that the library once ran; the loop that forms only
+a < a', and b <= b' on the a = a' diagonal, must return the same float.
 
 The matrix-file references are the forms the saver and loader once took:
 one ``json.dump`` of the whole document with a ``[float(re), float(im)]``
@@ -555,3 +558,11 @@ def reference_load_matrix(path):
         raise MatrixFileError(error)
     flat = np.array([float(x) for pair in raw for x in pair])
     return LinOp(out_space, in_space, flat.view(np.complex128).reshape(out_space.dim, in_space.dim))
+
+
+def reference_contract(a, a_keys, b, b_keys, out_keys):
+    """einsum of two tensors whose axes are named by hashable keys: a key on
+    both operands and not in ``out_keys`` is summed over."""
+    ids = {key: i for i, key in enumerate(dict.fromkeys(a_keys + b_keys))}
+    return np.einsum(a, [ids[key] for key in a_keys], b, [ids[key] for key in b_keys],
+                     [ids[key] for key in out_keys], optimize=True)

@@ -12,6 +12,7 @@ from helpers import (
     is_channel,
     is_cp,
     reference_choi_checks,
+    reference_contract,
 )
 from purecomb.builders import (
     build_d3d_example,
@@ -20,6 +21,7 @@ from purecomb.builders import (
     haar_unitary,
     random_pure_comb,
 )
+from purecomb import choi
 from purecomb.choi import ChoiOp, choi_of_unitary, choi_vector, link_product, plug_unitaries
 from purecomb.combs import verify_comb_choi
 from purecomb.layouts import SlotLayout, TwoSlotLayout
@@ -338,6 +340,27 @@ class TestPlugMatchesDense:
             ops = _slot_ops(lay, rng, anc_dims, first)
             _assert_same_op(plug_unitaries(u, lay, ops), dense_plug_unitaries(u, lay, ops))
 
+    @pytest.mark.parametrize("tag,u,lay", PLUG_INSTANCES, ids=[t for t, _, _ in PLUG_INSTANCES])
+    @pytest.mark.parametrize("first", [False, True], ids=["anc-last", "anc-first"])
+    def test_phase_pivot_matches_einsum(self, tag, u, lay, first, monkeypatch):
+        # the GEMM and the einsum reference round alike where two entries
+        # tie in magnitude, as for any plugged 2 x 2 unitary
+        pivots = []
+
+        def spy(a):
+            pivots.append(int(np.argmax(np.abs(a.data))))
+            return canonical_phase(a)
+
+        monkeypatch.setattr(choi, "canonical_phase", spy)
+        rng = np.random.default_rng(len(tag) + first)
+        for anc_dims in ((2, 2), (0, 0), (3, 1), (1, 2)):
+            ops = _slot_ops(lay, rng, anc_dims, first)
+            plug_unitaries(u, lay, ops)
+            with monkeypatch.context() as m:
+                m.setattr(choi, "_contract", reference_contract)
+                plug_unitaries(u, lay, ops)
+        assert len(pivots) == 8 and pivots[0::2] == pivots[1::2]
+
     def test_same_ancilla_label_on_both_sides(self):
         rng = np.random.default_rng(21)
         lay = SlotLayout.of(("H0", 2), ("H1", 2), ("H2", 2), ("H3", 2), ("H4", 3), ("H5", 3))
@@ -495,6 +518,50 @@ class TestLinkMatchesDense:
         assert phase_distance(aligned, plugged) < 1e-12
 
 
+def _gaussian(rng, dims):
+    return rng.standard_normal(dims) + 1j * rng.standard_normal(dims)
+
+
+# (a axes, b axes, out keys), each axis a (key, dim)
+CONTRACT_CASES = {
+    "no-shared": ([("x", 2), ("y", 3)], [("z", 4)], ["z", "x", "y"]),
+    "all-shared": ([("x", 2), ("y", 3)], [("y", 3), ("x", 2)], []),
+    "shared-reordered": ([("x", 2), ("s", 3), ("t", 2), ("y", 4)],
+                         [("t", 2), ("z", 3), ("s", 3)], ["z", "y", "x"]),
+    # a slot operator with an output ancilla and no input ancilla, as in plugging
+    "ancilla-one-side": ([(("out", "F"), 2), (("wire", "H1"), 2), (("in", "H0"), 3), (("wire", "H2"), 2)],
+                         [(("wire", "H2"), 2), (("out", "E"), 3), (("wire", "H1"), 2)],
+                         [("out", "F"), ("out", "E"), ("in", "H0")]),
+}
+
+
+class TestContract:
+    @pytest.mark.parametrize("case", sorted(CONTRACT_CASES))
+    def test_matches_einsum_reference(self, case):
+        a_axes, b_axes, out_keys = CONTRACT_CASES[case]
+        rng = np.random.default_rng(len(case))
+        a, b = _gaussian(rng, [d for _, d in a_axes]), _gaussian(rng, [d for _, d in b_axes])
+        a_keys, b_keys = [k for k, _ in a_axes], [k for k, _ in b_axes]
+        got = choi._contract(a, a_keys, b, b_keys, out_keys)
+        want = reference_contract(a, a_keys, b, b_keys, out_keys)
+        assert got.shape == want.shape
+        assert np.abs(got - want).max() <= 1e-13
+
+    @pytest.mark.parametrize("out_keys", [["x", "y", "z"], ["x", "w"], ["x"], ["x", "z", "z"]],
+                             ids=["shared-kept", "unknown-key", "free-dropped", "free-twice"])
+    def test_out_keys_must_be_the_unshared_keys(self, out_keys):
+        rng = np.random.default_rng(33)
+        a, b = _gaussian(rng, (2, 3)), _gaussian(rng, (3, 2))
+        with pytest.raises(ValueError):
+            choi._contract(a, ["x", "y"], b, ["y", "z"], out_keys)
+
+    def test_shared_dims_must_agree(self):
+        rng = np.random.default_rng(34)
+        with pytest.raises(ValueError):
+            choi._contract(_gaussian(rng, (2, 3, 2)), ["x", "s", "t"],
+                           _gaussian(rng, (2, 3)), ["s", "t"], ["x"])
+
+
 class TestContractionMemory:
     def test_plug_four_slot_comb_stays_small(self):
         # H0=4, H1..H8=2, H9=4 with a 2-dim ancilla on both sides of every
@@ -510,6 +577,26 @@ class TestContractionMemory:
             tracemalloc.stop()
         assert g.data.shape == (64, 64) and is_unitary(g).ok
         assert peak < 4 * 2**20, f"peak {peak / 2**20:.1f} MiB"
+
+    def test_link_chain_stays_within_operands_result_and_one_permuted_operand(self):
+        # H0=4, H1..H4=2, H5=4 with a 2-dim ancilla on both sides of each
+        # slot: every link of the chain is 256 x 256 (1 MiB); the padded
+        # product would hold 1024 x 1024 operands
+        lay = SlotLayout.of(("H0", 4), *[(f"H{m}", 2) for m in range(1, 5)], ("H5", 4))
+        u = random_pure_comb(lay, 42)
+        w = choi_of_unitary(u)
+        for op in _slot_ops(lay, np.random.default_rng(42)):
+            f = choi_of_unitary(op)
+            tracemalloc.start()
+            try:
+                r = link_product(w, f)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            e_bytes, f_bytes = w.op.data.nbytes, f.op.data.nbytes
+            assert r.op.data.shape == (256, 256)
+            assert peak <= e_bytes + f_bytes + r.op.data.nbytes + max(e_bytes, f_bytes), peak
+            w = r
 
 
 class TestIsCpTolerance:

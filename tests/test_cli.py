@@ -332,6 +332,19 @@ class TestDecomposeAssemble:
         report = json.loads(open(prefix + ".report.json").read())
         assert report["verdict"] == "fail"
 
+    def test_assemble_accepts_reordered_factors(self, tmp_path):
+        prefix = str(tmp_path / "sw")
+        assert main(["decompose", SWITCH, "--kind", "direct-sum", "--out", prefix]) == 0
+        ab, ba = prefix + ".block-ab.json", prefix + ".block-ba.json"
+        reordered = str(tmp_path / "ba-reordered.json")
+        save_matrix(reordered, permute_systems(load_matrix(ba), ["BI", "AI", "F", "AO", "P", "BO"]))
+        assert load_matrix(reordered).out_space.labels == ("BI", "AI", "F")
+        assert load_matrix(reordered).in_space.labels == ("AO", "P", "BO")
+        want, got = str(tmp_path / "want.json"), str(tmp_path / "got.json")
+        assert main(["assemble", ab, ba, "--out", want]) == 0
+        assert main(["assemble", ab, reordered, "--out", got]) == 0
+        assert open(got, "rb").read() == open(want, "rb").read()
+
     def test_assemble_dim_mismatch_exit_2(self, tmp_path):
         rng = np.random.default_rng(1)
         a = LinOp(Spaces.of(("X", 2)), Spaces.of(("Y", 2)), haar_unitary(2, rng))

@@ -379,6 +379,14 @@ class TestJointResidual:
     def test_matches_every_block_loop_exactly(self, u, lay):
         assert twoslot._joint_residual(u, lay) == reference_joint_residual(u, lay)
 
+    def test_direct_sums_and_rotated_dressings_match_exactly(self, direct_sum_pool):
+        rng = np.random.default_rng(19)
+        pool = [(u, lay) for u, lay, _ in direct_sum_pool]
+        joint = [(u, lay) for _, u, lay in _joint_cases()]
+        for u, lay in pool + [(locally_rotated(u, rng), lay) for u, lay in joint + pool]:
+            assert u.in_space.labels + u.out_space.labels == lay.in_space().labels + lay.out_space().labels
+            assert twoslot._joint_residual(u, lay) == reference_joint_residual(u, lay)
+
 
 def _past_row_cases(direct_sum_pool):
     """Switch d=2/3/4, d3d and the seeded direct sums, each also with one
