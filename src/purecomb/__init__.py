@@ -42,6 +42,7 @@ from .combs import (
     CombChoiReport,
     CombCircuit,
     CombUnitaryReport,
+    ancilla_chain,
     compose_staircase,
     staircase_decompose,
     verify_comb_choi,
@@ -53,7 +54,6 @@ from .twoslot import (
     SuperchannelReport,
     TraceFutureReport,
     assemble,
-    classify,
     direct_sum_decompose,
     f_point_decomposition,
     global_f_decomposition,
@@ -63,7 +63,6 @@ from .twoslot import (
     verify_pure_superchannel,
 )
 from .builders import (
-    ancilla_chain,
     build_d3d_example,
     build_direct_sum,
     build_quantum_switch,

@@ -5,7 +5,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .combs import CombCircuit, ancilla_labels, compose_staircase
+from .combs import CombCircuit, ancilla_chain, ancilla_labels, compose_staircase
 from .layouts import SlotLayout, TwoSlotLayout
 from .spaces import LinOp, Spaces
 from .twoslot import embed_block
@@ -20,26 +20,11 @@ def haar_unitary(dim: int, rng: np.random.Generator) -> np.ndarray:
     return q * (d / np.abs(d))
 
 
-def random_unitary(dim: int, seed: int, label: str = "U") -> LinOp:
-    """Seeded Haar-random unitary on a single labeled factor."""
+def random_unitary(dim: int, seed: int) -> LinOp:
+    """Seeded Haar-random unitary on a single factor labeled 'U'."""
     rng = np.random.default_rng(seed)
-    sp = Spaces.of((label, dim))
+    sp = Spaces.of(("U", dim))
     return LinOp(sp, sp, haar_unitary(dim, rng))
-
-
-def ancilla_chain(layout: SlotLayout) -> tuple[int, ...]:
-    """The unique ancilla dimensions k_0 .. k_{N+1} compatible with the wire
-    dimensions, or an error when no integer chain exists."""
-    dims = layout.dims
-    ks = [1]
-    for m in range(layout.n_slots + 1):
-        num = dims[2 * m] * ks[m]
-        if num % dims[2 * m + 1] != 0:
-            raise ValueError(f"no integer ancilla chain: {num} is not divisible by {dims[2 * m + 1]}")
-        ks.append(num // dims[2 * m + 1])
-    if ks[-1] != 1:
-        raise ValueError(f"ancilla chain does not close: k_N+1 = {ks[-1]}")
-    return tuple(ks)
 
 
 def random_staircase_circuit(layout: SlotLayout, seed: int) -> CombCircuit:
@@ -69,6 +54,17 @@ def switch_layout(d: int = 2) -> TwoSlotLayout:
     return TwoSlotLayout.of(("P", 2 * d), ("AI", d), ("AO", d), ("BI", d), ("BO", d), ("F", 2 * d))
 
 
+def _routing(layout: TwoSlotLayout, route) -> LinOp:
+    """The permutation sending each input basis state |p, a, b> (past, A
+    output, B output) to the output basis state |route(p, a, b)> = |a_in,
+    b_in, f> (A input, B input, future)."""
+    sp_in, sp_out = layout.in_space(), layout.out_space()
+    rows = [np.ravel_multi_index(route(*pab), sp_out.dims) for pab in np.ndindex(*sp_in.dims)]
+    mat = np.zeros((sp_out.dim, sp_in.dim), dtype=np.complex128)
+    mat[rows, np.arange(sp_in.dim)] = 1.0
+    return LinOp(sp_out, sp_in, mat)
+
+
 def build_quantum_switch(d: int = 2) -> tuple[LinOp, TwoSlotLayout]:
     """Coherently order-controlled routing of two slots.
 
@@ -77,22 +73,13 @@ def build_quantum_switch(d: int = 2) -> tuple[LinOp, TwoSlotLayout]:
     future, control 1 routes past -> B -> A -> future, and the control
     value is copied to the future.
     """
+
+    def route(p, a, b):
+        c, t = divmod(p, d)
+        return (t, a, b) if c == 0 else (b, t, d + a)
+
     layout = switch_layout(d)
-    din = layout.in_space().dim
-    dout = layout.out_space().dim
-    mat = np.zeros((dout, din), dtype=np.complex128)
-    for c in range(2):
-        for t in range(d):
-            for a in range(d):
-                for b in range(d):
-                    col = ((c * d + t) * d + a) * d + b
-                    if c == 0:
-                        ai, bi, f = t, a, 0 * d + b
-                    else:
-                        ai, bi, f = b, t, 1 * d + a
-                    row = (ai * d + bi) * (2 * d) + f
-                    mat[row, col] = 1.0
-    return LinOp(layout.out_space(), layout.in_space(), mat), layout
+    return _routing(layout, route), layout
 
 
 def d3d_layout() -> TwoSlotLayout:
@@ -108,24 +95,13 @@ def build_d3d_example() -> tuple[LinOp, TwoSlotLayout]:
     and writes (a, b) to the future while feeding c XOR a to B; the second
     branch (c = 2) runs B before A and writes (2, a) to the future.
     """
+
+    def route(p, a, b):
+        c, t = divmod(p, 2)
+        return (t, c ^ a, 2 * a + b) if c < 2 else (b, t, 4 + a)
+
     layout = d3d_layout()
-    mat = np.zeros((24, 24), dtype=np.complex128)
-    for c in range(2):
-        for t in range(2):
-            for a in range(2):
-                for b in range(2):
-                    col = ((c * 2 + t) * 2 + a) * 2 + b
-                    ai, bi, f = t, c ^ a, a * 2 + b
-                    row = (ai * 2 + bi) * 6 + f
-                    mat[row, col] = 1.0
-    for t in range(2):
-        for a in range(2):
-            for b in range(2):
-                col = ((2 * 2 + t) * 2 + a) * 2 + b
-                ai, bi, f = b, t, 2 * 2 + a
-                row = (ai * 2 + bi) * 6 + f
-                mat[row, col] = 1.0
-    return LinOp(layout.out_space(), layout.in_space(), mat), layout
+    return _routing(layout, route), layout
 
 
 def build_direct_sum(

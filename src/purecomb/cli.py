@@ -217,6 +217,11 @@ def cmd_verify(args) -> int:
 
 
 def _chain_layout_from_square(op: LinOp, order_arg: str | None) -> SlotLayout:
+    if dict(op.out_space.factors) != dict(op.in_space.factors):
+        raise UsageError(
+            f"a comb Choi operator carries the same factors on both sides: "
+            f"out {op.out_space.factors} vs in {op.in_space.factors}"
+        )
     if order_arg:
         order = [lab.strip() for lab in order_arg.split(",")]
     else:
@@ -269,27 +274,21 @@ def cmd_decompose(args) -> int:
                 el_path = f"{args.out}.element-{i}.json"
                 save_matrix(el_path, el)
                 written.append(el_path)
+        details["files"] = written
+        verdict = "pass"
     except VerificationError as exc:
-        report = Report(
-            command="decompose",
-            inputs=inputs,
-            verdict="fail",
-            details={"kind": args.kind, "reason": str(exc)},
-            tolerances={"tol": tol},
-        )
-        _emit(report, args.json, f"{args.out}.report.json")
-        return EXIT_FAIL
-    details["files"] = written
+        verdict, residuals = "fail", {}
+        details = {"kind": args.kind, "reason": str(exc)}
     report = Report(
         command="decompose",
         inputs=inputs,
-        verdict="pass",
+        verdict=verdict,
         residuals=residuals,
         details=details,
         tolerances={"tol": tol},
     )
     _emit(report, args.json, f"{args.out}.report.json")
-    return EXIT_PASS
+    return EXIT_PASS if verdict == "pass" else EXIT_FAIL
 
 
 def cmd_assemble(args) -> int:

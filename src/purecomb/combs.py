@@ -22,10 +22,9 @@ from .spaces import (
     TOL,
     LinOp,
     Spaces,
+    _aligned_square,
     compose,
-    identity,
     is_unitary,
-    kron,
     partial_trace,
     permute_systems,
 )
@@ -47,18 +46,12 @@ class CombCircuit:
     tol: float = TOL  # every element must be unitary within it
 
     def __post_init__(self):
-        n = self.layout.n_slots
-        if len(self.elements) != n + 1 or len(self.ancilla_dims) != n + 2:
-            raise ValueError("element/ancilla counts do not match the layout")
-        if self.ancilla_dims[0] != 1 or self.ancilla_dims[-1] != 1:
-            raise ValueError("outer ancilla dimensions must be 1")
-        dims = self.layout.dims
-        for m in range(n + 1):
-            if dims[2 * m] * self.ancilla_dims[m] != dims[2 * m + 1] * self.ancilla_dims[m + 1]:
-                raise ValueError(
-                    f"dimension chain broken at element {m}: "
-                    f"{dims[2 * m]}*{self.ancilla_dims[m]} != {dims[2 * m + 1]}*{self.ancilla_dims[m + 1]}"
-                )
+        if len(self.elements) != self.layout.n_slots + 1:
+            raise ValueError("element count does not match the layout")
+        chain = ancilla_chain(self.layout)
+        if tuple(self.ancilla_dims) != chain:
+            raise ValueError(f"ancilla dims {tuple(self.ancilla_dims)} are not the layout's "
+                             f"chain {chain}")
         for m, el in enumerate(self.elements):
             ok, res = is_unitary(el, self.tol)
             if not ok:
@@ -141,32 +134,34 @@ def verify_comb_choi(r, layout: SlotLayout, tol: float = TOL) -> CombChoiReport:
 
     At level n the trace over the output wires above the level must be an
     identity on the input wires above the level times a reduced operator;
-    the level-0 reduced operator must be the scalar 1.
+    the level-0 reduced operator must be the scalar 1.  Both sides must
+    carry the layout's factors; the input side is aligned to the output
+    side's order before any check.
     """
     op = r.op if isinstance(r, ChoiOp) else r
-    if op.out_space != op.in_space:
-        raise ValueError("a Choi operator must be square on one space")
-    want = {lab: d for lab, d in layout.factors}
-    have = {lab: op.out_space.dim_of(lab) for lab in op.out_space.labels}
-    if want != have:
-        raise ValueError(f"Choi factors {have} do not match layout {want}")
+    want = dict(layout.factors)
+    for side in (op.out_space, op.in_space):
+        if dict(side.factors) != want:
+            raise ValueError(f"Choi factors {dict(side.factors)} do not match layout {want}")
+    op = _aligned_square(op)
     choi = ChoiOp(op, layout.labels[0::2], layout.labels[1::2])
     herm, min_eig = choi.hermiticity_residual(), choi.min_eigenvalue()
-    n_slots = layout.n_slots
-    residuals = [0.0] * (n_slots + 1)
-    norm_res = 0.0
-    for n in range(n_slots, -1, -1):
-        traced_out = [layout.factor(2 * k + 1)[0] for k in range(n, n_slots + 1)]
-        level = partial_trace(op, traced_out)
-        id_factors = [layout.factor(2 * k)[0] for k in range(n, n_slots + 1)]
-        id_space = level.out_space.select(id_factors)
-        reduced = partial_trace(level, id_factors)
-        reduced = LinOp(reduced.out_space, reduced.in_space, reduced.data / id_space.dim)
-        lifted = kron(reduced, identity(id_space))
-        lifted = permute_systems(lifted, list(level.out_space.labels))
-        residuals[n] = float(np.abs(level.data - lifted.data).max())
+    residuals = []
+    for n in range(layout.n_slots + 1):
+        level = partial_trace(op, layout.labels[2 * n + 1::2])
+        ids = list(layout.labels[2 * n::2])
+        rest = [lab for lab in level.out_space.labels if lab not in ids]
+        level = permute_systems(level, rest + ids)
+        reduced = partial_trace(level, ids)
+        d_rest = reduced.out_space.dim
+        d_ids = level.out_space.dim // d_rest
+        reduced = reduced.data / d_ids
+        # level viewed as (rest, ids, rest, ids) against reduced (x) I_ids
+        view = level.data.reshape(d_rest, d_ids, d_rest, d_ids)
+        lifted = reduced[:, None, :, None] * np.eye(d_ids)[None, :, None, :]
+        residuals.append(float(np.abs(view - lifted).max()))
         if n == 0:
-            norm_res = float(abs(reduced.data[0, 0] - 1.0))
+            norm_res = float(abs(reduced[0, 0] - 1.0))
     ok = (
         herm <= tol
         and min_eig >= -tol
@@ -190,6 +185,21 @@ def ancilla_labels(layout: SlotLayout) -> tuple[str, ...]:
     return tuple(labels)
 
 
+def ancilla_chain(layout: SlotLayout) -> tuple[int, ...]:
+    """The unique ancilla dimensions k_0 .. k_{N+1} compatible with the wire
+    dimensions, or an error when no integer chain exists."""
+    dims = layout.dims
+    ks = [1]
+    for m in range(layout.n_slots + 1):
+        num = dims[2 * m] * ks[m]
+        if num % dims[2 * m + 1] != 0:
+            raise ValueError(f"no integer ancilla chain: {num} is not divisible by {dims[2 * m + 1]}")
+        ks.append(num // dims[2 * m + 1])
+    if ks[-1] != 1:
+        raise ValueError(f"ancilla chain does not close: k_N+1 = {ks[-1]}")
+    return tuple(ks)
+
+
 def _projector_range(m: np.ndarray, tol: float, what: str) -> tuple[np.ndarray, np.ndarray]:
     """Range and kernel, one frame, of a Hermitian ``m`` (0 x 0 allowed); every
     eigenvalue must lie within ``tol`` of 0 or 1 (the error names ``what``)."""
@@ -207,11 +217,11 @@ def staircase_decompose(u: LinOp, layout: SlotLayout, tol: float = TOL) -> CombC
     state, Tr_inner[U (I_past (x) |0><0|_slot) U^dagger] / d_inner is the
     projector onto the future support of the next element (Chiribella,
     D'Ariano & Perinotti, PRL 101, 060401 (2008)); its range (one ``eigh``
-    at ``tol``) has rank k, checked against the integer quotient of the wire
-    dimensions.  Every element is a slice of the current operator contracted
-    with that eigenbasis, a gauge choice: deterministic for a fixed numpy/
-    BLAS build, but ulp-level input changes can move it where eigenvalues
-    are degenerate.  Recomposition reproduces the input up to a global
+    at ``tol``) has rank k, checked against k_m of ``ancilla_chain``, the
+    integer quotient of the wire dimensions.  Every element is a slice of
+    the current operator contracted with that eigenbasis, a gauge choice:
+    deterministic for a fixed numpy/BLAS build, but ulp-level input changes
+    can move it where eigenvalues are degenerate.  Recomposition reproduces the input up to a global
     phase, with these ``ancilla_dims``.
     """
     report = verify_pure_comb_unitary(u, layout, tol)
@@ -220,28 +230,24 @@ def staircase_decompose(u: LinOp, layout: SlotLayout, tol: float = TOL) -> CombC
             f"operator is not a reversible comb for this layout "
             f"(worst signalling residual {report.max_residual:.2e})"
         )
+    try:
+        ks = ancilla_chain(layout)
+    except ValueError as exc:
+        raise VerificationError(f"wire dimensions admit no integer ancilla chain: {exc}") from None
     n_slots = layout.n_slots
     anc_labels = ancilla_labels(layout)
-    if n_slots == 0:
-        return CombCircuit(layout, (u,), (1, 1), (), tol)
 
     cur = permute_systems(
         u, [lab for lab, _ in layout.even_factors()] + [lab for lab, _ in layout.odd_factors()]
     )
     elements: list[LinOp] = []
-    ks = [1] * (n_slots + 2)
     future_factors = [layout.factor(2 * n_slots + 1)]
     for m in range(n_slots, 0, -1):
         past_space = Spaces(layout.even_factors()[:m])
         slot_out_factor = layout.factor(2 * m)
         inner_out_space = Spaces(layout.odd_factors()[:m])
         future_space = Spaces(tuple(future_factors))
-        d_past, d_inner = past_space.dim, inner_out_space.dim
-        if d_past % d_inner != 0:
-            raise VerificationError(
-                f"wire dimensions at slot {m} admit no integer ancilla: {d_past} / {d_inner}"
-            )
-        k = d_past // d_inner
+        d_past, d_inner, k = past_space.dim, inner_out_space.dim, ks[m]
         # t[i, f, p, a] = <i, f| U |p, a>: inner outputs, future, past, slot output
         t = cur.data.reshape(d_inner, future_space.dim, d_past, slot_out_factor[1])
 
@@ -263,7 +269,6 @@ def staircase_decompose(u: LinOp, layout: SlotLayout, tol: float = TOL) -> CombC
         anc = Spaces(((anc_labels[m - 1], k),)) if k > 1 else Spaces(())
         el_in = Spaces((slot_out_factor,)).concat(anc)
         elements.append(LinOp(future_space, el_in, f_cols))
-        ks[m] = k
 
         new_out = inner_out_space.concat(anc)
         cur = LinOp(new_out, past_space, p_mat.conj().T)
@@ -271,7 +276,7 @@ def staircase_decompose(u: LinOp, layout: SlotLayout, tol: float = TOL) -> CombC
 
     elements.append(cur)  # U_0
     elements.reverse()
-    return CombCircuit(layout, tuple(elements), tuple(ks), anc_labels, tol)
+    return CombCircuit(layout, tuple(elements), ks, anc_labels, tol)
 
 
 def compose_staircase(c: CombCircuit) -> LinOp:

@@ -25,11 +25,9 @@ class SlotLayout:
     def __post_init__(self):
         if len(self.factors) < 2 or len(self.factors) % 2 != 0:
             raise ValueError("a slot layout needs an even number of factors, at least 2")
-        labels = tuple(lab for lab, _ in self.factors)
-        if len(set(labels)) != len(labels):
-            raise ValueError(f"duplicate labels in layout: {list(labels)}")
-        object.__setattr__(self, "labels", labels)
-        object.__setattr__(self, "dims", tuple(d for _, d in self.factors))
+        spaces = Spaces(self.factors)  # unique labels, int dims >= 1
+        object.__setattr__(self, "labels", spaces.labels)
+        object.__setattr__(self, "dims", spaces.dims)
 
     @staticmethod
     def of(*factors) -> "SlotLayout":

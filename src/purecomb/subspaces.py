@@ -2,10 +2,11 @@
 orthogonality tests, and label-aware reduction of composite-space subspaces.
 
 A subspace is an orthonormal column basis on its ambient space and nothing
-else.  Every function that decides a rank takes the tolerance as an argument
-(singular values above tol * max(sigma_max, 1) are kept); no subspace carries
-one on to the next call.  Bases are never canonical; all comparisons
-downstream are projector or angle based.
+else; ``from_spanning`` builds one from a matrix of coordinate columns and
+the ambient space they live on.  Every function that decides a rank takes
+the tolerance as an argument (singular values above tol * max(sigma_max, 1)
+are kept); no subspace carries one on to the next call.  Bases are never
+canonical; all comparisons downstream are projector or angle based.
 
 In the package, spans, sums, complements and intersections serve the
 pointwise future split of ``twoslot``, and ``orthogonality_residual`` the
@@ -47,9 +48,6 @@ class Subspace:
     def dim(self) -> int:
         return self.basis.shape[1]
 
-    def projector(self) -> np.ndarray:
-        return self.basis @ self.basis.conj().T
-
     @staticmethod
     def zero(ambient: Spaces) -> "Subspace":
         return Subspace(ambient, np.zeros((ambient.dim, 0)))
@@ -70,30 +68,12 @@ def _orthonormalize(mat: np.ndarray, dim: int, tol: float) -> np.ndarray:
     return u[:, :rank]
 
 
-def from_spanning(vectors, ambient: Spaces | None = None, tol: float = TOL) -> Subspace:
-    """Orthonormal basis of the span of the given vectors.
-
-    ``vectors`` is either a list of Vec on a common space or a matrix whose
+def from_spanning(vectors: np.ndarray, ambient: Spaces, tol: float = TOL) -> Subspace:
+    """Orthonormal basis of the column span of ``vectors``, a matrix whose
     columns are coordinates in ``ambient``.  Numerical rank counts singular
     values above tol * max(sigma_max, 1).
     """
-    if isinstance(vectors, np.ndarray):
-        if ambient is None:
-            raise ValueError("ambient space required for a raw coordinate matrix")
-        mat = np.asarray(vectors, dtype=np.complex128)
-        if mat.ndim == 1:
-            mat = mat.reshape(-1, 1)
-    else:
-        vecs = list(vectors)
-        if not vecs:
-            if ambient is None:
-                raise ValueError("cannot infer ambient space from an empty list")
-            return Subspace.zero(ambient)
-        ambient = ambient or vecs[0].space
-        for v in vecs:
-            if v.space != ambient:
-                raise ValueError(f"mixed ambient spaces: {v.space.labels} vs {ambient.labels}")
-        mat = np.column_stack([v.data for v in vecs])
+    mat = np.asarray(vectors, dtype=np.complex128)
     return Subspace(ambient, _orthonormalize(mat, ambient.dim, tol))
 
 

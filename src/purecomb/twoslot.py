@@ -59,7 +59,6 @@ __all__ = [
     "direct_sum_decompose",
     "embed_block",
     "assemble",
-    "classify",
     "trace_future_check",
 ]
 
@@ -376,7 +375,7 @@ class DirectSumDecomp:
     columns (A-first) and reverse ones (B-first).  Blocks are the restricted
     unitaries in those coordinates, None when the past part is empty.
     ``triple_p_dims``/``triple_f_dims`` record the forward/parallel/reverse
-    dimensions; ``classification`` is derived by ``classify`` when read.
+    dimensions; ``classification`` is derived from them when read.
     """
 
     layout: TwoSlotLayout
@@ -400,33 +399,29 @@ class DirectSumDecomp:
 
     @property
     def classification(self) -> str:
-        return classify(self)
+        """Coarse class of the split: parallel, ordered one way, switch-like
+        (balanced blocks over equal wires at double dimension), or a general
+        direct sum."""
+        layout = self.layout
+        p1, p2 = self.p_dims
+        dd = layout.past[1]
+        if self.triple_p_dims[1] == dd:
+            return "parallel"
+        if p2 == 0:
+            return "ordered-ab"
+        if p1 == 0:
+            return "ordered-ba"
+        wire_dims = {layout.a_in[1], layout.a_out[1], layout.b_in[1], layout.b_out[1]}
+        if len(wire_dims) == 1:
+            w = wire_dims.pop()
+            if dd == 2 * w == layout.future[1] and p1 == p2 == w:
+                return "switch-like"
+        return "general-direct-sum"
 
     def parts(self) -> dict:
         """(block, past embedding, future embedding) keyed by order tag."""
         return {"ab": (self.block_ab, self.p_embed_ab, self.f_embed_ab),
                 "ba": (self.block_ba, self.p_embed_ba, self.f_embed_ba)}
-
-
-def classify(d: DirectSumDecomp) -> str:
-    """Coarse class of the split: parallel, ordered one way, switch-like
-    (balanced blocks over equal wires at double dimension), or a general
-    direct sum."""
-    layout = d.layout
-    p1, p2 = d.p_dims
-    dd = layout.past[1]
-    if d.triple_p_dims[1] == dd:
-        return "parallel"
-    if p2 == 0:
-        return "ordered-ab"
-    if p1 == 0:
-        return "ordered-ba"
-    wire_dims = {layout.a_in[1], layout.a_out[1], layout.b_in[1], layout.b_out[1]}
-    if len(wire_dims) == 1:
-        w = wire_dims.pop()
-        if dd == 2 * w == layout.future[1] and p1 == p2 == w:
-            return "switch-like"
-    return "general-direct-sum"
 
 
 def direct_sum_decompose(u: LinOp, layout: TwoSlotLayout, tol: float = TOL) -> DirectSumDecomp:
@@ -536,34 +531,17 @@ class TraceFutureReport:
     Tr_F of block k's Choi operator is M_k M_k^dagger for its rank-<=d_F
     factor M_k[(in, AI, BI), f] = <AI, BI, f| e_k |in>, so the traced sum
     misses the traced total by C + C^dagger, C = M_ab M_ba^dagger: the
-    cross term of the two factors.  ``residual`` is its max-abs and
-    ``weights`` the normalised ||M_k||_F^2.  Only the factors are stored;
-    ``traced_total`` and ``traced_blocks`` form the (D^2/d_F)^2 operators
-    when read."""
+    cross term of the two factors.  ``residual`` is its max-abs, ``weights``
+    the normalised ||M_k||_F^2, and ``ok`` whether the residual is within
+    ``tol``.  No traced operator is formed or kept."""
 
     residual: float
     weights: tuple[float, float]
     tol: float
-    factors: tuple[np.ndarray | None, np.ndarray | None] = dataclasses.field(repr=False,
-                                                                             compare=False)
-    space: Spaces = dataclasses.field(repr=False)
 
     @property
     def ok(self) -> bool:
         return self.residual <= self.tol
-
-    def _traced(self, m: np.ndarray) -> LinOp:
-        return LinOp(self.space, self.space, m @ m.conj().T)
-
-    @property
-    def traced_total(self) -> LinOp:
-        """Tr_F of the assembled operator's Choi operator."""
-        return self._traced(sum(m for m in self.factors if m is not None))
-
-    @property
-    def traced_blocks(self) -> tuple[LinOp | None, LinOp | None]:
-        """Tr_F of each embedded block's Choi operator, None for an empty block."""
-        return tuple(None if m is None else self._traced(m) for m in self.factors)
 
 
 # rows and columns of one tile of C + C^dagger: 256^2 complex entries, 1 MiB
@@ -596,21 +574,17 @@ def trace_future_check(d: DirectSumDecomp, tol: float = TOL) -> TraceFutureRepor
     """The future-traced identity of ``d``, passing within ``tol``; the
     assembled operator must be unitary within the same ``tol``.
 
-    Each block is embedded once (``_embedded``) and kept as its factor M_k;
-    the residual is the max-abs of C + C^dagger, C = M_ab M_ba^dagger, the
+    Each block is embedded once (``_embedded``) and reduced to its factor
+    M_k, which the report does not keep; the residual is the max-abs of C + C^dagger, C = M_ab M_ba^dagger, the
     cross term by which the traced total exceeds the traced blocks, 0 for
     a one-block split.  It is streamed in _TILE x _TILE tiles of the upper
     block triangle, so beyond the factors memory is bounded by one tile.
     In every case tried the residual has stayed within the assembly's
     unitarity residual, so the unitarity check at ``tol`` fails first.
     """
-    layout = d.layout
-    embedded, total = _embedded(d, tol)
-    factors = tuple(None if e is None else _future_factor(e, layout) for e in embedded)
+    embedded = _embedded(d, tol)[0]
+    factors = [None if e is None else _future_factor(e, d.layout) for e in embedded]
     present = [m for m in factors if m is not None]
     residual = _cross_residual(*present) if len(present) == 2 else 0.0
     weights = [0.0 if m is None else float(np.vdot(m, m).real) for m in factors]
-    total_weight = sum(weights)
-    space = total.in_space.concat(total.out_space.without([layout.future[0]]))
-    return TraceFutureReport(residual, tuple(w / total_weight for w in weights), tol, factors,
-                             space)
+    return TraceFutureReport(residual, tuple(w / sum(weights) for w in weights), tol)

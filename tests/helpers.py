@@ -61,6 +61,11 @@ hermiticity residual max |A - A^dagger| and the lowest eigenvalue of
 (A + A^dagger) / 2, each over whole-matrix temporaries.  The row-tiled
 checks must return the same floats.
 
+The comb-Choi tower reference is the form ``verify_comb_choi`` once took:
+each level's reduced operator lifted by ``kron`` with an identity and
+permuted back to the level's factor order.  The broadcast comparison must
+return the same level and normalization residuals.
+
 The rest are small references that only tests call, moved here from the
 package: ``basis_state``, ``kron_vec`` and ``partial_transpose`` on labeled
 vectors and operators; ``angle_sine`` between subspaces; ``apply_channel``
@@ -469,6 +474,29 @@ def reference_choi_checks(c):
     ``ChoiOp``, each from whole-matrix temporaries."""
     a = c.op.data
     return float(np.abs(a - a.conj().T).max()), float(np.linalg.eigvalsh((a + a.conj().T) / 2)[0])
+
+
+def reference_comb_choi_tower(op, layout):
+    """Level residuals and normalization residual of the comb-Choi tower,
+    each level compared with its reduced operator lifted by ``kron`` with
+    the identity on the level's input wires and permuted back to the
+    level's factor order."""
+    n_slots = layout.n_slots
+    residuals = [0.0] * (n_slots + 1)
+    norm_res = 0.0
+    for n in range(n_slots, -1, -1):
+        traced_out = [layout.factor(2 * k + 1)[0] for k in range(n, n_slots + 1)]
+        level = partial_trace(op, traced_out)
+        id_factors = [layout.factor(2 * k)[0] for k in range(n, n_slots + 1)]
+        id_space = level.out_space.select(id_factors)
+        reduced = partial_trace(level, id_factors)
+        reduced = LinOp(reduced.out_space, reduced.in_space, reduced.data / id_space.dim)
+        lifted = kron(reduced, identity(id_space))
+        lifted = permute_systems(lifted, list(level.out_space.labels))
+        residuals[n] = float(np.abs(level.data - lifted.data).max())
+        if n == 0:
+            norm_res = float(abs(reduced.data[0, 0] - 1.0))
+    return tuple(residuals), norm_res
 
 
 def future_traced_choi(op, layout):

@@ -275,7 +275,8 @@ def test_criterion_08_subspace_oracles(announce):
             rng.standard_normal((sp.dim, kt)) + 1j * rng.standard_normal((sp.dim, kt)), sp
         )
         got_i = intersect(s, t)
-        prod = s.projector() @ t.projector() @ s.projector()
+        p_s, p_t = s.basis @ s.basis.conj().T, t.basis @ t.basis.conj().T
+        prod = p_s @ p_t @ p_s
         evals, evecs = np.linalg.eigh((prod + prod.conj().T) / 2)
         oracle_i = from_spanning(evecs[:, np.abs(evals - 1.0) < 1e-8], sp)
         ok &= got_i.dim == oracle_i.dim and angle_sine(got_i, oracle_i) < 1e-8

@@ -1,3 +1,5 @@
+import os
+
 import numpy as np
 import pytest
 
@@ -12,9 +14,21 @@ from purecomb.builders import (
     random_unitary,
 )
 from purecomb.combs import verify_pure_comb_unitary
+from purecomb.io import load_matrix
 from purecomb.layouts import SlotLayout
 from purecomb.spaces import apply_op, is_unitary
 from purecomb.twoslot import verify_pure_superchannel
+
+FIXTURES = os.path.join(os.path.dirname(__file__), "fixtures")
+
+
+@pytest.mark.parametrize("name, build", [("switch", lambda: build_quantum_switch(2)),
+                                         ("d3d", build_d3d_example)])
+def test_worked_instance_equals_its_fixture(name, build):
+    u, _ = build()
+    want = load_matrix(os.path.join(FIXTURES, f"{name}.json"))
+    assert (u.out_space, u.in_space) == (want.out_space, want.in_space)
+    assert np.array_equal(u.data, want.data)
 
 
 class TestQuantumSwitch:

@@ -8,8 +8,9 @@ import pytest
 from helpers import perturbed
 from purecomb import builders
 from purecomb.cli import Report, build_parser, main
-from purecomb.combs import CombCircuit, ancilla_labels, compose_staircase
+from purecomb.combs import CombCircuit, ancilla_labels, compose_staircase, verify_comb_choi
 from purecomb.io import MatrixFileError, file_digest, load_matrix, save_matrix
+from purecomb.layouts import SlotLayout
 from purecomb.spaces import LinOp, Spaces, permute_systems, phase_distance
 from purecomb.twoslot import direct_sum_decompose, embed_block
 from purecomb.builders import haar_unitary
@@ -159,6 +160,31 @@ class TestVerifyCommand:
             "verify", str(choi_path), "--kind", "comb-choi",
             "--order", "H0,H1,H2,H3",
         ]) == 0
+
+    def test_comb_choi_with_input_factors_in_another_order(self, tmp_path, capsys):
+        # the fixture with P and AI swapped on its input side only
+        src = os.path.join(FIXTURES, "comb-choi.json")
+        op = load_matrix(src)
+        labels = ["AI", "AO", "BO", "P", "BI", "F"]
+        n = len(op.out_space)
+        axes = [*range(n), *(n + op.in_space.index(lab) for lab in labels)]
+        data = op.data.reshape(op.out_space.dims + op.in_space.dims).transpose(axes)
+        moved = LinOp(op.out_space, op.in_space.select(labels), data.reshape(op.data.shape))
+        order = "P,AI,AO,BI,BO,F"
+        chain = SlotLayout(tuple((lab, op.out_space.dim_of(lab)) for lab in order.split(",")))
+        rep = verify_comb_choi(op, chain)
+        assert rep.ok and verify_comb_choi(moved, chain) == rep
+        path = tmp_path / "moved.json"
+        save_matrix(path, moved)
+        outs = []
+        for p in (src, str(path)):
+            assert main(["verify", p, "--kind", "comb-choi", "--order", order, "--json"]) == 0
+            outs.append(capsys.readouterr().out.replace(file_digest(p), "<digest>"))
+        assert outs[0] == outs[1]
+
+    def test_comb_choi_of_a_non_square_operator_exit_2(self, capsys):
+        assert main(["verify", SWITCH, "--kind", "comb-choi"]) == 2
+        assert "same factors on both sides" in capsys.readouterr().err
 
 
 class TestBuildCommand:

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -7,6 +9,7 @@ from helpers import (
     family_verdict,
     locally_rotated,
     perturbed,
+    reference_comb_choi_tower,
 )
 from purecomb.builders import (
     ancilla_chain,
@@ -93,6 +96,24 @@ class TestVerifyCombChoi:
             v = _random_shaped(LAY1, seed)
             assert not verify_comb_choi(choi_of_unitary(v), LAY1).ok
             assert not verify_pure_comb_unitary(v, LAY1).ok
+
+    def test_tower_equals_the_kron_lift_reference(self):
+        # the chains of the choi benchmark workload, each comb Choi in its
+        # inputs-then-outputs order and in chain order, and a positive
+        # operator with the comb Choi's trace but no comb structure
+        rng = np.random.default_rng(31)
+        for chain in (BENCH_CHAINS[0],
+                      SlotLayout.of(("H0", 4), ("H1", 2), ("H2", 2), ("H3", 4), ("H4", 4),
+                                    ("H5", 4))):
+            w = choi_of_unitary(random_pure_comb(chain, 4)).op
+            d = w.out_space.dim
+            g = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
+            positive = LinOp(w.out_space, w.in_space, g @ g.conj().T / d)
+            for op in (w, permute_systems(w, list(chain.labels)), positive):
+                rep = verify_comb_choi(op, chain)
+                assert rep.ok == (op is not positive)
+                want = reference_comb_choi_tower(op, chain)
+                assert (rep.level_residuals, rep.normalization_residual) == want
 
 
 class TestVerifyPureCombUnitary:
@@ -284,6 +305,15 @@ class TestAncillaLabels:
         assert random_staircase_circuit(lay, 22).ancilla_labels == ("__anc1", "_anc2")
         u = random_pure_comb(lay, 22)
         assert staircase_decompose(u, lay).ancilla_labels == ("__anc1", "_anc2")
+
+
+class TestCombCircuit:
+    def test_wrong_ancilla_dims_rejected(self):
+        c = random_staircase_circuit(LAY1_K2, 3)
+        assert c.ancilla_dims == (1, 2, 1)
+        for dims in ((1, 1, 1), (1, 4, 1), (2, 1, 1), (1, 2), (1, 2, 1, 1)):
+            with pytest.raises(ValueError, match="ancilla dims"):
+                dataclasses.replace(c, ancilla_dims=dims)
 
 
 class TestComposeStaircase:

@@ -92,6 +92,12 @@ class TestSpaces:
         moved = dataclasses.replace(lay, factors=(("X", 7), ("Y", 8)))
         assert (moved.labels, moved.dims, moved.n_slots) == (("X", "Y"), (7, 8), 0)
 
+    @pytest.mark.parametrize("factors", [(("H0", 2), ("H1", 0)), (("H0", 2), ("H1", -1)),
+                                         (("H0", 2), ("H1", 2.0)), (("H0", 2), ("H0", 2))])
+    def test_slot_layout_rejects_what_spaces_rejects(self, factors):
+        with pytest.raises(ValueError):
+            SlotLayout(factors)
+
 
 class TestKron:
     def test_identity_case(self):

@@ -12,6 +12,7 @@ from helpers import (
     family_global_p,
     family_residuals,
     family_verdict,
+    future_traced_choi,
     kron_restriction,
     locally_rotated,
     perturbed,
@@ -874,7 +875,7 @@ class TestTraceFutureCheck:
         rep = trace_future_check(d)
         assert rep.ok
         assert rep.weights == (1.0, 0.0)
-        assert rep.traced_blocks[1] is None
+        assert d.block_ba is None and rep.residual == 0.0
 
     def test_weights_follow_block_dims(self):
         u, lay, _ = _random_direct_sum(15, p_ab=2, p_ba=4)
@@ -888,9 +889,9 @@ class TestTraceFutureCheck:
         for dim in (2, 3):
             u, lay = build_quantum_switch(dim)
             d = direct_sum_decompose(u, lay)
-            rep = trace_future_check(d)
             ops = [assemble(d)] + [embed_block(*part, lay) for part in d.parts().values()]
-            for op, traced in zip(ops, (rep.traced_total, *rep.traced_blocks)):
+            for op in ops:
+                traced = future_traced_choi(op, lay)
                 dense = partial_trace(choi_of_unitary(op).op, [lay.future[0]])
                 assert traced.out_space == dense.out_space == traced.in_space
                 assert np.abs(traced.data - dense.data).max() <= 1e-14
