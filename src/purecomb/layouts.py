@@ -79,6 +79,9 @@ class TwoSlotLayout:
     b_out: tuple[str, int]
     future: tuple[str, int]
 
+    def __post_init__(self):
+        Spaces(self.all_factors)  # unique labels, int dims >= 1
+
     @staticmethod
     def of(past, a_in, a_out, b_in, b_out, future) -> "TwoSlotLayout":
         norm = lambda f: (str(f[0]), int(f[1]))

@@ -23,6 +23,15 @@ M_ba^dagger, the cross term of the two blocks' factors, streamed in tiles
 of one fixed size, so memory beyond the factors is bounded by one tile.
 In every case tried this residual has stayed within the assembly's
 unitarity residual.
+
+The joint residual and the future-traced check are max-abs values of
+Gram-like products, each entry the dot product of one row of each operand.
+A row index that is 0 in every operand gives entries that are exactly 0,
+so both drop such rows before any product and scan the rest; the paper's
+worked processes are permutation unitaries, where most rows are 0.  The
+summed dimension and its order are untouched.  The signalling residual and
+the past split keep every row: the former's I (x) Tr C correction couples
+a 0 row to live ones, and the latter's Gram sum decides the frames.
 """
 
 from __future__ import annotations
@@ -157,12 +166,22 @@ def _joint_residual(u: LinOp, layout: TwoSlotLayout) -> float:
     b <= b'.  The traced-over-a Gram of each such (b, b') is formed once and
     serves every diagonal a, and the d_a diagonal traced-over-b Grams are
     kept for it.
+
+    Entry (r, r') of every block and every traced correction is a dot
+    product of rows r and r' of the realigned view m[(s, y), a, b, f], so a
+    row of m that is 0 in every (a, b, f) gives exactly 0 in its row and
+    column of every block.  Those rows are dropped once, before any Gram,
+    and the max-abs over the rest is the residual: a permutation unitary
+    such as the d-switch keeps 2/d of them.  A dense m drops nothing and is
+    not copied.
     """
-    d_a, d_b = layout.a_out[1], layout.b_out[1]
-    d_s, d_f = layout.a_in[1] * layout.b_in[1], layout.future[1]
+    d_a, d_b, d_f = layout.a_out[1], layout.b_out[1], layout.future[1]
+    t = _view(u, layout)
     # m[(s, y), a, b, f] = <s, f| U |y, a, b>, s over both slot inputs
-    m = u.data.reshape(d_s, d_f, layout.past[1], d_a, d_b).transpose(0, 2, 3, 4, 1)
-    m = m.reshape(-1, d_a, d_b, d_f)
+    m = t.reshape(*t.shape[:3], d_a, d_b).transpose(0, 2, 3, 4, 1).reshape(-1, d_a, d_b, d_f)
+    live = m.reshape(len(m), -1).any(axis=1)
+    if not live.all():
+        m = m[live]
 
     def gram(x, y):
         return x.reshape(len(x), -1) @ y.reshape(len(y), -1).conj().T
@@ -560,8 +579,14 @@ def _cross_residual(a: np.ndarray, b: np.ndarray) -> float:
 
     C + C^dagger = [a b] [b a]^dagger is Hermitian, so only the tiles on
     and above the diagonal of _TILE x _TILE tiles are formed, one at a time.
+    A row index where [a b], and so [b a], is 0 is a 0 row and column of
+    C + C^dagger, so those rows are dropped first and the tiles cover the
+    kept principal submatrix; each kept entry is the same sum of products.
     """
     x, y = np.hstack([a, b]), np.hstack([b, a]).conj()
+    live = x.any(axis=1)
+    if not live.all():
+        x, y = x[live], y[live]
     n, worst = len(x), 0.0
     for i in range(0, n, _TILE):
         rows = x[i:i + _TILE]

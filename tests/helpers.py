@@ -116,7 +116,7 @@ from purecomb.subspaces import (
     sum_subspaces,
 )
 from purecomb.layouts import TwoSlotLayout
-from purecomb.twoslot import SubspaceTriple, assemble, embed_block, p_point_decomposition
+from purecomb.twoslot import _TILE, SubspaceTriple, assemble, embed_block, p_point_decomposition
 
 
 def basis_state(spaces, index):
@@ -432,9 +432,10 @@ def kron_restriction(u, layout, p_embed, f_embed):
 
 
 def reference_joint_residual(u, layout):
-    """The joint residual as every ordered (a, a', b, b') block, each with
-    its own traced-over-a Gram: the loop ``twoslot._joint_residual`` halves
-    and hoists, which must give the same float."""
+    """The joint residual as every ordered (a, a', b, b') block over every
+    row of the realigned view, zero rows included, each block with its own
+    traced-over-a Gram: the loop ``twoslot._joint_residual`` halves, hoists
+    and runs on the nonzero rows, which must give the same float."""
     d_a, d_b = layout.a_out[1], layout.b_out[1]
     d_s, d_f = layout.a_in[1] * layout.b_in[1], layout.future[1]
     m = u.data.reshape(d_s, d_f, layout.past[1], d_a, d_b).transpose(0, 2, 3, 4, 1)
@@ -520,6 +521,19 @@ def reference_trace_future(d, tol=TOL):
     residual = float(np.abs(traced_total.data - sum(t.data for t in traced if t is not None)).max())
     weights = [0.0 if t is None else float(np.trace(t.data).real) for t in traced]
     return residual, tuple(w / sum(weights) for w in weights)
+
+
+def reference_cross_residual(a, b):
+    """max|C + C^dagger| for C = a b^dagger over the upper tiles of every
+    row, zero rows included: the scan ``twoslot._cross_residual`` runs on
+    the rows where [a b] is nonzero, which must give the same float."""
+    x, y = np.hstack([a, b]), np.hstack([b, a]).conj()
+    n, worst = len(x), 0.0
+    for i in range(0, n, _TILE):
+        rows = x[i:i + _TILE]
+        for j in range(i, n, _TILE):
+            worst = max(worst, float(np.abs(rows @ y[j:j + _TILE].T).max()))
+    return worst
 
 
 def square_two_slot_layout(p_ab, p_ba):

@@ -16,6 +16,7 @@ from helpers import (
     kron_restriction,
     locally_rotated,
     perturbed,
+    reference_cross_residual,
     reference_joint_residual,
     reference_past_rows,
     reference_point_triples,
@@ -274,10 +275,10 @@ class TestSpanningFamily:
 
 class TestVerify:
     def test_switch_passes(self):
-        u, lay = build_quantum_switch(2)
-        rep = verify_pure_superchannel(u, lay)
-        assert rep.ok
-        assert rep.max_residual < 1e-12
+        for d in (2, 6):
+            rep = verify_pure_superchannel(*build_quantum_switch(d))
+            assert rep.ok
+            assert rep.max_residual < 1e-12
 
     def test_d3d_passes(self):
         u, lay = build_d3d_example()
@@ -387,6 +388,43 @@ class TestJointResidual:
         for u, lay in pool + [(locally_rotated(u, rng), lay) for u, lay in joint + pool]:
             assert u.in_space.labels + u.out_space.labels == lay.in_space().labels + lay.out_space().labels
             assert twoslot._joint_residual(u, lay) == reference_joint_residual(u, lay)
+
+    def test_zero_rows_dropped_exactly_on_permutation_unitaries(self):
+        """Switch d=2..5, d3d, phased switches and out-of-class
+        permutations: every entry is exact, so dropping the zero rows
+        changes no float."""
+        rng = np.random.default_rng(23)
+        cases = [build_quantum_switch(d) for d in (2, 3, 4, 5)] + [build_d3d_example()]
+        for d in (2, 3, 4):
+            u, lay = build_quantum_switch(d)
+            out_phase, in_phase = (np.exp(2j * np.pi * rng.random(len(u.data))) for _ in range(2))
+            phased = out_phase[:, None] * u.data * in_phase
+            cases.append((LinOp(u.out_space, u.in_space, phased), lay))
+        for d in (2, 3):
+            lay = switch_layout(d)
+            for _ in range(3):
+                perm = np.eye(lay.in_space().dim)[rng.permutation(lay.in_space().dim)]
+                u = LinOp(lay.out_space(), lay.in_space(), perm)
+                assert twoslot._joint_residual(u, lay) == 1.0
+                cases.append((u, lay))
+        for u, lay in cases:
+            assert twoslot._joint_residual(u, lay) == reference_joint_residual(u, lay)
+
+    def test_zero_rows_dropped_within_rounding_on_dressed_switches(self):
+        """Haar unitaries on F, AO and BO keep the switch's zero rows but
+        round its entries, and a kept entry may then round differently at
+        the smaller GEMM shape."""
+        rng = np.random.default_rng(29)
+        for d in (2, 3, 4):
+            u, lay = build_quantum_switch(d)
+            for _ in range(4):
+                out = np.kron(np.eye(d * d), haar_unitary(lay.future[1], rng))
+                slot_outs = np.kron(haar_unitary(d, rng), haar_unitary(d, rng))
+                inp = np.kron(np.eye(lay.past[1]), slot_outs)
+                v = LinOp(u.out_space, u.in_space, out @ u.data @ inp)
+                got, want = twoslot._joint_residual(v, lay), reference_joint_residual(v, lay)
+                assert abs(got - want) <= 1e-15
+                assert (got <= TOL) == (want <= TOL)
 
 
 def _past_row_cases(direct_sum_pool):
@@ -816,6 +854,14 @@ class TestLayoutCheck:
                 with pytest.raises(ValueError, match="layout"):
                     call()
 
+    def test_layout_rejects_bad_factors_when_built(self):
+        with pytest.raises(ValueError):
+            TwoSlotLayout.of(("P", 2), ("P", 2), ("AO", 0), ("BI", 2), ("BO", 2), ("F", 2))
+        with pytest.raises(ValueError, match="invalid dimension 0"):
+            TwoSlotLayout.of(("P", 2), ("AI", 2), ("AO", 0), ("BI", 2), ("BO", 2), ("F", 2))
+        with pytest.raises(ValueError, match="duplicate factor labels"):
+            TwoSlotLayout.of(("P", 2), ("P", 2), ("AO", 2), ("BI", 2), ("BO", 2), ("F", 2))
+
     def test_factor_order_in_the_operator_is_immaterial(self):
         u, lay = build_quantum_switch(2)
         shuffled = permute_systems(u, ["BO", "F", "P", "AI", "AO", "BI"])
@@ -932,6 +978,16 @@ class TestTraceFutureCheck:
             assert np.abs(np.subtract(rep.weights, weights)).max() <= 1e-12
         assert trace_future_check(one_block).residual == 0.0
         assert trace_future_check(self._bent(named[0], 1e-4), 1e-3).residual > 1e-6
+
+    def test_cross_residual_matches_the_full_scan_exactly(self, decomposed_direct_sums):
+        named = [direct_sum_decompose(*build_quantum_switch(dim)) for dim in (2, 3, 4)]
+        named.append(direct_sum_decompose(*build_d3d_example()))
+        cases = [(d, TOL) for d in named + [d for *_, d in decomposed_direct_sums]]
+        # a tilted future embedding keeps the switch's zero rows, off 0
+        cases += [(self._bent(d, 1e-4), 1e-3) for d in named]
+        for d, tol in cases:
+            factors = [twoslot._future_factor(e, d.layout) for e in twoslot._embedded(d, tol)[0]]
+            assert trace_future_check(d, tol).residual == reference_cross_residual(*factors)
 
     @staticmethod
     def _switch_fits(dim, mib):

@@ -2,7 +2,7 @@
 
     python3 tools/cli_digests.py WORKDIR > manifest.json
 
-Runs 24 ops in-process through ``purecomb.cli.main`` (imported from the
+Runs 27 ops in-process through ``purecomb.cli.main`` (imported from the
 ``src/`` of the checkout this file is in), with the BLAS thread count pinned
 to 1, inside WORKDIR with relative paths, and prints one JSON manifest: per
 op its argv, exit code and the sha256 of its stdout, then the sha256 of
@@ -10,7 +10,7 @@ every file written to WORKDIR.  Run two checkouts in same-named empty work
 directories and ``diff`` the two manifests.
 
 The ops: ``build``, ``verify --kind pure-superchannel`` and ``decompose
---kind direct-sum`` on switch d=2/3/4 and ``d3d``; ``verify`` and
+--kind direct-sum`` on switch d=2/3/4/5 and ``d3d``; ``verify`` and
 ``decompose`` on the three ``tests/fixtures``; ``assemble`` of the switch-3
 blocks; ``build random-comb`` on a 3-slot chain, then ``verify --kind
 pure-comb`` and ``decompose --kind staircase`` on it; last, ``verify --kind
@@ -49,7 +49,7 @@ def two_slot_ops(tag: str, path: str) -> list[list[str]]:
 
 def op_list() -> list[list[str]]:
     ops = []
-    for tag, build in [(f"switch{d}", ["switch", "--dim", str(d)]) for d in (2, 3, 4)] + [
+    for tag, build in [(f"switch{d}", ["switch", "--dim", str(d)]) for d in (2, 3, 4, 5)] + [
             ("d3d", ["d3d"])]:
         ops.append(["build", *build, "--out", f"{tag}.json", "--json"])
         ops += two_slot_ops(tag, f"{tag}.json")
