@@ -10,7 +10,8 @@ for unitaries, so a non-unitary file is malformed (2), not "not in class".
 Two-slot files use the positional role convention: input factors are
 (past, A-output, B-output) and output factors are (A-input, B-input,
 future), in file order.  Chain layouts interleave the file's input and
-output factors; --order overrides the interleaving by label.
+output factors; --order overrides the interleaving by label.  An option
+the chosen build target or --kind never reads is bad usage (2).
 """
 
 from __future__ import annotations
@@ -128,14 +129,18 @@ def _chain_layout(op: LinOp, order_arg: str | None) -> SlotLayout:
     return SlotLayout(tuple(factors))
 
 
+def _reject_unread(args, target: str, reads: set) -> None:
+    """Usage error naming the first option given that ``target`` never reads."""
+    for opt in ("dim", "dims", "chain", "seed", "order"):
+        if getattr(args, opt, None) is not None and opt not in reads:
+            raise UsageError(f"{args.command} {target} does not take --{opt}")
+
+
 def cmd_build(args) -> int:
-    takes = {"switch": {"dim"}, "d3d": set(), "random-comb": {"chain", "seed"},
-             "random-unitary": {"dim", "dims", "seed"}}[args.name]
-    given = [opt for opt in ("dim", "dims", "chain", "seed") if getattr(args, opt) is not None]
-    for opt in given:
-        if opt not in takes:
-            raise UsageError(f"build {args.name} does not take --{opt}")
-    if "dim" in given and "dims" in given:
+    reads = {"switch": {"dim"}, "d3d": set(), "random-comb": {"chain", "seed"},
+             "random-unitary": {"dim", "dims", "seed"}}
+    _reject_unread(args, args.name, reads[args.name])
+    if args.dim is not None and args.dims is not None:
         raise UsageError("build random-unitary takes --dim or --dims, not both")
     rng_seed = args.seed if args.seed is not None else 0
     if args.name == "switch":
@@ -147,7 +152,7 @@ def cmd_build(args) -> int:
             raise UsageError("random-comb requires --chain H0=2,H1=2,...")
         factors = _parse_assignments(args.chain, "--chain").items()
         op = builders.random_pure_comb(SlotLayout.of(*factors), rng_seed)
-    elif args.name == "random-unitary":
+    else:  # random-unitary
         if args.dims is not None:
             given = _parse_assignments(args.dims, "--dims")
             want = ["AI", "AO", "BI", "BO", "F", "P"]
@@ -163,8 +168,6 @@ def cmd_build(args) -> int:
             op = builders.random_unitary(args.dim, rng_seed)
         else:
             raise UsageError("random-unitary requires --dim or --dims")
-    else:
-        raise UsageError(f"unknown build target {args.name!r}")
     digest = save_matrix(args.out, op)
     report = Report(
         command="build",
@@ -182,6 +185,8 @@ def cmd_build(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    reads = {"pure-superchannel": {"dims"}, "pure-comb": {"order"}, "comb-choi": {"order"}}
+    _reject_unread(args, f"--kind {args.kind}", reads[args.kind])
     op = load_matrix(args.path)
     inputs = {"matrix": file_digest(args.path)}
     tol = args.tol
@@ -194,7 +199,7 @@ def cmd_verify(args) -> int:
         rep = combs.verify_pure_comb_unitary(op, layout, tol)
         verdict = rep.ok
         residuals = {f"slot-{i + 1}": r for i, r in enumerate(rep.per_slot)}
-    elif args.kind == "comb-choi":
+    else:  # comb-choi
         layout = _chain_layout_from_square(op, args.order)
         rep = combs.verify_comb_choi(op, layout, tol)
         verdict = rep.ok
@@ -202,8 +207,6 @@ def cmd_verify(args) -> int:
         residuals["hermiticity"] = rep.hermiticity_residual
         residuals["min-eigenvalue"] = rep.min_eigenvalue
         residuals["normalization"] = rep.normalization_residual
-    else:
-        raise UsageError(f"unknown kind {args.kind!r}")
     report = Report(
         command="verify",
         inputs=inputs,
@@ -233,6 +236,8 @@ def _chain_layout_from_square(op: LinOp, order_arg: str | None) -> SlotLayout:
 
 
 def cmd_decompose(args) -> int:
+    reads = {"direct-sum": {"dims"}, "staircase": {"order"}}
+    _reject_unread(args, f"--kind {args.kind}", reads[args.kind])
     op = load_matrix(args.path)
     inputs = {"matrix": file_digest(args.path)}
     tol = args.tol
@@ -264,10 +269,8 @@ def cmd_decompose(args) -> int:
                     blk.out_space.dim_of(layout.future[0]),
                 ).slot_chain(tag)
                 circuit = combs.staircase_decompose(blk, chain, tol)
-        elif args.kind == "staircase":
+        else:  # staircase
             circuit = combs.staircase_decompose(op, _chain_layout(op, args.order), tol)
-        else:
-            raise UsageError(f"unknown kind {args.kind!r}")
         if circuit is not None:
             details["ancilla_dims"] = list(circuit.ancilla_dims)
             for i, el in enumerate(circuit.elements):

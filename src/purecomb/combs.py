@@ -5,6 +5,10 @@ A comb with N slots is a chain H_0 -> slot 1 -> ... -> slot N -> H_{2N+1}.
 A reversible comb's representing operator factorizes into N+1 unitaries
 U_0 .. U_N threaded by ancilla wires of integer dimensions k_n satisfying
 d_{2n} k_n = d_{2n+1} k_{n+1} with k_0 = k_{N+1} = 1.
+
+A unitary comb is verified by one no-signalling identity per slot
+(``signalling_residual``), formed only on the output indices that each
+input basis state reaches: the rest are exactly 0 (``_live``).
 """
 
 from __future__ import annotations
@@ -80,31 +84,45 @@ class CombChoiReport:
                    worst, self.normalization_residual)
 
 
-def signalling_components(u: LinOp, wire: str, reached: Sequence[str]) -> Iterator[LinOp]:
-    """The operators C - I_reached (x) Tr_reached(C) / d_reached, where
-    C = U (|a><a'|_wire (x) I) U^dagger, for the basis pairs a <= a' of the
-    input ``wire``: all vanish exactly when the output on ``reached`` ignores
-    what enters on ``wire``.  C(a', a) = C(a, a')^dagger, so only a <= a' is
-    formed.  Each lives on the output factors ordered reached first, then
-    the rest in ``u``'s order.
-    """
+def _live(x: np.ndarray, axis: int = 0) -> np.ndarray:
+    """``x`` without the indices along ``axis`` where it is 0 throughout, or
+    ``x`` itself, uncopied, if there are none: the one zero-index rule of
+    the max-abs residuals, whose entries at such an index are exactly 0."""
+    keep = np.any(x, axis=tuple(k for k in range(x.ndim) if k != axis))
+    return x if keep.all() else x.compress(keep, axis=axis)
+
+
+def _signalling_rows(u: LinOp, wire: str, reached: Sequence[str]) -> list[np.ndarray]:
+    """Per basis state a of the input ``wire``, x_a[i, s, y] = <i, s| U |a, y>:
+    i over ``reached``, s and y over the other outputs and inputs."""
     rest_out = [lab for lab in u.out_space.labels if lab not in set(reached)]
     rest_in = [lab for lab in u.in_space.labels if lab != wire]
     op = permute_systems(u, [wire, *rest_in, *reached, *rest_out])
     d_w, d_r = op.in_space.dim_of(wire), op.out_space.select(reached).dim
-    cols = op.data.reshape(op.out_space.dim, d_w, -1)
-    for a, a2 in itertools.combinations_with_replacement(range(d_w), 2):
-        c = (cols[:, a] @ cols[:, a2].conj().T).reshape(d_r, -1, d_r, op.out_space.dim // d_r)
+    x = op.data.reshape(d_r, op.out_space.dim // d_r, d_w, -1)
+    return [x[:, :, a] for a in range(d_w)]
+
+
+def _signalling(xs: Sequence[np.ndarray]) -> Iterator[np.ndarray]:
+    """k[i, s, i', s'] of C - I_reached (x) Tr_reached(C) / d_reached,
+    C = x_a x_a'^dagger, for the ``_signalling_rows`` and each pair a <= a'
+    (C(a', a) = C(a, a')^dagger); an x_a may keep any subset of its s."""
+    for x, x2 in itertools.combinations_with_replacement(xs, 2):
+        d_r, n, n2 = len(x), x.shape[1], x2.shape[1]
+        c = (x.reshape(d_r * n, -1) @ x2.reshape(d_r * n2, -1).conj().T).reshape(d_r, n, d_r, n2)
         part = np.einsum("isit->st", c) / d_r
         for i in range(d_r):
             c[i, :, i, :] -= part
-        yield LinOp(op.out_space, op.out_space, c.reshape(op.out_space.dim, -1))
+        yield c
 
 
 def signalling_residual(u: LinOp, wire: str, reached: Sequence[str]) -> float:
-    """Max-abs of the ``signalling_components``: 0 exactly when the output
-    on ``reached`` ignores what enters on ``wire``."""
-    return max(float(np.abs(k.data).max()) for k in signalling_components(u, wire, reached))
+    """Max-abs of the ``_signalling`` components: 0 exactly when the output
+    on ``reached`` ignores what enters on ``wire``.  Component (a, a') is 0
+    outside S_a x S_a', S_a the indices s where x_a is not 0, its Tr_reached
+    correction included, so each x_a is cut to S_a (``_live``) first."""
+    xs = [_live(x, axis=1) for x in _signalling_rows(u, wire, reached)]
+    return max(float(np.abs(k).max(initial=0.0)) for k in _signalling(xs))
 
 
 def verify_pure_comb_unitary(
@@ -221,8 +239,8 @@ def staircase_decompose(u: LinOp, layout: SlotLayout, tol: float = TOL) -> CombC
     integer quotient of the wire dimensions.  Every element is a slice of
     the current operator contracted with that eigenbasis, a gauge choice:
     deterministic for a fixed numpy/BLAS build, but ulp-level input changes
-    can move it where eigenvalues are degenerate.  Recomposition reproduces the input up to a global
-    phase, with these ``ancilla_dims``.
+    can move it where eigenvalues are degenerate.  Recomposition reproduces
+    the input up to a global phase, with these ``ancilla_dims``.
     """
     report = verify_pure_comb_unitary(u, layout, tol)
     if not report.ok:

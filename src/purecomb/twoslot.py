@@ -24,14 +24,14 @@ of one fixed size, so memory beyond the factors is bounded by one tile.
 In every case tried this residual has stayed within the assembly's
 unitarity residual.
 
-The joint residual and the future-traced check are max-abs values of
-Gram-like products, each entry the dot product of one row of each operand.
-A row index that is 0 in every operand gives entries that are exactly 0,
-so both drop such rows before any product and scan the rest; the paper's
-worked processes are permutation unitaries, where most rows are 0.  The
-summed dimension and its order are untouched.  The signalling residual and
-the past split keep every row: the former's I (x) Tr C correction couples
-a 0 row to live ones, and the latter's Gram sum decides the frames.
+The joint, signalling and future-traced residuals are max-abs values of
+Gram-like products.  Each drops, before any product, the row indices where
+an operand is 0 throughout (``combs._live``): their entries are exactly 0,
+and the summed dimension and its order are untouched.  The signalling
+residual cuts per input basis state, its I (x) Tr C correction included.
+The paper's worked processes are permutations, where most rows are 0; a
+dense operand is not copied.  The past split keeps every row: its Gram
+sum decides the frames.
 """
 
 from __future__ import annotations
@@ -41,7 +41,7 @@ import itertools
 
 import numpy as np
 
-from .combs import (_projector_range, signalling_components, signalling_residual,
+from .combs import (_live, _projector_range, _signalling, _signalling_rows, signalling_residual,
                     verify_pure_comb_unitary)
 from .errors import VerificationError
 from .layouts import TwoSlotLayout
@@ -54,22 +54,6 @@ from .spaces import (
     permute_systems,
 )
 from .subspaces import Subspace, complement, from_spanning, intersect, orthogonality_residual
-
-__all__ = [
-    "SubspaceTriple",
-    "SuperchannelReport",
-    "DirectSumDecomp",
-    "TraceFutureReport",
-    "verify_pure_superchannel",
-    "f_point_decomposition",
-    "p_point_decomposition",
-    "global_p_decomposition",
-    "global_f_decomposition",
-    "direct_sum_decompose",
-    "embed_block",
-    "assemble",
-    "trace_future_check",
-]
 
 
 @dataclasses.dataclass(frozen=True)
@@ -168,20 +152,15 @@ def _joint_residual(u: LinOp, layout: TwoSlotLayout) -> float:
     kept for it.
 
     Entry (r, r') of every block and every traced correction is a dot
-    product of rows r and r' of the realigned view m[(s, y), a, b, f], so a
-    row of m that is 0 in every (a, b, f) gives exactly 0 in its row and
-    column of every block.  Those rows are dropped once, before any Gram,
-    and the max-abs over the rest is the residual: a permutation unitary
-    such as the d-switch keeps 2/d of them.  A dense m drops nothing and is
-    not copied.
+    product of rows r and r' of the realigned view m[(s, y), a, b, f], so
+    the rows of m that are 0 in every (a, b, f) are dropped once, before
+    any Gram (``_live``): the d-switch keeps 2/d of them.
     """
     d_a, d_b, d_f = layout.a_out[1], layout.b_out[1], layout.future[1]
     t = _view(u, layout)
     # m[(s, y), a, b, f] = <s, f| U |y, a, b>, s over both slot inputs
     m = t.reshape(*t.shape[:3], d_a, d_b).transpose(0, 2, 3, 4, 1).reshape(-1, d_a, d_b, d_f)
-    live = m.reshape(len(m), -1).any(axis=1)
-    if not live.all():
-        m = m[live]
+    m = _live(m)
 
     def gram(x, y):
         return x.reshape(len(x), -1) @ y.reshape(len(y), -1).conj().T
@@ -331,28 +310,28 @@ def _past_support(u: LinOp, layout: TwoSlotLayout, wire: str, reached: str, fram
 
 
 def _past_rows(u: LinOp, layout: TwoSlotLayout, wire: str, reached: str):
-    """The past-indexed rows and conjugated columns of each signalling
+    """The past-indexed rows and conjugated columns of each ``_signalling``
     component K of U^dagger from ``wire`` to ``reached`` (the columns stand
-    in for the unformed a > a'), one (d_P, 2 D^2 / d_P) array per component.
+    in for the unformed a > a'), one (d_P, 2 D^2 / d_P) array per component
+    of a canonically ordered U.  Every row is kept, so the Gram sums the
+    same terms in the same order.
 
-    With K's factors read past first, row p is K[(p, r), (p', r')] over
-    (r, p', r'), then conj K[(p', r'), (p, r)] over (r, p', r').  Each half
-    is one strided assignment from K's array into one buffer, reused for
-    every component: no permuted or conjugated copy of K is formed, and
-    each yielded array is overwritten by the next.
+    K's output factors are ``reached``, the past and the other slot output.
+    With r the other two, row p is K[(p, r), (p', r')] over (r, p', r'),
+    then conj K[(p', r'), (p, r)] over (r, p', r').  Each half is one
+    strided assignment from K's array into one buffer, reused for every
+    component: no permuted or conjugated copy of K is formed, and each
+    yielded array is overwritten by the next.
     """
-    past, d_p = layout.past
-    buf = None
-    for k in signalling_components(adjoint(u), wire, [reached]):
-        dims, n = k.out_space.dims, len(k.out_space)
-        first = [k.out_space.index(past)]
-        first += [i for i in range(n) if i != first[0]]
-        # t[p, r, p', r'] = K[(p, r), (p', r')], one axis per factor
-        t = k.data.reshape(dims + dims).transpose(first + [n + i for i in first])
+    d_p, buf = layout.past[1], None
+    for k in _signalling(_signalling_rows(adjoint(u), wire, [reached])):
+        d_r, d_o = len(k), k.shape[1] // d_p
+        # t[p, i, o, p', i', o'] = K[(i, p, o), (i', p', o')]
+        t = k.reshape(d_r, d_p, d_o, d_r, d_p, d_o).transpose(1, 0, 2, 4, 3, 5)
         if buf is None:
             buf = np.empty((d_p, 2, *t.shape[1:]), dtype=np.complex128)
         buf[:, 0] = t
-        np.conjugate(t.transpose([*range(n, 2 * n), *range(n)]), out=buf[:, 1])
+        np.conjugate(t.transpose(3, 4, 5, 0, 1, 2), out=buf[:, 1])
         yield buf.reshape(d_p, -1)
 
 
@@ -580,13 +559,10 @@ def _cross_residual(a: np.ndarray, b: np.ndarray) -> float:
     C + C^dagger = [a b] [b a]^dagger is Hermitian, so only the tiles on
     and above the diagonal of _TILE x _TILE tiles are formed, one at a time.
     A row index where [a b], and so [b a], is 0 is a 0 row and column of
-    C + C^dagger, so those rows are dropped first and the tiles cover the
-    kept principal submatrix; each kept entry is the same sum of products.
+    C + C^dagger, so those rows are dropped first (``_live``) and the tiles
+    cover the kept principal submatrix.
     """
-    x, y = np.hstack([a, b]), np.hstack([b, a]).conj()
-    live = x.any(axis=1)
-    if not live.all():
-        x, y = x[live], y[live]
+    x, y = _live(np.hstack([a, b])), _live(np.hstack([b, a]).conj())
     n, worst = len(x), 0.0
     for i in range(0, n, _TILE):
         rows = x[i:i + _TILE]
@@ -600,10 +576,11 @@ def trace_future_check(d: DirectSumDecomp, tol: float = TOL) -> TraceFutureRepor
     assembled operator must be unitary within the same ``tol``.
 
     Each block is embedded once (``_embedded``) and reduced to its factor
-    M_k, which the report does not keep; the residual is the max-abs of C + C^dagger, C = M_ab M_ba^dagger, the
-    cross term by which the traced total exceeds the traced blocks, 0 for
-    a one-block split.  It is streamed in _TILE x _TILE tiles of the upper
-    block triangle, so beyond the factors memory is bounded by one tile.
+    M_k, which the report does not keep; the residual is the max-abs of
+    C + C^dagger, C = M_ab M_ba^dagger, the cross term by which the traced
+    total exceeds the traced blocks, 0 for a one-block split.  It is
+    streamed in _TILE x _TILE tiles of the upper block triangle, so beyond
+    the factors memory is bounded by one tile.
     In every case tried the residual has stayed within the assembly's
     unitarity residual, so the unitarity check at ``tol`` fails first.
     """

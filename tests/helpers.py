@@ -50,11 +50,18 @@ max-abs of the total minus the block sum and the weights the traces.  The
 factored check's cross-term residual and factor norms must agree with it
 to rounding.
 
+The signalling reference is the generator the library once exported as
+``combs.signalling_components``: each component C - I_r (x) Tr_r C / d_r
+of a basis pair a <= a' formed at full size, over every output index, as
+an operator.  ``combs.signalling_residual``, which cuts each input basis
+state's rows to the rest indices it reaches, must return the same float
+on exact inputs and agree to rounding on dressed ones.
+
 The past-row reference is the builder ``twoslot._past_rows`` replaced:
-each signalling component of U^dagger permuted past first as an operator,
-then its reshaped rows stacked with its reshaped conjugate transpose.  The
-strided writes into one buffer must give the same bytes, so the Gram and
-the global past split stay bit-identical.
+each full-size signalling component of U^dagger permuted past first as an
+operator, then its reshaped rows stacked with its reshaped conjugate
+transpose.  The strided writes into one buffer must give the same bytes,
+so the Gram and the global past split stay bit-identical.
 
 The Choi-check reference is the full-size form ``ChoiOp`` once took: the
 hermiticity residual max |A - A^dagger| and the lowest eigenvalue of
@@ -84,7 +91,7 @@ import numpy as np
 
 from purecomb.builders import ancilla_chain, haar_unitary
 from purecomb.choi import ChoiOp, link_product
-from purecomb.combs import CombCircuit, compose_staircase, signalling_components
+from purecomb.combs import CombCircuit, compose_staircase
 from purecomb.errors import VerificationError
 from purecomb.families import spanning_family, stability_vectors
 from purecomb.io import FORMAT_VERSION, MatrixFileError, _parse_dims
@@ -460,12 +467,37 @@ def reference_joint_residual(u, layout):
     return worst
 
 
+def reference_signalling_components(u, wire, reached):
+    """The operators C - I_reached (x) Tr_reached(C) / d_reached, where
+    C = U (|a><a'|_wire (x) I) U^dagger, for the basis pairs a <= a' of the
+    input ``wire``, each formed at full size over every output index and
+    returned as an operator on the output factors ordered reached first,
+    then the rest in ``u``'s order."""
+    rest_out = [lab for lab in u.out_space.labels if lab not in set(reached)]
+    rest_in = [lab for lab in u.in_space.labels if lab != wire]
+    op = permute_systems(u, [wire, *rest_in, *reached, *rest_out])
+    d_w, d_r = op.in_space.dim_of(wire), op.out_space.select(reached).dim
+    cols = op.data.reshape(op.out_space.dim, d_w, -1)
+    for a, a2 in itertools.combinations_with_replacement(range(d_w), 2):
+        c = (cols[:, a] @ cols[:, a2].conj().T).reshape(d_r, -1, d_r, op.out_space.dim // d_r)
+        part = np.einsum("isit->st", c) / d_r
+        for i in range(d_r):
+            c[i, :, i, :] -= part
+        yield LinOp(op.out_space, op.out_space, c.reshape(op.out_space.dim, -1))
+
+
+def reference_signalling_residual(u, wire, reached):
+    """Max-abs over every ``reference_signalling_components`` operator."""
+    components = reference_signalling_components(u, wire, reached)
+    return max(float(np.abs(k.data).max()) for k in components)
+
+
 def reference_past_rows(u, layout, wire, reached):
     """The past-indexed rows and conjugated columns of each signalling
     component of U^dagger from ``wire`` to ``reached``, built as one
     ``permute_systems`` and one ``hstack`` with the conjugate transpose."""
     past, d_p = layout.past
-    for k in signalling_components(adjoint(u), wire, [reached]):
+    for k in reference_signalling_components(adjoint(u), wire, [reached]):
         m = permute_systems(k, [past, *k.out_space.without([past]).labels]).data
         yield np.hstack([m.reshape(d_p, -1), m.T.conj().reshape(d_p, -1)])
 

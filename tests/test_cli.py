@@ -227,6 +227,25 @@ class TestBuildCommand:
         assert re.search(rf"{option}\b", captured.err)
         assert not out.exists()
 
+    @pytest.mark.parametrize("argv, option", [
+        (["verify", SWITCH, "--kind", "pure-superchannel", "--order", "X,Y,Z"], "--order"),
+        (["verify", SWITCH, "--kind", "pure-comb", "--dims", "P=4"], "--dims"),
+        (["verify", SWITCH, "--kind", "comb-choi", "--dims", "P=4"], "--dims"),
+        (["decompose", SWITCH, "--kind", "direct-sum", "--order", "P,AI,AO,BI,BO,F"], "--order"),
+        (["decompose", SWITCH, "--kind", "staircase", "--dims", "P=9"], "--dims"),
+    ])
+    def test_option_the_kind_does_not_read_exit_2(self, argv, option, tmp_path, capsys):
+        # verify and decompose follow the build rule: --order is read by the
+        # chain kinds, --dims by the two-slot kinds, and nothing is written
+        out = tmp_path / "d"
+        argv = argv + ["--out", str(out)] if argv[0] == "decompose" else argv
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error:") and len(captured.err.strip().splitlines()) == 1
+        assert re.search(rf"{option}\b", captured.err)
+        assert list(tmp_path.iterdir()) == []
+
 
 class TestDecomposeAssemble:
     def test_switch_round_trip(self, tmp_path, capsys):

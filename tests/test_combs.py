@@ -10,9 +10,11 @@ from helpers import (
     locally_rotated,
     perturbed,
     reference_comb_choi_tower,
+    reference_signalling_residual,
 )
 from purecomb.builders import (
     ancilla_chain,
+    build_quantum_switch,
     haar_unitary,
     random_pure_comb,
     random_staircase_circuit,
@@ -186,6 +188,23 @@ class TestVerifyPureCombUnitary:
             assert verify_pure_comb_unitary(v, LAY2_K2, 10 * res).ok
             assert not verify_pure_comb_unitary(v, LAY2_K2, res / 10).ok
         assert max(ratios) <= 10 * min(ratios)
+
+    def test_slot_residuals_match_the_full_components_exactly(self):
+        """The benchmark chains at seed 7 (the 3-slot one is the digest tool's
+        comb), in and out of class, and the d=3 switch read as an A-first
+        chain, whose cut rows are sparse and whose slot-2 residual is 1."""
+        cases = []
+        for lay in BENCH_CHAINS:
+            u = random_pure_comb(lay, 7)
+            cases += [(u, lay), (u, _swapped(lay))]
+        switch, two_slot = build_quantum_switch(3)
+        cases.append((switch, two_slot.slot_chain("ab")))
+        for u, lay in cases:
+            inputs = [lab for lab, _ in lay.odd_factors()]
+            want = tuple(reference_signalling_residual(u, lay.factor(2 * n)[0], inputs[:n])
+                         for n in range(1, lay.n_slots + 1))
+            assert verify_pure_comb_unitary(u, lay).per_slot == want
+        assert want == (0.0, 1.0)
 
     def test_no_slots_vacuous(self):
         lay = SlotLayout.of(("H0", 3), ("H1", 3))

@@ -27,10 +27,11 @@ def test_digests_and_matrix_diff(tmp_path):
     assert _tool("cli_digests.py", work_b) == manifest
 
     parsed = json.loads(manifest)
-    assert len(parsed["ops"]) == 27
+    assert len(parsed["ops"]) == 28
     failing = [op["argv"][:2] for op in parsed["ops"] if op["exit"] != 0]
     assert failing == [["verify", "fixture-random-unitary.json"],
                        ["decompose", "fixture-random-unitary.json"],
+                       ["verify", "switch3.json"],
                        ["verify", "fixture-comb-choi.json"]]
     assert [op["exit"] for op in parsed["ops"][-2:]] == [0, 1]
     assert sum(op["exit"] == 0 for op in parsed["ops"]) == 24

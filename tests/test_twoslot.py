@@ -20,6 +20,7 @@ from helpers import (
     reference_joint_residual,
     reference_past_rows,
     reference_point_triples,
+    reference_signalling_residual,
     reference_trace_future,
 )
 from purecomb.builders import (
@@ -31,6 +32,7 @@ from purecomb.builders import (
     switch_layout,
 )
 from purecomb.choi import choi_of_unitary
+from purecomb.combs import _live, _signalling_rows, signalling_residual
 from purecomb.errors import VerificationError
 from purecomb.families import spanning_family
 from purecomb.io import load_matrix
@@ -39,6 +41,7 @@ from purecomb.spaces import (
     TOL,
     LinOp,
     Spaces,
+    adjoint,
     is_unitary,
     kron,
     partial_trace,
@@ -459,6 +462,79 @@ class TestPastRows:
             want = global_p_decomposition(u, lay)
             for part, want_part in zip(triple.parts(), want.parts()):
                 assert part.basis.tobytes() == want_part.basis.tobytes()
+
+
+def _signalling_wires(u, lay):
+    """(operator, wire, reached) of the a-side and b-side checks, of the two
+    cross pairs, and of the two U^dagger pairs the global past split reads."""
+    a_in, a_out, b_in, b_out = lay.a_in[0], lay.a_out[0], lay.b_in[0], lay.b_out[0]
+    v = adjoint(u)
+    return [(u, a_out, [a_in]), (u, b_out, [b_in]), (u, a_out, [b_in]), (u, b_out, [a_in]),
+            (v, a_in, [b_out]), (v, b_in, [a_out])]
+
+
+def _permutation_cases(seed):
+    """Switch d=2..6, d3d, phased switches and out-of-class permutations of
+    the d=2/3 switch layouts: every entry is exact."""
+    rng = np.random.default_rng(seed)
+    cases = [build_quantum_switch(d) for d in (2, 3, 4, 5, 6)] + [build_d3d_example()]
+    for d in (2, 3, 4):
+        u, lay = build_quantum_switch(d)
+        out_phase, in_phase = (np.exp(2j * np.pi * rng.random(len(u.data))) for _ in range(2))
+        cases.append((LinOp(u.out_space, u.in_space, out_phase[:, None] * u.data * in_phase), lay))
+    for d in (2, 3):
+        lay = switch_layout(d)
+        for _ in range(3):
+            perm = np.eye(lay.in_space().dim)[rng.permutation(lay.in_space().dim)]
+            cases.append((LinOp(lay.out_space(), lay.in_space(), perm), lay))
+    return cases
+
+
+class TestSignallingResidual:
+    """``signalling_residual`` cuts each input basis state's rows to the rest
+    indices it reaches; the full-size components must give the same max-abs."""
+
+    def test_cut_matches_the_full_components_exactly_on_permutation_unitaries(self):
+        cut = 0
+        for u, lay in _permutation_cases(31):
+            for op, wire, reached in _signalling_wires(u, lay):
+                got = signalling_residual(op, wire, reached)
+                assert got == reference_signalling_residual(op, wire, reached)
+                rows = _signalling_rows(op, wire, reached)
+                cut += sum(_live(x, axis=1).shape[1] < x.shape[1] for x in rows)
+        assert cut > 0
+
+    def test_direct_sums_match_exactly(self, direct_sum_pool):
+        for u, lay, _ in direct_sum_pool:
+            for op, wire, reached in _signalling_wires(u, lay):
+                got = signalling_residual(op, wire, reached)
+                assert got == reference_signalling_residual(op, wire, reached)
+
+    def test_cut_within_rounding_on_dressed_switches(self):
+        """The dressing of ``test_zero_rows_dropped_within_rounding_on_dressed_switches``:
+        a kept entry may round differently at the smaller GEMM shape."""
+        rng = np.random.default_rng(29)
+        for d in (2, 3, 4):
+            u, lay = build_quantum_switch(d)
+            for _ in range(4):
+                out = np.kron(np.eye(d * d), haar_unitary(lay.future[1], rng))
+                slot_outs = np.kron(haar_unitary(d, rng), haar_unitary(d, rng))
+                inp = np.kron(np.eye(lay.past[1]), slot_outs)
+                v = LinOp(u.out_space, u.in_space, out @ u.data @ inp)
+                for op, wire, reached in _signalling_wires(v, lay):
+                    got = signalling_residual(op, wire, reached)
+                    want = reference_signalling_residual(op, wire, reached)
+                    assert abs(got - want) <= 1e-15
+                    assert (got <= TOL) == (want <= TOL)
+
+    def test_dense_rows_are_not_copied(self):
+        lay = TwoSlotLayout.of(("P", 2), ("AI", 2), ("AO", 3), ("BI", 3), ("BO", 2), ("F", 2))
+        u = _random_shaped(lay, 37)
+        for op, wire, reached in _signalling_wires(u, lay):
+            for x in _signalling_rows(op, wire, reached):
+                assert _live(x, axis=1) is x
+        m = u.data.reshape(6, 2, -1)
+        assert _live(m) is m and _live(m, axis=2) is m
 
 
 class TestPerturbedDecomposition:

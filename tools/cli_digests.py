@@ -2,7 +2,7 @@
 
     python3 tools/cli_digests.py WORKDIR > manifest.json
 
-Runs 27 ops in-process through ``purecomb.cli.main`` (imported from the
+Runs 28 ops in-process through ``purecomb.cli.main`` (imported from the
 ``src/`` of the checkout this file is in), with the BLAS thread count pinned
 to 1, inside WORKDIR with relative paths, and prints one JSON manifest: per
 op its argv, exit code and the sha256 of its stdout, then the sha256 of
@@ -13,9 +13,11 @@ The ops: ``build``, ``verify --kind pure-superchannel`` and ``decompose
 --kind direct-sum`` on switch d=2/3/4/5 and ``d3d``; ``verify`` and
 ``decompose`` on the three ``tests/fixtures``; ``assemble`` of the switch-3
 blocks; ``build random-comb`` on a 3-slot chain, then ``verify --kind
-pure-comb`` and ``decompose --kind staircase`` on it; last, ``verify --kind
-comb-choi`` on the ``tests/fixtures/comb-choi.json`` Choi operator with its
-chain ``--order`` (exit 0) and with its two slots swapped (exit 1).
+pure-comb`` on it and on the switch-3 file read as an A-first chain (exit
+1: the one sparse input whose signalling check fails), and ``decompose
+--kind staircase`` on the comb; last, ``verify --kind comb-choi`` on the
+``tests/fixtures/comb-choi.json`` Choi operator with its chain ``--order``
+(exit 0) and with its two slots swapped (exit 1).
 """
 
 import os
@@ -40,6 +42,7 @@ FIXTURES = ("switch", "d3d", "random-unitary")
 CHOI_FIXTURE = "comb-choi"
 CHOI_ORDERS = ("P,AI,AO,BI,BO,F", "P,BI,BO,AI,AO,F")
 COMB_CHAIN = "H0=8,H1=2,H2=4,H3=4,H4=4,H5=4,H6=2,H7=8"
+SWITCH_CHAIN = "P,AI,AO,BI,BO,F"
 
 
 def two_slot_ops(tag: str, path: str) -> list[list[str]]:
@@ -60,6 +63,7 @@ def op_list() -> list[list[str]]:
     ops += [["build", "random-comb", "--chain", COMB_CHAIN, "--seed", "7", "--out", "comb.json",
              "--json"],
             ["verify", "comb.json", "--kind", "pure-comb", "--json"],
+            ["verify", "switch3.json", "--kind", "pure-comb", "--order", SWITCH_CHAIN, "--json"],
             ["decompose", "comb.json", "--kind", "staircase", "--out", "dec-comb", "--json"]]
     ops += [["verify", f"fixture-{CHOI_FIXTURE}.json", "--kind", "comb-choi", "--order", order,
              "--json"] for order in CHOI_ORDERS]
