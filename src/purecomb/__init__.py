@@ -39,9 +39,8 @@ from .subspaces import (
 from .families import spanning_family
 from .choi import ChoiOp, choi_of_unitary, choi_vector, link_product, plug_unitaries
 from .combs import (
-    CombChoiReport,
     CombCircuit,
-    CombUnitaryReport,
+    Verdict,
     ancilla_chain,
     compose_staircase,
     staircase_decompose,
@@ -51,7 +50,6 @@ from .combs import (
 from .twoslot import (
     DirectSumDecomp,
     SubspaceTriple,
-    SuperchannelReport,
     TraceFutureReport,
     assemble,
     direct_sum_decompose,

@@ -23,7 +23,9 @@ from .layouts import SlotLayout
 from .spaces import LinOp, Spaces, Vec, canonical_phase
 
 
-_TILE = 256  # rows per tile of the Hermitian checks, as in twoslot
+# rows per tile of the Hermitian checks, and rows and columns of one tile of
+# twoslot's C + C^dagger: 256^2 complex entries, 1 MiB
+_TILE = 256
 
 
 @dataclasses.dataclass(frozen=True)
@@ -154,8 +156,6 @@ def plug_unitaries(u: LinOp, layout: SlotLayout, slot_ops: list[LinOp]) -> LinOp
         if clash:
             raise ValueError(f"label collision: {sorted(clash)}")
         taken |= op.all_labels
-    if n == 0:
-        return canonical_phase(u)
     past, future = layout.factor(0)[0], layout.factor(2 * n + 1)[0]
     # Axis keys: ("wire", H_m) for a slot wire joining u to a slot operator,
     # ("out", label) / ("in", label) for a free output / input leg.

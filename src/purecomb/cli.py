@@ -185,38 +185,28 @@ def cmd_build(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    """Print the ``combs.Verdict`` of the --kind check, residuals as keyed."""
     reads = {"pure-superchannel": {"dims"}, "pure-comb": {"order"}, "comb-choi": {"order"}}
     _reject_unread(args, f"--kind {args.kind}", reads[args.kind])
     op = load_matrix(args.path)
     inputs = {"matrix": file_digest(args.path)}
     tol = args.tol
     if args.kind == "pure-superchannel":
-        layout = _two_slot_layout(op, args.dims)
-        rep = twoslot.verify_pure_superchannel(op, layout, tol)
-        verdict, residuals = rep.ok, dict(rep.residuals)
+        rep = twoslot.verify_pure_superchannel(op, _two_slot_layout(op, args.dims), tol)
     elif args.kind == "pure-comb":
-        layout = _chain_layout(op, args.order)
-        rep = combs.verify_pure_comb_unitary(op, layout, tol)
-        verdict = rep.ok
-        residuals = {f"slot-{i + 1}": r for i, r in enumerate(rep.per_slot)}
+        rep = combs.verify_pure_comb_unitary(op, _chain_layout(op, args.order), tol)
     else:  # comb-choi
-        layout = _chain_layout_from_square(op, args.order)
-        rep = combs.verify_comb_choi(op, layout, tol)
-        verdict = rep.ok
-        residuals = {f"level-{i}": r for i, r in enumerate(rep.level_residuals)}
-        residuals["hermiticity"] = rep.hermiticity_residual
-        residuals["min-eigenvalue"] = rep.min_eigenvalue
-        residuals["normalization"] = rep.normalization_residual
+        rep = combs.verify_comb_choi(op, _chain_layout_from_square(op, args.order), tol)
     report = Report(
         command="verify",
         inputs=inputs,
-        verdict="pass" if verdict else "fail",
-        residuals=residuals,
+        verdict="pass" if rep.ok else "fail",
+        residuals=dict(rep.residuals),
         tolerances={"tol": tol},
         details={"kind": args.kind},
     )
     _emit(report, args.json)
-    return EXIT_PASS if verdict else EXIT_FAIL
+    return EXIT_PASS if rep.ok else EXIT_FAIL
 
 
 def _chain_layout_from_square(op: LinOp, order_arg: str | None) -> SlotLayout:

@@ -9,6 +9,9 @@ d_{2n} k_n = d_{2n+1} k_{n+1} with k_0 = k_{N+1} = 1.
 A unitary comb is verified by one no-signalling identity per slot
 (``signalling_residual``), formed only on the output indices that each
 input basis state reaches: the rest are exactly 0 (``_live``).
+
+Every verification here and in ``twoslot`` returns one ``Verdict``: its
+``ok`` and its named residuals, the keys the CLI prints.
 """
 
 from __future__ import annotations
@@ -63,25 +66,12 @@ class CombCircuit:
 
 
 @dataclasses.dataclass(frozen=True)
-class CombUnitaryReport:
+class Verdict:
+    """Outcome of a verification: whether the input is in the class, and
+    the max-norm residuals it was decided by, keyed as the CLI prints them."""
+
     ok: bool
-    max_residual: float
-    per_slot: tuple[float, ...]  # signalling residual per slot, index 1..N
-
-
-@dataclasses.dataclass(frozen=True)
-class CombChoiReport:
-    ok: bool
-    hermiticity_residual: float
-    min_eigenvalue: float
-    level_residuals: tuple[float, ...]  # factorization residual per level n = 0..N
-    normalization_residual: float
-
-    @property
-    def max_residual(self) -> float:
-        worst = max(self.level_residuals) if self.level_residuals else 0.0
-        return max(self.hermiticity_residual, max(0.0, -self.min_eigenvalue),
-                   worst, self.normalization_residual)
+    residuals: dict
 
 
 def _live(x: np.ndarray, axis: int = 0) -> np.ndarray:
@@ -127,11 +117,11 @@ def signalling_residual(u: LinOp, wire: str, reached: Sequence[str]) -> float:
 
 def verify_pure_comb_unitary(
     u: LinOp, layout: SlotLayout, tol: float = TOL
-) -> CombUnitaryReport:
+) -> Verdict:
     """Causal-order check of a unitary against an ordered slot layout.
 
     Slot n's output wire must not signal to the slot-input wires already
-    produced, H_1, H_3, .., H_{2n-1}: its per-slot residual is the
+    produced, H_1, H_3, .., H_{2n-1}: its residual 'slot-n' is the
     ``signalling_residual`` of that wire.  Vacuously true for zero slots.
     The identity characterizes reversible combs only for unitaries, so a
     non-unitary operator is rejected as malformed (ValueError).
@@ -141,20 +131,22 @@ def verify_pure_comb_unitary(
         raise ValueError(f"operator is not unitary (residual {res_u:.2e})")
     layout.check_operator(u)
     inputs = [lab for lab, _ in layout.odd_factors()]
-    per_slot = tuple(signalling_residual(u, layout.factor(2 * n)[0], inputs[:n])
-                     for n in range(1, layout.n_slots + 1))
-    worst_all = max(per_slot) if per_slot else 0.0
-    return CombUnitaryReport(worst_all <= tol, worst_all, per_slot)
+    residuals = {f"slot-{n}": signalling_residual(u, layout.factor(2 * n)[0], inputs[:n])
+                 for n in range(1, layout.n_slots + 1)}
+    return Verdict(max(residuals.values(), default=0.0) <= tol, residuals)
 
 
-def verify_comb_choi(r, layout: SlotLayout, tol: float = TOL) -> CombChoiReport:
+def verify_comb_choi(r, layout: SlotLayout, tol: float = TOL) -> Verdict:
     """Positivity plus the tower of trace factorization conditions.
 
     At level n the trace over the output wires above the level must be an
-    identity on the input wires above the level times a reduced operator;
-    the level-0 reduced operator must be the scalar 1.  Both sides must
-    carry the layout's factors; the input side is aligned to the output
-    side's order before any check.
+    identity on the input wires above the level times a reduced operator
+    ('level-n'); the level-0 reduced operator must be the scalar 1
+    ('normalization').  'hermiticity' and the signed 'min-eigenvalue'
+    complete the residuals: the verdict needs the eigenvalue >= -tol and
+    every other residual <= tol.  Both sides must carry the layout's
+    factors; the input side is aligned to the output side's order before
+    any check.
     """
     op = r.op if isinstance(r, ChoiOp) else r
     want = dict(layout.factors)
@@ -164,7 +156,7 @@ def verify_comb_choi(r, layout: SlotLayout, tol: float = TOL) -> CombChoiReport:
     op = _aligned_square(op)
     choi = ChoiOp(op, layout.labels[0::2], layout.labels[1::2])
     herm, min_eig = choi.hermiticity_residual(), choi.min_eigenvalue()
-    residuals = []
+    residuals = {}
     for n in range(layout.n_slots + 1):
         level = partial_trace(op, layout.labels[2 * n + 1::2])
         ids = list(layout.labels[2 * n::2])
@@ -177,16 +169,12 @@ def verify_comb_choi(r, layout: SlotLayout, tol: float = TOL) -> CombChoiReport:
         # level viewed as (rest, ids, rest, ids) against reduced (x) I_ids
         view = level.data.reshape(d_rest, d_ids, d_rest, d_ids)
         lifted = reduced[:, None, :, None] * np.eye(d_ids)[None, :, None, :]
-        residuals.append(float(np.abs(view - lifted).max()))
+        residuals[f"level-{n}"] = float(np.abs(view - lifted).max())
         if n == 0:
             norm_res = float(abs(reduced[0, 0] - 1.0))
-    ok = (
-        herm <= tol
-        and min_eig >= -tol
-        and max(residuals) <= tol
-        and norm_res <= tol
-    )
-    return CombChoiReport(ok, herm, min_eig, tuple(residuals), norm_res)
+    residuals.update({"hermiticity": herm, "min-eigenvalue": min_eig, "normalization": norm_res})
+    ok = min_eig >= -tol and all(r <= tol for key, r in residuals.items() if key != "min-eigenvalue")
+    return Verdict(ok, residuals)
 
 
 def ancilla_labels(layout: SlotLayout) -> tuple[str, ...]:
@@ -246,7 +234,7 @@ def staircase_decompose(u: LinOp, layout: SlotLayout, tol: float = TOL) -> CombC
     if not report.ok:
         raise VerificationError(
             f"operator is not a reversible comb for this layout "
-            f"(worst signalling residual {report.max_residual:.2e})"
+            f"(worst signalling residual {max(report.residuals.values()):.2e})"
         )
     try:
         ks = ancilla_chain(layout)

@@ -3,11 +3,12 @@ orthogonality conditions and the constructive splitting into an orthogonal
 direct sum of two causally ordered blocks (A-first and B-first).
 
 Verification evaluates each condition as one closed-form identity on the
-unitary, with no vector family and no rank decision.  The splitting reads
-the global past split off the no-signalling components of U^dagger: the
-past where the A output signals the B input (forward), the past where the
-B output signals the A input (reverse), and the parallel rest; then the
-future split; then the blocks, slices of U in the stacked block bases.
+unitary, with no vector family and no rank decision, and returns a
+``combs.Verdict`` keyed by condition.  The splitting reads the global past
+split off the no-signalling components of U^dagger: the past where the A
+output signals the B input (forward), the past where the B output signals
+the A input (reverse), and the parallel rest; then the future split; then
+the blocks, slices of U in the stacked block bases.
 Each split is one orthonormal frame of two nested ``eigh`` cuts at ``tol``:
 the reverse part and its complement, then forward and parallel inside it.
 The pointwise split at slot outputs (alpha, beta) reads its future parts
@@ -41,8 +42,9 @@ import itertools
 
 import numpy as np
 
-from .combs import (_live, _projector_range, _signalling, _signalling_rows, signalling_residual,
-                    verify_pure_comb_unitary)
+from .choi import _TILE
+from .combs import (Verdict, _live, _projector_range, _signalling, _signalling_rows,
+                    signalling_residual, verify_pure_comb_unitary)
 from .errors import VerificationError
 from .layouts import TwoSlotLayout
 from .spaces import (
@@ -78,20 +80,6 @@ class SubspaceTriple:
         return max(orthogonality_residual(s, t) for s, t in itertools.combinations(self.parts(), 2))
 
 
-@dataclasses.dataclass(frozen=True)
-class SuperchannelReport:
-    """Verification outcome.  Residuals are max-norm distances from the
-    three conditions, keyed 'joint', 'a-side' and 'b-side': each is 0 for
-    an operator in the class and grows linearly under a perturbation."""
-
-    ok: bool
-    residuals: dict
-
-    @property
-    def max_residual(self) -> float:
-        return max(self.residuals.values())
-
-
 def _view(u: LinOp, layout: TwoSlotLayout) -> np.ndarray:
     """t[s, f, p, x] = <s, f| U |p, x> of a canonically ordered operator,
     s over both slot inputs, x over both slot outputs."""
@@ -110,9 +98,12 @@ def _checked(u: LinOp, layout: TwoSlotLayout, tol: float) -> LinOp:
 
 def verify_pure_superchannel(
     u: LinOp, layout: TwoSlotLayout, tol: float = TOL
-) -> SuperchannelReport:
+) -> Verdict:
     """Check the three orthogonality conditions characterizing two-slot
-    maps that send unitaries to unitaries.
+    maps that send unitaries to unitaries.  The residuals are max-norm
+    distances from the conditions, keyed 'joint', 'a-side' and 'b-side':
+    each is 0 for an operator in the class and grows linearly under a
+    perturbation.
 
     'joint': orthogonal slot outputs on both wires give future-orthogonal
     images after reducing both slot inputs.  'a-side': orthogonal outputs
@@ -127,14 +118,14 @@ def verify_pure_superchannel(
     return _verify(_checked(u, layout, tol), layout, tol)
 
 
-def _verify(u: LinOp, layout: TwoSlotLayout, tol: float) -> SuperchannelReport:
+def _verify(u: LinOp, layout: TwoSlotLayout, tol: float) -> Verdict:
     """The three closed-form residuals of a canonical unitary."""
     residuals = {
         "joint": _joint_residual(u, layout),
         "a-side": signalling_residual(u, layout.a_out[0], [layout.a_in[0]]),
         "b-side": signalling_residual(u, layout.b_out[0], [layout.b_in[0]]),
     }
-    return SuperchannelReport(max(residuals.values()) <= tol, residuals)
+    return Verdict(max(residuals.values()) <= tol, residuals)
 
 
 def _joint_residual(u: LinOp, layout: TwoSlotLayout) -> float:
@@ -432,7 +423,8 @@ def direct_sum_decompose(u: LinOp, layout: TwoSlotLayout, tol: float = TOL) -> D
     t[s, f, p, x] = <s, f| U |p, x>, its two diagonal slices are the
     blocks and the max-abs of its two off-diagonal slices is the
     off-block residual, an error beyond ``tol``.  Both blocks are
-    re-verified as causally ordered combs of their respective order.
+    re-verified as causally ordered combs of their respective order, which
+    checks each block's unitarity first.
     """
     u = _checked(u, layout, tol)
     report = _verify(u, layout, tol)
@@ -468,14 +460,14 @@ def direct_sum_decompose(u: LinOp, layout: TwoSlotLayout, tol: float = TOL) -> D
         block_layout = layout.with_dims(pdim, fdim)
         blk = LinOp(block_layout.out_space(), block_layout.in_space(),
                     sub.reshape(d_s * fdim, pdim * d_x))
-        ok, res = is_unitary(blk, tol)
-        if not ok:
-            raise VerificationError(f"block {order} is not unitary (residual {res:.2e})")
-        comb_report = verify_pure_comb_unitary(blk, block_layout.slot_chain(order), tol)
+        try:
+            comb_report = verify_pure_comb_unitary(blk, block_layout.slot_chain(order), tol)
+        except ValueError as exc:  # a block that is not unitary
+            raise VerificationError(f"block {order}: {exc}") from None
         if not comb_report.ok:
             raise VerificationError(
                 f"block {order} fails its causal-order check "
-                f"(residual {comb_report.max_residual:.2e})"
+                f"(residual {max(comb_report.residuals.values()):.2e})"
             )
         blocks.append(blk)
 
@@ -540,10 +532,6 @@ class TraceFutureReport:
     @property
     def ok(self) -> bool:
         return self.residual <= self.tol
-
-
-# rows and columns of one tile of C + C^dagger: 256^2 complex entries, 1 MiB
-_TILE = 256
 
 
 def _future_factor(op: LinOp, layout: TwoSlotLayout) -> np.ndarray:

@@ -8,17 +8,19 @@ import pytest
 from helpers import perturbed
 from purecomb import builders
 from purecomb.cli import Report, build_parser, main
-from purecomb.combs import CombCircuit, ancilla_labels, compose_staircase, verify_comb_choi
+from purecomb.combs import (CombCircuit, ancilla_labels, compose_staircase, verify_comb_choi,
+                            verify_pure_comb_unitary)
 from purecomb.io import MatrixFileError, file_digest, load_matrix, save_matrix
-from purecomb.layouts import SlotLayout
+from purecomb.layouts import SlotLayout, TwoSlotLayout
 from purecomb.spaces import LinOp, Spaces, permute_systems, phase_distance
-from purecomb.twoslot import direct_sum_decompose, embed_block
+from purecomb.twoslot import direct_sum_decompose, embed_block, verify_pure_superchannel
 from purecomb.builders import haar_unitary
 
 FIXTURES = os.path.join(os.path.dirname(__file__), "fixtures")
 SWITCH = os.path.join(FIXTURES, "switch.json")
 D3D = os.path.join(FIXTURES, "d3d.json")
 RANDOM_U = os.path.join(FIXTURES, "random-unitary.json")
+CHOI = os.path.join(FIXTURES, "comb-choi.json")
 
 
 class TestMatrixFile:
@@ -181,6 +183,34 @@ class TestVerifyCommand:
             assert main(["verify", p, "--kind", "comb-choi", "--order", order, "--json"]) == 0
             outs.append(capsys.readouterr().out.replace(file_digest(p), "<digest>"))
         assert outs[0] == outs[1]
+
+    @pytest.mark.parametrize("kind, path, order, code", [
+        ("pure-superchannel", SWITCH, None, 0),
+        ("pure-superchannel", RANDOM_U, None, 1),
+        ("pure-comb", "comb", "H0,H1,H2,H3", 0),
+        ("pure-comb", SWITCH, "P,AI,AO,BI,BO,F", 1),
+        ("comb-choi", CHOI, "P,AI,AO,BI,BO,F", 0),
+        ("comb-choi", CHOI, "P,BI,BO,AI,AO,F", 1),
+    ])
+    def test_json_residuals_are_the_library_verdicts(self, kind, path, order, code, tmp_path,
+                                                     capsys):
+        """Each kind prints its library verdict's residuals: same keys, equal floats."""
+        if path == "comb":  # a seeded two-slot comb with a 2-dim ancilla
+            path = str(tmp_path / "comb.json")
+            save_matrix(path, builders.random_pure_comb(
+                SlotLayout.of(("H0", 4), ("H1", 2), ("H2", 2), ("H3", 4)), 7))
+        op = load_matrix(path)
+        if kind == "pure-superchannel":
+            (p, ao, bo), (ai, bi, f) = op.in_space.factors, op.out_space.factors
+            rep = verify_pure_superchannel(op, TwoSlotLayout(p, ai, ao, bi, bo, f))
+        else:
+            dims = {**dict(op.in_space.factors), **dict(op.out_space.factors)}
+            chain = SlotLayout(tuple((lab, dims[lab]) for lab in order.split(",")))
+            check = verify_pure_comb_unitary if kind == "pure-comb" else verify_comb_choi
+            rep = check(op, chain)
+        argv = ["verify", path, "--kind", kind, "--json"] + (["--order", order] if order else [])
+        assert main(argv) == code == (0 if rep.ok else 1)
+        assert json.loads(capsys.readouterr().out)["residuals"] == rep.residuals
 
     def test_comb_choi_of_a_non_square_operator_exit_2(self, capsys):
         assert main(["verify", SWITCH, "--kind", "comb-choi"]) == 2

@@ -69,7 +69,7 @@ class TestVerifyCombChoi:
         ident = LinOp(Spaces.of(("H1", 2)), Spaces.of(("H0", 2)), np.eye(2))
         rep = verify_comb_choi(choi_of_unitary(ident), lay)
         assert rep.ok
-        assert rep.normalization_residual < 1e-12
+        assert rep.residuals["normalization"] < 1e-12
 
     def test_random_unitary_choi_fails(self):
         for seed in range(100):
@@ -115,7 +115,8 @@ class TestVerifyCombChoi:
                 rep = verify_comb_choi(op, chain)
                 assert rep.ok == (op is not positive)
                 want = reference_comb_choi_tower(op, chain)
-                assert (rep.level_residuals, rep.normalization_residual) == want
+                levels = tuple(rep.residuals[f"level-{n}"] for n in range(chain.n_slots + 1))
+                assert (levels, rep.residuals["normalization"]) == want
 
 
 class TestVerifyPureCombUnitary:
@@ -124,7 +125,7 @@ class TestVerifyPureCombUnitary:
             u = random_pure_comb(LAY2, seed)
             rep = verify_pure_comb_unitary(u, LAY2)
             assert rep.ok
-            assert len(rep.per_slot) == 2
+            assert list(rep.residuals) == ["slot-1", "slot-2"]
 
     def test_reversed_order_fails(self):
         # a B-before-A routing tested against the A-before-B chain
@@ -170,7 +171,7 @@ class TestVerifyPureCombUnitary:
                 reordered = permute_systems(v, [labels[i] for i in rng.permutation(len(labels))])
                 for w in (v, reordered):
                     rep = verify_pure_comb_unitary(w, lay)
-                    assert rep.ok and rep.max_residual <= 1e-12
+                    assert rep.ok and max(rep.residuals.values()) <= 1e-12
                     c = staircase_decompose(w, lay)
                     assert c.ancilla_dims == ancillas
                     assert phase_distance(compose_staircase(c), w) <= 1e-8
@@ -183,7 +184,7 @@ class TestVerifyPureCombUnitary:
         ratios = []
         for eps in (1e-11, 1e-9, 1e-7, 1e-5):
             v = perturbed(u, eps, seed=2)
-            res = verify_pure_comb_unitary(v, LAY2_K2).max_residual
+            res = max(verify_pure_comb_unitary(v, LAY2_K2).residuals.values())
             ratios.append(res / eps)
             assert verify_pure_comb_unitary(v, LAY2_K2, 10 * res).ok
             assert not verify_pure_comb_unitary(v, LAY2_K2, res / 10).ok
@@ -203,7 +204,8 @@ class TestVerifyPureCombUnitary:
             inputs = [lab for lab, _ in lay.odd_factors()]
             want = tuple(reference_signalling_residual(u, lay.factor(2 * n)[0], inputs[:n])
                          for n in range(1, lay.n_slots + 1))
-            assert verify_pure_comb_unitary(u, lay).per_slot == want
+            got = verify_pure_comb_unitary(u, lay).residuals
+            assert got == {f"slot-{n}": r for n, r in enumerate(want, start=1)}
         assert want == (0.0, 1.0)
 
     def test_no_slots_vacuous(self):
@@ -211,7 +213,7 @@ class TestVerifyPureCombUnitary:
         rng = np.random.default_rng(4)
         u = LinOp(Spaces.of(("H1", 3)), Spaces.of(("H0", 3)), haar_unitary(3, rng))
         rep = verify_pure_comb_unitary(u, lay)
-        assert rep.ok and rep.per_slot == ()
+        assert rep.ok and rep.residuals == {}
 
     def test_non_unitary_rejected(self):
         bad = LinOp(LAY1.out_space(), LAY1.in_space(), np.eye(4) * 0.5)

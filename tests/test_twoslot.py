@@ -41,6 +41,7 @@ from purecomb.spaces import (
     TOL,
     LinOp,
     Spaces,
+    UnitaryCheck,
     adjoint,
     is_unitary,
     kron,
@@ -49,7 +50,7 @@ from purecomb.spaces import (
     phase_distance,
 )
 from purecomb.subspaces import Subspace, is_subset
-from purecomb import twoslot
+from purecomb import combs, twoslot
 from purecomb.twoslot import (
     SubspaceTriple,
     assemble,
@@ -281,7 +282,7 @@ class TestVerify:
         for d in (2, 6):
             rep = verify_pure_superchannel(*build_quantum_switch(d))
             assert rep.ok
-            assert rep.max_residual < 1e-12
+            assert max(rep.residuals.values()) < 1e-12
 
     def test_d3d_passes(self):
         u, lay = build_d3d_example()
@@ -343,7 +344,7 @@ class TestMetamorphic:
                     rep = verify_pure_superchannel(v, lay)
                     assert rep.ok == in_class
                     if in_class:
-                        assert rep.max_residual <= 1e-12
+                        assert max(rep.residuals.values()) <= 1e-12
                         d = direct_sum_decompose(v, lay)
                         assert _split_signature(d) == want
                         assert phase_distance(assemble(d), v) <= 1e-8
@@ -355,7 +356,7 @@ class TestPerturbation:
         ratios = []
         for eps in (1e-11, 1e-9, 1e-7, 1e-5):
             v = perturbed(u, eps, seed=1)
-            res = verify_pure_superchannel(v, lay).max_residual
+            res = max(verify_pure_superchannel(v, lay).residuals.values())
             ratios.append(res / eps)
             assert verify_pure_superchannel(v, lay, 10 * res).ok
             assert not verify_pure_superchannel(v, lay, res / 10).ok
@@ -905,6 +906,21 @@ class TestChangeOfBasis:
         monkeypatch.setattr(twoslot, "embed_block", lambda *a: calls.append(1) or embed(*a))
         assert trace_future_check(d).ok
         assert len(calls) == 2
+
+    def test_decompose_checks_each_unitarity_once(self, monkeypatch):
+        # U once, then each block once, inside its causal-order check
+        calls = []
+        for mod in (twoslot, combs):
+            monkeypatch.setattr(mod, "is_unitary",
+                                lambda *a, check=mod.is_unitary: calls.append(1) or check(*a))
+        direct_sum_decompose(*build_quantum_switch(3))
+        assert len(calls) == 3
+
+    def test_non_unitary_block_is_a_verification_failure(self, monkeypatch):
+        # the block check fails as the comb check's unitarity test reports
+        monkeypatch.setattr(combs, "is_unitary", lambda *a: UnitaryCheck(False, 0.5))
+        with pytest.raises(VerificationError, match=r"^block ab: .*not unitary \(residual 5\.00e-01\)"):
+            direct_sum_decompose(*build_quantum_switch(2))
 
 
 class TestLayoutCheck:

@@ -2,7 +2,7 @@
 
     python3 tools/cli_digests.py WORKDIR > manifest.json
 
-Runs 28 ops in-process through ``purecomb.cli.main`` (imported from the
+Runs 30 ops in-process through ``purecomb.cli.main`` (imported from the
 ``src/`` of the checkout this file is in), with the BLAS thread count pinned
 to 1, inside WORKDIR with relative paths, and prints one JSON manifest: per
 op its argv, exit code and the sha256 of its stdout, then the sha256 of
@@ -15,9 +15,11 @@ The ops: ``build``, ``verify --kind pure-superchannel`` and ``decompose
 blocks; ``build random-comb`` on a 3-slot chain, then ``verify --kind
 pure-comb`` on it and on the switch-3 file read as an A-first chain (exit
 1: the one sparse input whose signalling check fails), and ``decompose
---kind staircase`` on the comb; last, ``verify --kind comb-choi`` on the
-``tests/fixtures/comb-choi.json`` Choi operator with its chain ``--order``
-(exit 0) and with its two slots swapped (exit 1).
+--kind staircase`` on the comb; ``build random-comb`` on the two-slot chain
+P,AI,AO,BI,BO,F and ``decompose --kind direct-sum`` of it, the one-block
+path, which also writes the block's staircase; last, ``verify --kind
+comb-choi`` on the ``tests/fixtures/comb-choi.json`` Choi operator with its
+chain ``--order`` (exit 0) and with its two slots swapped (exit 1).
 """
 
 import os
@@ -43,6 +45,7 @@ CHOI_FIXTURE = "comb-choi"
 CHOI_ORDERS = ("P,AI,AO,BI,BO,F", "P,BI,BO,AI,AO,F")
 COMB_CHAIN = "H0=8,H1=2,H2=4,H3=4,H4=4,H5=4,H6=2,H7=8"
 SWITCH_CHAIN = "P,AI,AO,BI,BO,F"
+TWO_SLOT_CHAIN = "P=2,AI=2,AO=2,BI=2,BO=2,F=2"
 
 
 def two_slot_ops(tag: str, path: str) -> list[list[str]]:
@@ -64,7 +67,10 @@ def op_list() -> list[list[str]]:
              "--json"],
             ["verify", "comb.json", "--kind", "pure-comb", "--json"],
             ["verify", "switch3.json", "--kind", "pure-comb", "--order", SWITCH_CHAIN, "--json"],
-            ["decompose", "comb.json", "--kind", "staircase", "--out", "dec-comb", "--json"]]
+            ["decompose", "comb.json", "--kind", "staircase", "--out", "dec-comb", "--json"],
+            ["build", "random-comb", "--chain", TWO_SLOT_CHAIN, "--seed", "7", "--out",
+             "comb-ab.json", "--json"],
+            ["decompose", "comb-ab.json", "--kind", "direct-sum", "--out", "dec-comb-ab", "--json"]]
     ops += [["verify", f"fixture-{CHOI_FIXTURE}.json", "--kind", "comb-choi", "--order", order,
              "--json"] for order in CHOI_ORDERS]
     return ops
