@@ -68,7 +68,6 @@ from .builders import (
     haar_unitary,
     random_pure_comb,
     random_staircase_circuit,
-    random_unitary,
     switch_layout,
 )
 

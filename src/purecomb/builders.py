@@ -20,13 +20,6 @@ def haar_unitary(dim: int, rng: np.random.Generator) -> np.ndarray:
     return q * (d / np.abs(d))
 
 
-def random_unitary(dim: int, seed: int) -> LinOp:
-    """Seeded Haar-random unitary on a single factor labeled 'U'."""
-    rng = np.random.default_rng(seed)
-    sp = Spaces.of(("U", dim))
-    return LinOp(sp, sp, haar_unitary(dim, rng))
-
-
 def random_staircase_circuit(layout: SlotLayout, seed: int) -> CombCircuit:
     """Seeded staircase with Haar-random elements respecting the ancilla chain."""
     ks = ancilla_chain(layout)

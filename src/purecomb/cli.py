@@ -138,10 +138,8 @@ def _reject_unread(args, target: str, reads: set) -> None:
 
 def cmd_build(args) -> int:
     reads = {"switch": {"dim"}, "d3d": set(), "random-comb": {"chain", "seed"},
-             "random-unitary": {"dim", "dims", "seed"}}
+             "random-unitary": {"dims", "seed"}}
     _reject_unread(args, args.name, reads[args.name])
-    if args.dim is not None and args.dims is not None:
-        raise UsageError("build random-unitary takes --dim or --dims, not both")
     rng_seed = args.seed if args.seed is not None else 0
     if args.name == "switch":
         op, _ = builders.build_quantum_switch(args.dim or 2)
@@ -153,21 +151,17 @@ def cmd_build(args) -> int:
         factors = _parse_assignments(args.chain, "--chain").items()
         op = builders.random_pure_comb(SlotLayout.of(*factors), rng_seed)
     else:  # random-unitary
-        if args.dims is not None:
-            given = _parse_assignments(args.dims, "--dims")
-            want = ["AI", "AO", "BI", "BO", "F", "P"]
-            if sorted(given) != want:
-                raise UsageError(f"--dims labels {sorted(given)} must be exactly {want}")
-            sp_in = Spaces.of(("P", given["P"]), ("AO", given["AO"]), ("BO", given["BO"]))
-            sp_out = Spaces.of(("AI", given["AI"]), ("BI", given["BI"]), ("F", given["F"]))
-            if sp_in.dim != sp_out.dim:
-                raise UsageError("--dims do not give a square operator")
-            rng = np.random.default_rng(rng_seed)
-            op = LinOp(sp_out, sp_in, builders.haar_unitary(sp_in.dim, rng))
-        elif args.dim:
-            op = builders.random_unitary(args.dim, rng_seed)
-        else:
-            raise UsageError("random-unitary requires --dim or --dims")
+        if args.dims is None:
+            raise UsageError("random-unitary requires --dims P=4,AI=2,AO=2,BI=2,BO=2,F=4")
+        given = _parse_assignments(args.dims, "--dims")
+        want = ["AI", "AO", "BI", "BO", "F", "P"]
+        if sorted(given) != want:
+            raise UsageError(f"--dims labels {sorted(given)} must be exactly {want}")
+        sp_in = Spaces.of(("P", given["P"]), ("AO", given["AO"]), ("BO", given["BO"]))
+        sp_out = Spaces.of(("AI", given["AI"]), ("BI", given["BI"]), ("F", given["F"]))
+        if sp_in.dim != sp_out.dim:
+            raise UsageError("--dims do not give a square operator")
+        op = LinOp(sp_out, sp_in, builders.haar_unitary(sp_in.dim, np.random.default_rng(rng_seed)))
     digest = save_matrix(args.out, op)
     report = Report(
         command="build",
@@ -250,7 +244,8 @@ def cmd_decompose(args) -> int:
                 path = f"{args.out}.block-{tag}.json"
                 save_matrix(path, twoslot.embed_block(blk, p_e, f_e, layout))
                 written.append(path)
-            # a single causally ordered block additionally gets its staircase
+            # a single causally ordered block additionally gets its staircase;
+            # direct_sum_decompose has verified it against this chain at tol
             present = [(tag, blk) for tag, (blk, _, _) in blocks.items() if blk is not None]
             if len(present) == 1:
                 tag, blk = present[0]
@@ -258,7 +253,7 @@ def cmd_decompose(args) -> int:
                     blk.in_space.dim_of(layout.past[0]),
                     blk.out_space.dim_of(layout.future[0]),
                 ).slot_chain(tag)
-                circuit = combs.staircase_decompose(blk, chain, tol)
+                circuit = combs._peel(blk, chain, tol)
         else:  # staircase
             circuit = combs.staircase_decompose(op, _chain_layout(op, args.order), tol)
         if circuit is not None:

@@ -236,6 +236,12 @@ def staircase_decompose(u: LinOp, layout: SlotLayout, tol: float = TOL) -> CombC
             f"operator is not a reversible comb for this layout "
             f"(worst signalling residual {max(report.residuals.values()):.2e})"
         )
+    return _peel(u, layout, tol)
+
+
+def _peel(u: LinOp, layout: SlotLayout, tol: float) -> CombCircuit:
+    """The staircase of ``staircase_decompose``, for a ``u`` that has passed
+    ``verify_pure_comb_unitary`` against ``layout`` at ``tol``."""
     try:
         ks = ancilla_chain(layout)
     except ValueError as exc:

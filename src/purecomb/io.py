@@ -37,8 +37,8 @@ sees the file's own number tokens in order, so the values are bit-identical
 to those of a parse of the whole document.  Memory beyond the matrix is
 bounded by one chunk.  Files are decoded as UTF-8 (RFC 8259).  Any other
 valid JSON, such as other whitespace or key order, and any file that fails
-a chunk check, is parsed whole with ``json.load`` and checked by whole-list
-passes, which also name what is wrong with a rejected file.
+a chunk check, is parsed whole with ``json.load`` and checked entry by
+entry, which also names what is wrong with a rejected file.
 
 A load rejects, with ``MatrixFileError``: unreadable, non-UTF-8 or non-JSON
 files; a ``version`` that is not the integer ``FORMAT_VERSION`` (``true``
@@ -370,24 +370,14 @@ def _finite(x) -> bool:
 
 
 def _parse_data(raw: list) -> np.ndarray:
-    """The data pairs as a flat complex array.  Checked by whole-list
-    passes; when one fails, a scan names the first bad entry."""
-    if (set(map(type, raw)) <= {list} and set(map(len, raw)) <= {2}
-            and set(map(type, chain.from_iterable(raw))) <= _REAL):
-        try:
-            flat = np.fromiter(chain.from_iterable(raw), np.float64, count=2 * len(raw))
-        except OverflowError:
-            pass
-        else:
-            # NaN propagates through min/max, and no full-size mask is formed
-            if np.isfinite([flat.min(), flat.max()]).all():
-                return flat.view(np.complex128)
+    """The data pairs as a flat complex array, checked entry by entry: the
+    error names the first bad entry."""
     for i, pair in enumerate(raw):
         if not (isinstance(pair, list) and len(pair) == 2):
             raise MatrixFileError(f"bad data entry at index {i}: {pair!r}")
         if not all(type(x) in _REAL and _finite(x) for x in pair):
             raise MatrixFileError(f"non-numeric or non-finite data entry at index {i}: {pair!r}")
-    raise AssertionError("the whole-list checks failed on valid data")
+    return np.fromiter(chain.from_iterable(raw), np.float64, count=2 * len(raw)).view(np.complex128)
 
 
 def _check_header(doc, path) -> tuple[Spaces, Spaces]:

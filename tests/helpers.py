@@ -73,6 +73,12 @@ each level's reduced operator lifted by ``kron`` with an identity and
 permuted back to the level's factor order.  The broadcast comparison must
 return the same level and normalization residuals.
 
+The Lugano inputs are in the class without being built from their
+answer: ``lugano_process`` is the purified three-slot Lugano process, and
+``plugged_lugano`` plugs its slot C with a Haar unitary that carries an
+environment from past to future, which leaves a two-slot map whose
+direct-sum blocks no constructor wrote down.
+
 The rest are small references that only tests call, moved here from the
 package: ``basis_state``, ``kron_vec`` and ``partial_transpose`` on labeled
 vectors and operators; ``angle_sine`` between subspaces; ``apply_channel``
@@ -572,6 +578,36 @@ def square_two_slot_layout(p_ab, p_ba):
     """Qubit slots, with past and future both of dimension p_ab + p_ba."""
     d = p_ab + p_ba
     return TwoSlotLayout.of(("P", d), ("AI", 2), ("AO", 2), ("BI", 2), ("BO", 2), ("F", d))
+
+
+def lugano_process():
+    """The purified Lugano process (Baumeler & Wolf, NJP 18, 013036 (2016)):
+    the 64 x 64 permutation sending |p, a_o, b_o, c_o> to |x_a, x_b, x_c, F>,
+    each slot input x_in = p_x XOR f_x with f = (not b and c, not c and a,
+    not a and b) of the slot outputs, and the future F a copy of (a_o, b_o,
+    c_o).  Input factors (P, AO, BO, CO), output factors (AI, BI, CI, F);
+    P and F index their three bits as 4 x_1 + 2 x_2 + x_3."""
+    sp_in = Spaces.of(("P", 8), ("AO", 2), ("BO", 2), ("CO", 2))
+    sp_out = Spaces.of(("AI", 2), ("BI", 2), ("CI", 2), ("F", 8))
+    mat = np.zeros((64, 64), dtype=np.complex128)
+    for pa, pb, pc, a, b, c in itertools.product((0, 1), repeat=6):
+        x = (pa ^ ((1 - b) & c), pb ^ ((1 - c) & a), pc ^ ((1 - a) & b))
+        mat[np.ravel_multi_index((*x, 4 * a + 2 * b + c), sp_out.dims),
+            np.ravel_multi_index((4 * pa + 2 * pb + pc, a, b, c), sp_in.dims)] = 1.0
+    return LinOp(sp_out, sp_in, mat)
+
+
+def plugged_lugano(k, rng):
+    """``lugano_process`` with slot C plugged by a Haar unitary V on
+    CI (x) E -> CO (x) E, k = dim E: the two-slot map with slots A and B,
+    past P (x) E and future F (x) E (composite index x k + e), and its
+    layout.  The loop through C is closed by summing over c_i and c_o."""
+    u = lugano_process().data.reshape(2, 2, 2, 8, 8, 2, 2, 2)  # ai bi ci f, p ao bo co
+    v = haar_unitary(2 * k, rng).reshape(2, k, 2, k)  # co e', ci e
+    w = np.einsum("ijcfpabd,dycx->ijfypxab", u, v)
+    layout = TwoSlotLayout.of(("P", 8 * k), ("AI", 2), ("AO", 2), ("BI", 2), ("BO", 2),
+                              ("F", 8 * k))
+    return LinOp(layout.out_space(), layout.in_space(), w.reshape(32 * k, 32 * k)), layout
 
 
 def reference_matrix_text(op):

@@ -11,7 +11,6 @@ from purecomb.builders import (
     haar_unitary,
     random_pure_comb,
     random_staircase_circuit,
-    random_unitary,
 )
 from purecomb.combs import verify_pure_comb_unitary
 from purecomb.io import load_matrix
@@ -101,9 +100,6 @@ class TestD3dExample:
 
 class TestRandomGenerators:
     def test_same_seed_bit_identical(self):
-        a = random_unitary(5, 42)
-        b = random_unitary(5, 42)
-        assert np.array_equal(a.data, b.data)
         lay = SlotLayout.of(("H0", 2), ("H1", 2), ("H2", 2), ("H3", 2))
         u1 = random_pure_comb(lay, 7)
         u2 = random_pure_comb(lay, 7)

@@ -247,6 +247,7 @@ class TestBuildCommand:
         (["d3d", "--seed", "4"], "--seed"),
         (["random-comb", "--chain", "H0=2,H1=2", "--dim", "7"], "--dim"),
         (["random-unitary", "--dim", "3", "--dims", "P=4,AI=2,AO=2,BI=2,BO=2,F=4"], "--dim"),
+        (["random-unitary", "--dim", "3"], "--dim"),
     ])
     def test_option_the_target_does_not_read_exit_2(self, argv, option, tmp_path, capsys):
         out = tmp_path / "o.json"

@@ -1,5 +1,7 @@
+import collections
 import dataclasses
 import itertools
+import json
 import os
 import tracemalloc
 
@@ -15,7 +17,9 @@ from helpers import (
     future_traced_choi,
     kron_restriction,
     locally_rotated,
+    lugano_process,
     perturbed,
+    plugged_lugano,
     reference_cross_residual,
     reference_joint_residual,
     reference_past_rows,
@@ -32,10 +36,17 @@ from purecomb.builders import (
     switch_layout,
 )
 from purecomb.choi import choi_of_unitary
-from purecomb.combs import _live, _signalling_rows, signalling_residual
+from purecomb.cli import main
+from purecomb.combs import (
+    _live,
+    _signalling_rows,
+    compose_staircase,
+    signalling_residual,
+    staircase_decompose,
+)
 from purecomb.errors import VerificationError
 from purecomb.families import spanning_family
-from purecomb.io import load_matrix
+from purecomb.io import load_matrix, save_matrix
 from purecomb.layouts import SlotLayout, TwoSlotLayout
 from purecomb.spaces import (
     TOL,
@@ -916,6 +927,22 @@ class TestChangeOfBasis:
         direct_sum_decompose(*build_quantum_switch(3))
         assert len(calls) == 3
 
+    def test_one_block_decompose_verifies_the_block_once(self, tmp_path, monkeypatch):
+        # direct_sum_decompose verifies the block as a comb; the CLI then
+        # peels its staircase without checking it again
+        path, calls = str(tmp_path / "comb-ab.json"), collections.Counter()
+        assert main(["build", "random-comb", "--chain", "P=2,AI=2,AO=2,BI=2,BO=2,F=2",
+                     "--seed", "7", "--out", path]) == 0
+        for mod, name in itertools.product((twoslot, combs), ("verify_pure_comb_unitary",
+                                                              "signalling_residual", "is_unitary")):
+            monkeypatch.setattr(mod, name, lambda *a, f=getattr(mod, name), name=name:
+                                calls.update([name]) or f(*a))
+        argv = ["decompose", path, "--kind", "direct-sum", "--out", str(tmp_path / "dec")]
+        assert main(argv) == 0
+        assert (tmp_path / "dec.element-2.json").exists()
+        # U, the block and the three staircase elements are each checked once
+        assert calls == {"verify_pure_comb_unitary": 1, "signalling_residual": 4, "is_unitary": 5}
+
     def test_non_unitary_block_is_a_verification_failure(self, monkeypatch):
         # the block check fails as the comb check's unitarity test reports
         monkeypatch.setattr(combs, "is_unitary", lambda *a: UnitaryCheck(False, 0.5))
@@ -1136,3 +1163,37 @@ class TestBetaIndependence:
         for t in triples[1:]:
             assert is_subset(t.reverse, first, 1e-8)
             assert is_subset(first, t.reverse, 1e-8)
+
+
+class TestPluggedLugano:
+    """An in-class input not built from its answer: the purified Lugano
+    process, a three-slot process that violates a causal inequality, with
+    its slot C plugged by a Haar unitary with a k-dimensional environment,
+    splits into one A-first and one B-first block of past dimension 4k."""
+
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    def test_splits_into_two_ordered_blocks(self, k):
+        u, lay = plugged_lugano(k, np.random.default_rng(k))
+        assert verify_pure_superchannel(u, lay, TOL).ok
+        d = direct_sum_decompose(u, lay, TOL)
+        assert d.classification == "general-direct-sum"
+        assert d.p_dims == (4 * k, 4 * k) and d.triple_p_dims == (4 * k, 0, 4 * k)
+        assert phase_distance(assemble(d), u) <= 1e-8
+        report = trace_future_check(d)
+        assert report.ok and np.allclose(report.weights, (0.5, 0.5), rtol=0, atol=1e-12)
+        for tag, (blk, _, _) in d.parts().items():
+            chain = lay.with_dims(blk.in_space.dim_of("P"), blk.out_space.dim_of("F")).slot_chain(tag)
+            circuit = staircase_decompose(blk, chain, TOL)
+            assert circuit.ancilla_dims == (1, 2 * k, 2 * k, 1)
+            assert phase_distance(compose_staircase(circuit), blk) <= 1e-8
+
+    def test_unplugged_with_b_and_c_grouped_fails_verify(self, tmp_path, capsys):
+        # B (x) C as one 4-dim slot: the process is not a direct sum of
+        # A-first and BC-first combs
+        grouped = LinOp(Spaces.of(("AI", 2), ("BCI", 4), ("F", 8)),
+                        Spaces.of(("P", 8), ("AO", 2), ("BCO", 4)), lugano_process().data)
+        path = str(tmp_path / "lugano.json")
+        save_matrix(path, grouped)
+        assert main(["verify", path, "--kind", "pure-superchannel", "--json"]) == 1
+        residuals = json.loads(capsys.readouterr().out)["residuals"]
+        assert residuals["joint"] == 0.5 and residuals["b-side"] == 1.0

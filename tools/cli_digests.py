@@ -2,7 +2,7 @@
 
     python3 tools/cli_digests.py WORKDIR > manifest.json
 
-Runs 30 ops in-process through ``purecomb.cli.main`` (imported from the
+Runs 33 ops in-process through ``purecomb.cli.main`` (imported from the
 ``src/`` of the checkout this file is in), with the BLAS thread count pinned
 to 1, inside WORKDIR with relative paths, and prints one JSON manifest: per
 op its argv, exit code and the sha256 of its stdout, then the sha256 of
@@ -17,9 +17,13 @@ pure-comb`` on it and on the switch-3 file read as an A-first chain (exit
 1: the one sparse input whose signalling check fails), and ``decompose
 --kind staircase`` on the comb; ``build random-comb`` on the two-slot chain
 P,AI,AO,BI,BO,F and ``decompose --kind direct-sum`` of it, the one-block
-path, which also writes the block's staircase; last, ``verify --kind
+path, which also writes the block's staircase; ``verify --kind
 comb-choi`` on the ``tests/fixtures/comb-choi.json`` Choi operator with its
-chain ``--order`` (exit 0) and with its two slots swapped (exit 1).
+chain ``--order`` (exit 0) and with its two slots swapped (exit 1); then
+``build random-unitary --dims`` and ``verify --kind pure-superchannel`` of
+it (exit 1); last, ``verify --kind pure-superchannel`` of a copy of
+``tests/fixtures/d3d.json`` written with ``json.dumps(..., indent=1)``, the
+one op whose load parses the whole document.
 """
 
 import os
@@ -46,6 +50,7 @@ CHOI_ORDERS = ("P,AI,AO,BI,BO,F", "P,BI,BO,AI,AO,F")
 COMB_CHAIN = "H0=8,H1=2,H2=4,H3=4,H4=4,H5=4,H6=2,H7=8"
 SWITCH_CHAIN = "P,AI,AO,BI,BO,F"
 TWO_SLOT_CHAIN = "P=2,AI=2,AO=2,BI=2,BO=2,F=2"
+INDENTED = "indented-d3d.json"
 
 
 def two_slot_ops(tag: str, path: str) -> list[list[str]]:
@@ -73,6 +78,10 @@ def op_list() -> list[list[str]]:
             ["decompose", "comb-ab.json", "--kind", "direct-sum", "--out", "dec-comb-ab", "--json"]]
     ops += [["verify", f"fixture-{CHOI_FIXTURE}.json", "--kind", "comb-choi", "--order", order,
              "--json"] for order in CHOI_ORDERS]
+    ops += [["build", "random-unitary", "--dims", "P=4,AI=2,AO=2,BI=2,BO=2,F=4", "--seed", "1",
+             "--out", "rnd.json", "--json"],
+            ["verify", "rnd.json", "--kind", "pure-superchannel", "--json"],
+            ["verify", INDENTED, "--kind", "pure-superchannel", "--json"]]
     return ops
 
 
@@ -86,9 +95,11 @@ def main(argv: list[str]) -> int:
         return 2
     work = Path(argv[0])
     work.mkdir(parents=True, exist_ok=True)
-    inputs = {f"fixture-{name}.json" for name in (*FIXTURES, CHOI_FIXTURE)}
+    inputs = {f"fixture-{name}.json" for name in (*FIXTURES, CHOI_FIXTURE)} | {INDENTED}
     for name in (*FIXTURES, CHOI_FIXTURE):
         shutil.copyfile(ROOT / "tests" / "fixtures" / f"{name}.json", work / f"fixture-{name}.json")
+    d3d = json.loads((ROOT / "tests" / "fixtures" / "d3d.json").read_text())
+    (work / INDENTED).write_text(json.dumps(d3d, indent=1))
     os.chdir(work)
     ops = []
     for argv_i in op_list():
