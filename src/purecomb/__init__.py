@@ -12,7 +12,6 @@ from .spaces import (
     Vec,
     adjoint,
     apply_op,
-    canonical_phase,
     compose,
     contract_bra,
     identity,
@@ -21,7 +20,6 @@ from .spaces import (
     partial_trace,
     permute_systems,
     phase_distance,
-    trace_matching,
 )
 from .subspaces import (
     Subspace,

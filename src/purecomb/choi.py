@@ -20,7 +20,7 @@ import math
 import numpy as np
 
 from .layouts import SlotLayout
-from .spaces import LinOp, Spaces, Vec, canonical_phase
+from .spaces import LinOp, Spaces, Vec
 
 
 # rows per tile of the Hermitian checks, and rows and columns of one tile of
@@ -126,9 +126,7 @@ def plug_unitaries(u: LinOp, layout: SlotLayout, slot_ops: list[LinOp]) -> LinOp
 
     Slot operator n must consume the slot-input factor H_{2n-1} and produce
     the slot-output factor H_{2n}; any further factors it carries are
-    treated as its private ancillas and pass through to the result.  The
-    output is scaled to the canonical global phase so repeated calls are
-    bit-identical.
+    treated as its private ancillas and pass through to the result.
 
     The slots are contracted into u one at a time, each as one matrix
     product of the operators reshaped to tensors (``_contract``): slot n
@@ -175,7 +173,7 @@ def plug_unitaries(u: LinOp, layout: SlotLayout, slot_ops: list[LinOp]) -> LinOp
     order = [("out", lab) for lab, _ in out_factors] + [("in", lab) for lab, _ in in_factors]
     out_space, in_space = Spaces(tuple(out_factors)), Spaces(tuple(in_factors))
     data = t.transpose([t_keys.index(key) for key in order]).reshape(out_space.dim, in_space.dim)
-    return canonical_phase(LinOp(out_space, in_space, data))
+    return LinOp(out_space, in_space, data)
 
 
 def _tensor(a: LinOp) -> np.ndarray:
@@ -193,7 +191,7 @@ def _contract(a: np.ndarray, a_keys: list, b: np.ndarray, b_keys: list, out_keys
     free axes and transposed to ``out_keys``, which must name each free axis
     once.  That is the operand and summation order of ``np.einsum``'s
     matrix-product path for two operands, so the sums round as its do and
-    entries tied in magnitude keep their order (the canonical-phase pivot).
+    the result agrees with the einsum reference to rounding.
     """
     a_set, b_set = set(a_keys), set(b_keys)
     shared = [key for key in b_keys if key in a_set]

@@ -29,7 +29,7 @@ from . import builders, combs, twoslot
 from .errors import VerificationError
 from .io import file_digest, load_matrix, save_matrix
 from .layouts import SlotLayout, TwoSlotLayout
-from .spaces import TOL, LinOp, Spaces, is_unitary, permute_systems
+from .spaces import TOL, LinOp, is_unitary, permute_systems
 
 EXIT_PASS = 0
 EXIT_FAIL = 1
@@ -157,8 +157,8 @@ def cmd_build(args) -> int:
         want = ["AI", "AO", "BI", "BO", "F", "P"]
         if sorted(given) != want:
             raise UsageError(f"--dims labels {sorted(given)} must be exactly {want}")
-        sp_in = Spaces.of(("P", given["P"]), ("AO", given["AO"]), ("BO", given["BO"]))
-        sp_out = Spaces.of(("AI", given["AI"]), ("BI", given["BI"]), ("F", given["F"]))
+        layout = TwoSlotLayout.of(*((lab, given[lab]) for lab in ("P", "AI", "AO", "BI", "BO", "F")))
+        sp_in, sp_out = layout.in_space(), layout.out_space()
         if sp_in.dim != sp_out.dim:
             raise UsageError("--dims do not give a square operator")
         op = LinOp(sp_out, sp_in, builders.haar_unitary(sp_in.dim, np.random.default_rng(rng_seed)))

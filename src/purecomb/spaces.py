@@ -207,25 +207,14 @@ def _aligned_square(a: LinOp) -> LinOp:
 
 
 def partial_trace(a: LinOp, traced_labels: Iterable[str]) -> LinOp:
-    """Trace out the listed factors of a square operator."""
-    return trace_matching(_aligned_square(a), traced_labels)
-
-
-def trace_matching(a: LinOp, labels: Iterable[str]) -> LinOp:
-    """Partial trace over factors present on both sides of a rectangular map;
-    kept input factors shared with the output come first, in output order."""
-    traced = list(labels)
-    for lab in traced:
-        if a.out_space.dim_of(lab) != a.in_space.dim_of(lab):
-            raise ValueError(f"factor {lab!r} has mismatched dims on the two sides")
-    keep_out = [lab for lab in a.out_space.labels if lab not in set(traced)]
-    keep_in = [lab for lab in a.in_space.labels if lab not in set(traced)]
-    order = keep_out + [lab for lab in keep_in if lab not in keep_out] + traced
-    b = permute_systems(a, order)
-    out_sp, in_sp = b.out_space.without(traced), b.in_space.without(traced)
-    t = b.out_space.dim // out_sp.dim
-    m = b.data.reshape(out_sp.dim, t, in_sp.dim, t)
-    return LinOp(out_sp, in_sp, np.einsum("aibi->ab", m))
+    """Trace out the listed factors of a square operator; the rest keep the output order."""
+    a = _aligned_square(a)
+    traced = list(traced_labels)
+    keep = [lab for lab in a.out_space.labels if lab not in set(traced)]
+    b = permute_systems(a, keep + traced)
+    sp = a.out_space.select(keep)
+    t = b.out_space.dim // sp.dim
+    return LinOp(sp, sp, np.einsum("aibi->ab", b.data.reshape(sp.dim, t, sp.dim, t)))
 
 
 def contract_bra(phi: Vec, x: Vec) -> Vec:
@@ -284,16 +273,6 @@ def is_unitary(a: LinOp, tol: float = TOL) -> UnitaryCheck:
         return UnitaryCheck(False, float("inf"))
     res = float(np.abs(a.data.conj().T @ a.data - np.eye(a.data.shape[1])).max())
     return UnitaryCheck(res <= tol, res)
-
-
-def canonical_phase(a: LinOp) -> LinOp:
-    """Scale so the largest-magnitude entry (first in row-major order) is real positive."""
-    flat = a.data.reshape(-1)
-    idx = int(np.argmax(np.abs(flat)))
-    pivot = flat[idx]
-    if pivot == 0:
-        return a
-    return LinOp(a.out_space, a.in_space, a.data * (abs(pivot) / pivot))
 
 
 def phase_distance(a: LinOp, b: LinOp) -> float:

@@ -108,13 +108,11 @@ from purecomb.spaces import (
     Vec,
     _aligned_square,
     adjoint,
-    canonical_phase,
     compose,
     identity,
     kron,
     partial_trace,
     permute_systems,
-    trace_matching,
 )
 from purecomb.subspaces import (
     Subspace,
@@ -381,6 +379,23 @@ def locally_rotated(u, rng):
     return LinOp(u.out_space, u.in_space, phase * local(u.out_space) @ u.data @ local(u.in_space))
 
 
+def trace_matching(a, labels):
+    """Partial trace over factors present on both sides of a rectangular map;
+    kept input factors shared with the output come first, in output order."""
+    traced = list(labels)
+    for lab in traced:
+        if a.out_space.dim_of(lab) != a.in_space.dim_of(lab):
+            raise ValueError(f"factor {lab!r} has mismatched dims on the two sides")
+    keep_out = [lab for lab in a.out_space.labels if lab not in set(traced)]
+    keep_in = [lab for lab in a.in_space.labels if lab not in set(traced)]
+    order = keep_out + [lab for lab in keep_in if lab not in keep_out] + traced
+    b = permute_systems(a, order)
+    out_sp, in_sp = b.out_space.without(traced), b.in_space.without(traced)
+    t = b.out_space.dim // out_sp.dim
+    m = b.data.reshape(out_sp.dim, t, in_sp.dim, t)
+    return LinOp(out_sp, in_sp, np.einsum("aibi->ab", m))
+
+
 def dense_link_product(e, f):
     """Contract two Choi operators over their shared labels.
 
@@ -411,9 +426,7 @@ def dense_plug_unitaries(u, layout, slot_ops):
 
     Slot operator n must consume the slot-input factor H_{2n-1} and produce
     the slot-output factor H_{2n}; any further factors it carries are
-    treated as its private ancillas and pass through to the result.  The
-    output is scaled to the canonical global phase so repeated calls are
-    bit-identical.
+    treated as its private ancillas and pass through to the result.
     """
     n = layout.n_slots
     if len(slot_ops) != n:
@@ -428,11 +441,10 @@ def dense_plug_unitaries(u, layout, slot_ops):
         if not op.out_space.has(lab_out) or op.out_space.dim_of(lab_out) != d_out:
             raise ValueError(f"slot {k} operator does not produce {lab_out!r} (dim {d_out})")
     if n == 0:
-        return canonical_phase(u)
+        return u
     lifted = functools.reduce(kron, slot_ops, identity(future))
     prod = compose(lifted, u, pad=True)
-    traced = trace_matching(prod, [layout.factor(2 * k)[0] for k in range(1, n + 1)])
-    return canonical_phase(traced)
+    return trace_matching(prod, [layout.factor(2 * k)[0] for k in range(1, n + 1)])
 
 
 def kron_restriction(u, layout, p_embed, f_embed):

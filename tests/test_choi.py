@@ -25,7 +25,7 @@ from purecomb import choi
 from purecomb.choi import ChoiOp, choi_of_unitary, choi_vector, link_product, plug_unitaries
 from purecomb.combs import verify_comb_choi
 from purecomb.layouts import SlotLayout, TwoSlotLayout
-from purecomb.spaces import LinOp, Spaces, canonical_phase, is_unitary, permute_systems, phase_distance
+from purecomb.spaces import LinOp, Spaces, is_unitary, permute_systems, phase_distance
 
 A2 = Spaces.of(("A", 2))
 B2 = Spaces.of(("B", 2))
@@ -341,25 +341,29 @@ class TestPlugMatchesDense:
             _assert_same_op(plug_unitaries(u, lay, ops), dense_plug_unitaries(u, lay, ops))
 
     @pytest.mark.parametrize("tag,u,lay", PLUG_INSTANCES, ids=[t for t, _, _ in PLUG_INSTANCES])
-    @pytest.mark.parametrize("first", [False, True], ids=["anc-last", "anc-first"])
-    def test_phase_pivot_matches_einsum(self, tag, u, lay, first, monkeypatch):
-        # the GEMM and the einsum reference round alike where two entries
-        # tie in magnitude, as for any plugged 2 x 2 unitary
-        pivots = []
+    def test_linear_in_each_slot(self, tag, u, lay):
+        # a phase on any one slot operator is the same phase on the plug
+        phase = np.exp(0.7j)
+        ops = _slot_ops(lay, np.random.default_rng(len(tag)))
+        want = phase * plug_unitaries(u, lay, ops).data
+        for k, op in enumerate(ops):
+            turned = ops[:k] + [_op(op.out_space, op.in_space, phase * op.data)] + ops[k + 1:]
+            assert np.abs(plug_unitaries(u, lay, turned).data - want).max() <= 1e-14
 
-        def spy(a):
-            pivots.append(int(np.argmax(np.abs(a.data))))
-            return canonical_phase(a)
-
-        monkeypatch.setattr(choi, "canonical_phase", spy)
-        rng = np.random.default_rng(len(tag) + first)
-        for anc_dims in ((2, 2), (0, 0), (3, 1), (1, 2)):
-            ops = _slot_ops(lay, rng, anc_dims, first)
-            plug_unitaries(u, lay, ops)
-            with monkeypatch.context() as m:
-                m.setattr(choi, "_contract", reference_contract)
-                plug_unitaries(u, lay, ops)
-        assert len(pivots) == 8 and pivots[0::2] == pivots[1::2]
+    @pytest.mark.parametrize("seed", range(40))
+    def test_continuous_in_a_slot(self, seed):
+        # a rotation of slot 1 by exp(i 1e-15 H) moves the plug by rounding
+        # only; every plugged 2 x 2 unitary has entries tied in magnitude
+        lay = SlotLayout.of(*[(f"H{i}", 2) for i in range(8)])
+        rng = np.random.default_rng(seed)
+        ops = _slot_ops(lay, rng, (0, 0))
+        g = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
+        w, v = np.linalg.eigh(g + g.conj().T)
+        rotation = v @ np.diag(np.exp(1e-15j * w)) @ v.conj().T
+        turned = [_op(ops[0].out_space, ops[0].in_space, rotation @ ops[0].data), *ops[1:]]
+        u = random_pure_comb(lay, seed)
+        moved = plug_unitaries(u, lay, turned).data - plug_unitaries(u, lay, ops).data
+        assert np.abs(moved).max() <= 1e-13
 
     def test_same_ancilla_label_on_both_sides(self):
         rng = np.random.default_rng(21)
@@ -377,7 +381,7 @@ class TestPlugMatchesDense:
         u = _op(Spaces.of(("F", 3)), Spaces.of(("P", 3)), haar_unitary(3, np.random.default_rng(22)))
         got = plug_unitaries(u, lay, [])
         _assert_same_op(got, dense_plug_unitaries(u, lay, []))
-        assert np.array_equal(got.data, canonical_phase(u).data)
+        assert np.array_equal(got.data, u.data)
 
     @pytest.mark.parametrize("anc", ["H0", "H1"], ids=["past", "own-input"])
     def test_accepted_collision_gives_dense_operator(self, anc):

@@ -1,4 +1,5 @@
 import dataclasses
+import os
 
 import numpy as np
 import pytest
@@ -11,6 +12,7 @@ from helpers import (
     perturbed,
     reference_comb_choi_tower,
     reference_signalling_residual,
+    trace_matching,
 )
 from purecomb.builders import (
     ancilla_chain,
@@ -19,6 +21,7 @@ from purecomb.builders import (
     random_pure_comb,
     random_staircase_circuit,
 )
+from purecomb import combs
 from purecomb.choi import choi_of_unitary
 from purecomb.combs import (
     CombCircuit,
@@ -28,8 +31,9 @@ from purecomb.combs import (
     verify_pure_comb_unitary,
 )
 from purecomb.errors import VerificationError
+from purecomb.io import load_matrix
 from purecomb.layouts import SlotLayout
-from purecomb.spaces import LinOp, Spaces, is_unitary, permute_systems, phase_distance
+from purecomb.spaces import LinOp, Spaces, is_unitary, partial_trace, permute_systems, phase_distance
 
 LAY1 = SlotLayout.of(("H0", 2), ("H1", 2), ("H2", 2), ("H3", 2))
 LAY1_K2 = SlotLayout.of(("H0", 4), ("H1", 2), ("H2", 2), ("H3", 4))
@@ -117,6 +121,28 @@ class TestVerifyCombChoi:
                 want = reference_comb_choi_tower(op, chain)
                 levels = tuple(rep.residuals[f"level-{n}"] for n in range(chain.n_slots + 1))
                 assert (levels, rep.residuals["normalization"]) == want
+
+    def test_traces_equal_the_rectangular_reference_bytes(self, monkeypatch):
+        # each partial trace the tower takes, on the comb-Choi fixture and on
+        # a seeded comb Choi, is byte-equal to the rectangular reference
+        fixture = load_matrix(os.path.join(os.path.dirname(__file__), "fixtures", "comb-choi.json"))
+        chain = SlotLayout(tuple((lab, fixture.out_space.dim_of(lab))
+                                 for lab in ("P", "AI", "AO", "BI", "BO", "F")))
+        calls = []
+
+        def spy(a, labels):
+            calls.append((a, list(labels), partial_trace(a, labels)))
+            return calls[-1][2]
+
+        monkeypatch.setattr(combs, "partial_trace", spy)
+        for op, lay in ((fixture, chain), (choi_of_unitary(random_pure_comb(LAY2_K2, 7)).op, LAY2_K2)):
+            calls.clear()
+            assert verify_comb_choi(op, lay).ok
+            assert len(calls) == 2 * (lay.n_slots + 1)
+            for a, labels, got in calls:
+                want = trace_matching(a, labels)
+                assert (got.out_space, got.in_space) == (want.out_space, want.in_space)
+                assert got.data.tobytes() == want.data.tobytes()
 
 
 class TestVerifyPureCombUnitary:

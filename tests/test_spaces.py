@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from helpers import basis_state, kron_vec, partial_transpose
+from helpers import basis_state, kron_vec, partial_transpose, trace_matching
 from purecomb.layouts import SlotLayout
 from purecomb.spaces import (
     LinOp,
@@ -12,7 +12,6 @@ from purecomb.spaces import (
     Vec,
     adjoint,
     apply_op,
-    canonical_phase,
     compose,
     contract_bra,
     identity,
@@ -21,7 +20,6 @@ from purecomb.spaces import (
     partial_trace,
     permute_systems,
     phase_distance,
-    trace_matching,
 )
 
 
@@ -203,6 +201,11 @@ class TestPartialTrace:
         a = _rand_op(rng, [("A", 2)], [("B", 2)])
         with pytest.raises(ValueError):
             partial_trace(a, ["A"])
+        # a rectangular map that the rectangular reference traces
+        b = _rand_op(rng, [("A", 2), ("X", 3)], [("B", 4), ("X", 3)])
+        trace_matching(b, ["X"])
+        with pytest.raises(ValueError):
+            partial_trace(b, ["X"])
 
 
 class TestPartialTranspose:
@@ -343,12 +346,6 @@ class TestComposeand:
 
 
 class TestPhase:
-    def test_canonical_phase_pivot(self):
-        sp = Spaces.of(("A", 2))
-        a = LinOp(sp, sp, 1j * np.eye(2))
-        out = canonical_phase(a)
-        assert np.abs(out.data - np.eye(2)).max() < 1e-15
-
     def test_phase_distance(self):
         rng = np.random.default_rng(21)
         sp = Spaces.of(("A", 3))
