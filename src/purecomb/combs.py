@@ -95,8 +95,10 @@ def _signalling_rows(u: LinOp, wire: str, reached: Sequence[str]) -> list[np.nda
 
 def _signalling(xs: Sequence[np.ndarray]) -> Iterator[np.ndarray]:
     """k[i, s, i', s'] of C - I_reached (x) Tr_reached(C) / d_reached,
-    C = x_a x_a'^dagger, for the ``_signalling_rows`` and each pair a <= a'
-    (C(a', a) = C(a, a')^dagger); an x_a may keep any subset of its s."""
+    C = x_a x_a'^dagger, for row arrays x_a[i, s, y] and each pair a <= a'
+    (C(a', a) = C(a, a')^dagger); an x_a may keep any subset of its s:
+    ``signalling_residual`` cuts each to its own live s, ``twoslot``'s
+    ``_joint_residual`` all to the s live in some a, ``_past_rows`` none."""
     for x, x2 in itertools.combinations_with_replacement(xs, 2):
         d_r, n, n2 = len(x), x.shape[1], x2.shape[1]
         c = (x.reshape(d_r * n, -1) @ x2.reshape(d_r * n2, -1).conj().T).reshape(d_r, n, d_r, n2)

@@ -25,14 +25,14 @@ of one fixed size, so memory beyond the factors is bounded by one tile.
 In every case tried this residual has stayed within the assembly's
 unitarity residual.
 
-The joint, signalling and future-traced residuals are max-abs values of
-Gram-like products.  Each drops, before any product, the row indices where
-an operand is 0 throughout (``combs._live``): their entries are exactly 0,
-and the summed dimension and its order are untouched.  The signalling
-residual cuts per input basis state, its I (x) Tr C correction included.
-The paper's worked processes are permutations, where most rows are 0; a
-dense operand is not copied.  The past split keeps every row: its Gram
-sum decides the frames.
+The joint and signalling residuals are max-abs values of the one
+``combs._signalling`` kernel, the future-traced one of a tiled cross term.
+Each drops, before any product, the row indices where an operand is 0
+throughout (``combs._live``): their entries are exactly 0, and the summed
+dimension and its order are untouched.  The signalling residual cuts per
+input basis state, the joint one once for all, I (x) Tr C included.  The
+paper's worked processes are permutations, where most rows are 0; a dense
+operand is not copied.  The past split keeps every row: its Gram decides.
 """
 
 from __future__ import annotations
@@ -130,51 +130,27 @@ def _verify(u: LinOp, layout: TwoSlotLayout, tol: float) -> Verdict:
 
 def _joint_residual(u: LinOp, layout: TwoSlotLayout) -> float:
     """Max-abs of the (1 - Pi_AO)(1 - Pi_BO) component of
-    Tr_F[U (Y (x) X_A (x) X_B) U^dagger] over basis operators Y, X_A, X_B,
-    where Pi is the trace projection X -> Tr(X) I / d.
+    Tr_F[U (Y (x) X_A (x) X_B) U^dagger] over basis operators, Pi the trace
+    projection X -> Tr(X) I / d: 0 exactly when the joint condition holds,
+    as |alpha'><alpha| with alpha' orthogonal to alpha span the traceless.
 
-    The traceless operators are the span of |alpha'><alpha| with alpha'
-    orthogonal to alpha, so this is 0 exactly when the joint condition holds.
-    One (a, a', b, b') block of (d_AI d_BI d_P)^2 entries is formed at a time.
-    Block (a', a, b', b) is the conjugate transpose of block (a, a', b, b'),
-    so off the a = a' diagonal only a < a' is formed, and on it only
-    b <= b'.  The traced-over-a Gram of each such (b, b') is formed once and
-    serves every diagonal a, and the d_a diagonal traced-over-b Grams are
-    kept for it.
-
-    Entry (r, r') of every block and every traced correction is a dot
-    product of rows r and r' of the realigned view m[(s, y), a, b, f], so
-    the rows of m that are 0 in every (a, b, f) are dropped once, before
-    any Gram (``_live``): the d-switch keeps 2/d of them.
+    With x_a[b, r, f] = <s, f| U |p, a, b>, r = (s, p), cut once to the r
+    live in some (a, b, f) (``_live``), the ``_signalling`` component k_aa'
+    (reached BO) is the (1 - Pi_BO) part of block (a, a'), a <= a'.  Then
+    (1 - Pi_AO) keeps it for a < a', and for a = a' subtracts the mean
+    (1 / d_AO) sum_c k_cc: the component of x[b, r, (a, f)], over d_AO.
     """
     d_a, d_b, d_f = layout.a_out[1], layout.b_out[1], layout.future[1]
     t = _view(u, layout)
-    # m[(s, y), a, b, f] = <s, f| U |y, a, b>, s over both slot inputs
-    m = t.reshape(*t.shape[:3], d_a, d_b).transpose(0, 2, 3, 4, 1).reshape(-1, d_a, d_b, d_f)
-    m = _live(m)
-
-    def gram(x, y):
-        return x.reshape(len(x), -1) @ y.reshape(len(y), -1).conj().T
-
-    both_traced = gram(m, m) / (d_a * d_b)
-    b_traced = [gram(m[:, a], m[:, a]) / d_b for a in range(d_a)]
+    x = t.reshape(*t.shape[:3], d_a, d_b).transpose(4, 0, 2, 3, 1).reshape(d_b, -1, d_a, d_f)
+    x = _live(x, axis=1)
+    mean = next(_signalling([x.reshape(d_b, x.shape[1], -1)])) / d_a
+    pairs = itertools.combinations_with_replacement(range(d_a), 2)
     worst = 0.0
-    for b, b2 in itertools.combinations_with_replacement(range(d_b), 2):
-        a_traced = gram(m[:, :, b], m[:, :, b2]) / d_a
-        for a in range(d_a):
-            k = gram(m[:, a, b], m[:, a, b2])
-            k -= a_traced
-            if b == b2:
-                k -= b_traced[a]
-                k += both_traced
-            worst = max(worst, float(np.abs(k).max()))
-    for a, a2 in itertools.combinations(range(d_a), 2):
-        b_cross = gram(m[:, a], m[:, a2]) / d_b
-        for b, b2 in itertools.product(range(d_b), repeat=2):
-            k = gram(m[:, a, b], m[:, a2, b2])
-            if b == b2:
-                k -= b_cross
-            worst = max(worst, float(np.abs(k).max()))
+    for (a, a2), k in zip(pairs, _signalling([x[:, :, a] for a in range(d_a)])):
+        if a == a2:
+            k -= mean
+        worst = max(worst, float(np.abs(k).max()))
     return worst
 
 

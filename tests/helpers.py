@@ -459,8 +459,7 @@ def kron_restriction(u, layout, p_embed, f_embed):
 def reference_joint_residual(u, layout):
     """The joint residual as every ordered (a, a', b, b') block over every
     row of the realigned view, zero rows included, each block with its own
-    traced-over-a Gram: the loop ``twoslot._joint_residual`` halves, hoists
-    and runs on the nonzero rows, which must give the same float."""
+    traced-over-a Gram."""
     d_a, d_b = layout.a_out[1], layout.b_out[1]
     d_s, d_f = layout.a_in[1] * layout.b_in[1], layout.future[1]
     m = u.data.reshape(d_s, d_f, layout.past[1], d_a, d_b).transpose(0, 2, 3, 4, 1)

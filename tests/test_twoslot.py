@@ -396,18 +396,21 @@ class TestJointResidual:
     def test_matches_every_block_loop_exactly(self, u, lay):
         assert twoslot._joint_residual(u, lay) == reference_joint_residual(u, lay)
 
-    def test_direct_sums_and_rotated_dressings_match_exactly(self, direct_sum_pool):
+    def test_direct_sums_and_rotated_dressings_match_within_rounding(self, direct_sum_pool):
+        """The kernel sums the reference's products in another order."""
         rng = np.random.default_rng(19)
         pool = [(u, lay) for u, lay, _ in direct_sum_pool]
         joint = [(u, lay) for _, u, lay in _joint_cases()]
         for u, lay in pool + [(locally_rotated(u, rng), lay) for u, lay in joint + pool]:
             assert u.in_space.labels + u.out_space.labels == lay.in_space().labels + lay.out_space().labels
-            assert twoslot._joint_residual(u, lay) == reference_joint_residual(u, lay)
+            got, want = twoslot._joint_residual(u, lay), reference_joint_residual(u, lay)
+            assert abs(got - want) <= 1e-15
+            assert (got <= TOL) == (want <= TOL)
 
-    def test_zero_rows_dropped_exactly_on_permutation_unitaries(self):
+    def test_zero_rows_dropped_exactly_on_permutation_unitaries(self, monkeypatch):
         """Switch d=2..5, d3d, phased switches and out-of-class
         permutations: every entry is exact, so dropping the zero rows
-        changes no float."""
+        changes no float, and the reference agrees to rounding."""
         rng = np.random.default_rng(23)
         cases = [build_quantum_switch(d) for d in (2, 3, 4, 5)] + [build_d3d_example()]
         for d in (2, 3, 4):
@@ -422,8 +425,13 @@ class TestJointResidual:
                 u = LinOp(lay.out_space(), lay.in_space(), perm)
                 assert twoslot._joint_residual(u, lay) == 1.0
                 cases.append((u, lay))
-        for u, lay in cases:
-            assert twoslot._joint_residual(u, lay) == reference_joint_residual(u, lay)
+        got = [twoslot._joint_residual(u, lay) for u, lay in cases]
+        monkeypatch.setattr(twoslot, "_live", lambda x, axis=0: x)
+        for cut, (u, lay) in zip(got, cases):
+            assert cut == twoslot._joint_residual(u, lay)
+            want = reference_joint_residual(u, lay)
+            assert abs(cut - want) <= 1e-15
+            assert (cut <= TOL) == (want <= TOL)
 
     def test_zero_rows_dropped_within_rounding_on_dressed_switches(self):
         """Haar unitaries on F, AO and BO keep the switch's zero rows but
@@ -440,6 +448,26 @@ class TestJointResidual:
                 got, want = twoslot._joint_residual(v, lay), reference_joint_residual(v, lay)
                 assert abs(got - want) <= 1e-15
                 assert (got <= TOL) == (want <= TOL)
+
+    def test_slot_exchange_trades_the_sides(self, direct_sum_pool):
+        """The same operator read with the A and B slot roles swapped: the
+        verdict holds, the a-side and b-side residuals trade places, and the
+        joint residual, whose kernel treats A and B asymmetrically, agrees to
+        rounding."""
+        cases = [build_quantum_switch(d) for d in (2, 3, 4)] + [build_d3d_example()]
+        cases += [(u, lay) for u, lay, _ in direct_sum_pool[:12]]
+        cases += [(u, lay) for name, u, lay in _joint_cases() if name.startswith("haar")]
+        rng = np.random.default_rng(43)
+        cases += [plugged_lugano(k, rng) for k in (1, 2, 3)]
+        chain = SlotLayout.of(("P", 2), ("AI", 2), ("AO", 3), ("BI", 3), ("BO", 2), ("F", 2))
+        cases.append((random_pure_comb(chain, 7), TwoSlotLayout(*chain.factors)))
+        for u, lay in cases:
+            swapped = TwoSlotLayout(lay.past, lay.b_in, lay.b_out, lay.a_in, lay.a_out, lay.future)
+            got, want = verify_pure_superchannel(u, swapped), verify_pure_superchannel(u, lay)
+            assert got.ok == want.ok
+            assert got.residuals["a-side"] == want.residuals["b-side"]
+            assert got.residuals["b-side"] == want.residuals["a-side"]
+            assert abs(got.residuals["joint"] - want.residuals["joint"]) <= 1e-15
 
 
 def _past_row_cases(direct_sum_pool):

@@ -2,7 +2,7 @@
 
     python3 tools/cli_digests.py WORKDIR > manifest.json
 
-Runs 33 ops in-process through ``purecomb.cli.main`` (imported from the
+Runs 35 ops in-process through ``purecomb.cli.main`` (imported from the
 ``src/`` of the checkout this file is in), with the BLAS thread count pinned
 to 1, inside WORKDIR with relative paths, and prints one JSON manifest: per
 op its argv, exit code and the sha256 of its stdout, then the sha256 of
@@ -21,9 +21,12 @@ path, which also writes the block's staircase; ``verify --kind
 comb-choi`` on the ``tests/fixtures/comb-choi.json`` Choi operator with its
 chain ``--order`` (exit 0) and with its two slots swapped (exit 1); then
 ``build random-unitary --dims`` and ``verify --kind pure-superchannel`` of
-it (exit 1); last, ``verify --kind pure-superchannel`` of a copy of
+it (exit 1); ``verify --kind pure-superchannel`` of a copy of
 ``tests/fixtures/d3d.json`` written with ``json.dumps(..., indent=1)``, the
-one op whose load parses the whole document.
+one op whose load parses the whole document; last, ``build random-comb`` on
+the chain P=2,AI=2,AO=3,BI=3,BO=2,F=2 and ``verify --kind
+pure-superchannel`` of it (exit 0), the one input in class with d_AO !=
+d_BO and no zero row.
 """
 
 import os
@@ -50,6 +53,7 @@ CHOI_ORDERS = ("P,AI,AO,BI,BO,F", "P,BI,BO,AI,AO,F")
 COMB_CHAIN = "H0=8,H1=2,H2=4,H3=4,H4=4,H5=4,H6=2,H7=8"
 SWITCH_CHAIN = "P,AI,AO,BI,BO,F"
 TWO_SLOT_CHAIN = "P=2,AI=2,AO=2,BI=2,BO=2,F=2"
+UNEQUAL_CHAIN = "P=2,AI=2,AO=3,BI=3,BO=2,F=2"
 INDENTED = "indented-d3d.json"
 
 
@@ -81,7 +85,10 @@ def op_list() -> list[list[str]]:
     ops += [["build", "random-unitary", "--dims", "P=4,AI=2,AO=2,BI=2,BO=2,F=4", "--seed", "1",
              "--out", "rnd.json", "--json"],
             ["verify", "rnd.json", "--kind", "pure-superchannel", "--json"],
-            ["verify", INDENTED, "--kind", "pure-superchannel", "--json"]]
+            ["verify", INDENTED, "--kind", "pure-superchannel", "--json"],
+            ["build", "random-comb", "--chain", UNEQUAL_CHAIN, "--seed", "7", "--out",
+             "comb-uneq.json", "--json"],
+            ["verify", "comb-uneq.json", "--kind", "pure-superchannel", "--json"]]
     return ops
 
 
