@@ -103,8 +103,9 @@ def _signalling(xs: Sequence[np.ndarray]) -> Iterator[np.ndarray]:
         d_r, n, n2 = len(x), x.shape[1], x2.shape[1]
         c = (x.reshape(d_r * n, -1) @ x2.reshape(d_r * n2, -1).conj().T).reshape(d_r, n, d_r, n2)
         part = np.einsum("isit->st", c) / d_r
-        for i in range(d_r):
-            c[i, :, i, :] -= part
+        # c[i, :, i, :] for every i, as one view of c
+        diagonal = np.einsum("isit->ist", c)
+        diagonal -= part
         yield c
 
 

@@ -2,6 +2,7 @@ import functools
 import glob
 import json
 import os
+import re
 import subprocess
 import sys
 import tempfile
@@ -43,6 +44,11 @@ def _golden_cases():
         "switch4": build_quantum_switch(4)[0],
         "all-minus-zero": LinOp(Spaces.of(("Z", 3)), Spaces.of(("W", 4)),
                                 np.full((3, 4), complex(-0.0, -0.0))),
+        "all-zero": LinOp(Spaces.of(("Z", 3)), Spaces.of(("W", 4)), np.zeros((3, 4))),
+        # every sign of zero in either part, beside each other and other values
+        "signed-zeros": LinOp(Spaces.of(("Z", 4)), Spaces.of(("W", 4)), np.array(
+            [complex(a, b) for a in (0.0, -0.0, 1.0, 5e-324) for b in (0.0, -0.0, -2.5, 0.0)]
+        ).reshape(4, 4)),
     }
     # a matrix of exactly one block, one pair past it, and exactly two blocks
     n = pio._BLOCK_PAIRS
@@ -56,6 +62,11 @@ def _golden_cases():
         full = rng.random(2 * n) < share
         data[full] = rng.standard_normal(np.count_nonzero(full))
         cases[name] = LinOp(Spaces.of(("R", n)), Spaces.of(("S", 1)), data.view(np.complex128)[:, None])
+    # mostly zero pairs, over a block seam off a row and a short last block
+    data = rng.choice([1.0, -1.0, 0.5], (65, 130))
+    data[:, ::7] = rng.standard_normal((65, 19))
+    data.view(np.complex128)[rng.random((65, 65)) < 0.9] = 0
+    cases["zero-heavy"] = LinOp(Spaces.of(("R", 65)), Spaces.of(("S", 65)), data.view(np.complex128))
     return cases
 
 
@@ -101,10 +112,15 @@ class TestGoldenBytes:
         cases = _golden_cases()
         for name in ("300x300", "block", "2-blocks", "mixed"):
             assert set(_kernel_blocks(cases[name])) == {True}, name
-        for name in ("1x1", "edge-values", "switch4", "all-minus-zero", "mostly-short"):
+        for name in ("1x1", "edge-values", "switch4", "all-minus-zero", "mostly-short",
+                     "all-zero", "signed-zeros", "zero-heavy"):
             assert set(_kernel_blocks(cases[name])) == {False}, name
         # a full block on the kernel, then a one-pair block on %r
         assert _kernel_blocks(cases["block+1"]) == [True, False]
+
+    def test_zero_heavy_case_spans_a_block_seam_off_a_row(self):
+        n = _golden_cases()["zero-heavy"].data.size
+        assert pio._BLOCK_PAIRS < n < 2 * pio._BLOCK_PAIRS and pio._BLOCK_PAIRS % 65 != 0
 
     def test_exact_switch_and_d3d_files_stay_on_percent_r(self):
         for op in [build_quantum_switch(d)[0] for d in (2, 3, 4)] + [build_d3d_example()[0]]:
@@ -302,8 +318,13 @@ def _corrupted(text, i, corruption):
 # one corrupted token or bracket of a saved file
 TOKENS = ["+1.0", ".5", "1.", "01", "1e400", "NaN", "true", '"1.0"', HUGE]
 ENTRIES = ["[1.0]", "[1.0, 2.0, 3.0]", "[1.0, 2.0]3", "1[, 2.0]"]
+# the same beside or inside a zero pair, which a load may leave unparsed
+ZERO_ENTRIES = ["[0.0, 0.0]3", "1[0.0, 0.0]", "[0.0, 0.0, 0.0]", "[0.0]"]
 # tokens save_matrix never writes that any JSON reader takes
 VALID_TOKENS = ["-0", "7", "1E5", "-2.5e-300", "2E+1"]
+# zero pairs save_matrix never writes that any JSON reader takes
+VALID_ZERO_ENTRIES = ["[-0.0, 0.0]", "[0, 0]", "[0.0, 0.00]"]
+CORRUPTIONS = TOKENS + ENTRIES + ZERO_ENTRIES + VALID_TOKENS + VALID_ZERO_ENTRIES
 
 
 def _random_op(rows, cols, seed=11):
@@ -312,11 +333,44 @@ def _random_op(rows, cols, seed=11):
     return LinOp(Spaces.of(("R", rows)), Spaces.of(("S", cols)), data)
 
 
+def _sparse_op(rows, cols, seed=11):
+    """A random operator with about two in three entries exactly zero."""
+    op = _random_op(rows, cols, seed)
+    data = op.data.copy()
+    data[np.random.default_rng(seed).random((rows, cols)) < 2 / 3] = 0
+    return LinOp(op.out_space, op.in_space, data)
+
+
+def _dropped_pairs(path):
+    """How many pairs a load of path, which must not reach the
+    whole-document parse, leaves unparsed as zero pairs."""
+    dropped = []
+
+    def spy(chunk):
+        rest, live = drop(chunk)
+        dropped.append(0 if live is None else np.count_nonzero(~live))
+        return rest, live
+
+    drop = pio._drop_zero_pairs
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(pio, "_drop_zero_pairs", spy)
+        patch.setattr(json, "load", _refuse)
+        load_matrix(path)
+    return sum(dropped)
+
+
+# per kind of file: the operator, and the chunk size it is loaded at; the
+# d=4 switch is 99 % zero pairs, and at 32 KiB its chunks hold thousands
+SEAM_OPS = {"dense": (lambda: _random_op(160, 160), pio._CHUNK_BYTES),
+            "switch4": (lambda: build_quantum_switch(4)[0], 1 << 15)}
+
+
 @functools.cache
-def _two_chunk_text():
-    """A saved file of more than one chunk at the module's chunk size, and
+def _two_chunk_text(kind="dense"):
+    """A saved file of more than one chunk at its kind's chunk size, and
     the index of the first pair of its second chunk."""
-    text = reference_matrix_text(_random_op(160, 160))
+    build, chunk_bytes = SEAM_OPS[kind]
+    text = reference_matrix_text(build())
     counts = []
 
     def spy(chunk):
@@ -330,25 +384,38 @@ def _two_chunk_text():
         with open(path, "w", encoding="utf-8") as fh:
             fh.write(text)
         patch.setattr(pio, "_chunk_values", spy)
+        patch.setattr(pio, "_CHUNK_BYTES", chunk_bytes)
         load_matrix(path)
     assert len(counts) > 1, "the matrix must span more than one chunk"
     return text, counts[0]
 
 
+def _assert_every_index_matches(op, corruption, path):
+    """Each data entry of op's file corrupted in turn loads as the whole
+    parse does, at chunks of a few pairs: every index is first or last in
+    a chunk or between."""
+    text = reference_matrix_text(op)
+    for i in range(op.data.size):
+        path.write_text(_corrupted(text, i, corruption))
+        want = _load_outcome(reference_load_matrix, path)
+        assert _load_outcome(load_matrix, path) == want, i
+        assert (want[0] == "ok") == (corruption in VALID_TOKENS + VALID_ZERO_ENTRIES)
+
+
 class TestChunkedLoad:
-    @pytest.mark.parametrize("corruption", TOKENS + ENTRIES + VALID_TOKENS,
-                             ids=lambda t: t.replace(HUGE, "10**400"))
+    @pytest.mark.parametrize("corruption", CORRUPTIONS, ids=lambda t: t.replace(HUGE, "10**400"))
     def test_every_index_matches_the_whole_parse(self, corruption, tmp_path, monkeypatch):
-        # chunks of a few pairs: every index is first or last in a chunk or between
         monkeypatch.setattr(pio, "_CHUNK_BYTES", 256)
-        op = _random_op(7, 9)
-        text = reference_matrix_text(op)
-        path = tmp_path / "m.json"
-        for i in range(op.data.size):
-            path.write_text(_corrupted(text, i, corruption))
-            want = _load_outcome(reference_load_matrix, path)
-            assert _load_outcome(load_matrix, path) == want, i
-            assert (want[0] == "ok") == (corruption in VALID_TOKENS)
+        _assert_every_index_matches(_random_op(7, 9), corruption, tmp_path / "m.json")
+
+    @pytest.mark.parametrize("corruption", CORRUPTIONS, ids=lambda t: t.replace(HUGE, "10**400"))
+    def test_every_index_of_a_sparse_op_matches_the_whole_parse(self, corruption, tmp_path,
+                                                                monkeypatch):
+        monkeypatch.setattr(pio, "_CHUNK_BYTES", 256)
+        op, path = _sparse_op(7, 9), tmp_path / "m.json"
+        save_matrix(path, op)
+        assert _dropped_pairs(path) > op.data.size // 2
+        _assert_every_index_matches(op, corruption, path)
 
     @pytest.mark.parametrize("first,second", [("[1.0, 2.0, 3.0]", "[4.0]"),
                                               ("[1.0]", "[2.0, 3.0, 4.0]")])
@@ -370,6 +437,45 @@ class TestChunkedLoad:
         for i in (seam - 1, seam):
             path.write_text(_corrupted(text, i, corruption))
             assert _load_outcome(load_matrix, path) == _load_outcome(reference_load_matrix, path)
+
+    @pytest.mark.parametrize("corruption", TOKENS + ENTRIES + ZERO_ENTRIES,
+                             ids=lambda t: t.replace(HUGE, "10**400"))
+    def test_both_sides_of_a_seam_in_zero_pairs(self, corruption, tmp_path, monkeypatch):
+        monkeypatch.setattr(pio, "_CHUNK_BYTES", SEAM_OPS["switch4"][1])
+        text, seam = _two_chunk_text("switch4")
+        path = tmp_path / "m.json"
+        for i in range(seam - 2, seam + 2):
+            path.write_text(_corrupted(text, i, corruption))
+            assert _load_outcome(load_matrix, path) == _load_outcome(reference_load_matrix, path)
+
+    def test_switch_seam_lies_in_dropped_zero_pairs(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(pio, "_CHUNK_BYTES", SEAM_OPS["switch4"][1])
+        text, seam = _two_chunk_text("switch4")
+        path = tmp_path / "m.json"
+        path.write_text(text)
+        flat = load_matrix(path).data.reshape(-1)
+        assert seam > 1000 and not flat[seam - 2:seam + 2].any()
+        assert _dropped_pairs(path) > 0.98 * flat.size
+
+    def test_only_nonzero_pairs_reach_the_parser(self, tmp_path, monkeypatch):
+        op = build_quantum_switch(4)[0]
+        path = tmp_path / "m.json"
+        save_matrix(path, op)
+        parsed = []
+
+        def spy(text, *args, **kwargs):
+            if isinstance(text, bytes):  # a chunk; the header is parsed as str
+                parsed.append(text)
+            return loads(text, *args, **kwargs)
+
+        loads = json.loads
+        monkeypatch.setattr(json, "loads", spy)
+        back = load_matrix(path)
+        assert np.array_equal(_bits(back.data), _bits(op.data))
+        tokens = re.findall(rb"[-+.0-9eE]+", b"".join(parsed))
+        flat = op.data.reshape(-1)
+        want = [repr(x).encode() for z in flat[flat != 0].tolist() for x in (z.real, z.imag)]
+        assert tokens == want
 
     def test_header_claiming_more_pairs_than_the_file_holds(self, tmp_path):
         path = tmp_path / "m.json"

@@ -27,19 +27,19 @@ def test_digests_and_matrix_diff(tmp_path):
     assert _tool("cli_digests.py", work_b) == manifest
 
     parsed = json.loads(manifest)
-    assert len(parsed["ops"]) == 35
+    assert len(parsed["ops"]) == 37
     failing = [op["argv"][:2] for op in parsed["ops"] if op["exit"] != 0]
     assert failing == [["verify", "fixture-random-unitary.json"],
                        ["decompose", "fixture-random-unitary.json"],
                        ["verify", "switch3.json"],
                        ["verify", "fixture-comb-choi.json"],
                        ["verify", "rnd.json"]]
-    assert [op["exit"] for op in parsed["ops"][-7:]] == [0, 1, 0, 1, 0, 0, 0]
-    assert sum(op["exit"] == 0 for op in parsed["ops"]) == 30
-    assert len(parsed["files"]) == 42
+    assert [op["exit"] for op in parsed["ops"][-9:]] == [0, 1, 0, 1, 0, 0, 0, 0, 0]
+    assert sum(op["exit"] == 0 for op in parsed["ops"]) == 32
+    assert len(parsed["files"]) == 43
     # every matrix file the CLI wrote has the bytes of one json.dump
     written = [name for name in parsed["files"] if not name.endswith(".report.json")]
-    assert len(written) == 32
+    assert len(written) == 33
     for name in written:
         text = (work_a / name).read_bytes()
         assert text == reference_matrix_text(load_matrix(work_a / name)).encode(), name

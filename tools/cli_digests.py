@@ -2,7 +2,7 @@
 
     python3 tools/cli_digests.py WORKDIR > manifest.json
 
-Runs 35 ops in-process through ``purecomb.cli.main`` (imported from the
+Runs 37 ops in-process through ``purecomb.cli.main`` (imported from the
 ``src/`` of the checkout this file is in), with the BLAS thread count pinned
 to 1, inside WORKDIR with relative paths, and prints one JSON manifest: per
 op its argv, exit code and the sha256 of its stdout, then the sha256 of
@@ -23,10 +23,12 @@ chain ``--order`` (exit 0) and with its two slots swapped (exit 1); then
 ``build random-unitary --dims`` and ``verify --kind pure-superchannel`` of
 it (exit 1); ``verify --kind pure-superchannel`` of a copy of
 ``tests/fixtures/d3d.json`` written with ``json.dumps(..., indent=1)``, the
-one op whose load parses the whole document; last, ``build random-comb`` on
+one op whose load parses the whole document; then ``build random-comb`` on
 the chain P=2,AI=2,AO=3,BI=3,BO=2,F=2 and ``verify --kind
 pure-superchannel`` of it (exit 0), the one input in class with d_AO !=
-d_BO and no zero row.
+d_BO and no zero row; last, ``build`` and ``verify --kind
+pure-superchannel`` of switch d=6, a 2.2 MB file of 46 save blocks and
+five load chunks, nearly all zero pairs.
 """
 
 import os
@@ -88,7 +90,9 @@ def op_list() -> list[list[str]]:
             ["verify", INDENTED, "--kind", "pure-superchannel", "--json"],
             ["build", "random-comb", "--chain", UNEQUAL_CHAIN, "--seed", "7", "--out",
              "comb-uneq.json", "--json"],
-            ["verify", "comb-uneq.json", "--kind", "pure-superchannel", "--json"]]
+            ["verify", "comb-uneq.json", "--kind", "pure-superchannel", "--json"],
+            ["build", "switch", "--dim", "6", "--out", "switch6.json", "--json"],
+            ["verify", "switch6.json", "--kind", "pure-superchannel", "--json"]]
     return ops
 
 
