@@ -51,10 +51,8 @@ from .twoslot import (
     TraceFutureReport,
     assemble,
     direct_sum_decompose,
-    f_point_decomposition,
     global_f_decomposition,
     global_p_decomposition,
-    p_point_decomposition,
     trace_future_check,
     verify_pure_superchannel,
 )

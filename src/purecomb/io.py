@@ -490,24 +490,24 @@ def _load_saved(fh, path) -> LinOp | None:
     pos = 0
     data = data[cut + len(_DATA_KEY):]
     while True:
+        # the pairs the last read completed, the header's read included, are
+        # parsed once the next read shows whether the file goes on
         more = fh.read(_CHUNK_BYTES)
-        data += more
         if more:
             end = data.rfind(b"], [") + 1
-            if not end:
-                continue
         elif data.endswith(b"]]}\n"):
             end = len(data) - 3
         else:
             return None
-        values = _chunk_values(data[:end])
-        if values is None or pos + len(values) > flat.size:
-            return None
-        flat[pos:pos + len(values)] = values
-        pos += len(values)
+        if end:
+            values = _chunk_values(data[:end])
+            if values is None or pos + len(values) > flat.size:
+                return None
+            flat[pos:pos + len(values)] = values
+            pos += len(values)
         if not more:
             break
-        data = data[end + 2:]
+        data = (data[end + 2:] if end else data) + more
     # NaN propagates through min/max, and no full-size mask is formed
     if pos != flat.size or not np.isfinite([flat.min(), flat.max()]).all():
         return None

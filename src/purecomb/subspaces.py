@@ -8,12 +8,10 @@ the tolerance as an argument (singular values above tol * max(sigma_max, 1)
 are kept); no subspace carries one on to the next call.  Bases are never
 canonical; all comparisons downstream are projector or angle based.
 
-In the package, spans, sums, complements and intersections serve the
-pointwise future split of ``twoslot``, and ``orthogonality_residual`` the
-overlap of its triples.  ``image``, ``product_subspace``,
-``reduced_subspace`` and ``is_subset`` (with ``subset_residual`` under it)
-have no library caller: they are the tests' SVD reference, kept here while
-``bench/tracer.py`` wraps their names, and they move to the tests once its
+In the package, ``Subspace`` holds the parts of ``twoslot``'s triples and
+``orthogonality_residual`` their overlap.  The rest of the calculus has no
+library caller: it is the tests' SVD reference, kept here only while
+``bench/tracer.py`` wraps its names, and it moves to the tests once its
 ``WRAPPED`` drops them.
 """
 

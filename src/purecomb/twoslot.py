@@ -11,11 +11,6 @@ the A input (reverse), and the parallel rest; then the future split; then
 the blocks, slices of U in the stacked block bases.
 Each split is one orthonormal frame of two nested ``eigh`` cuts at ``tol``:
 the reverse part and its complement, then forward and parallel inside it.
-The pointwise split at slot outputs (alpha, beta) reads its future parts
-off the same view of U, as SVD spans and their intersections, and pulls
-them back to the past by the nested rule.  No library code calls
-``f_point_decomposition`` or ``p_point_decomposition``: they are the
-paper's pointwise splits, public with their signatures kept.
 
 The future-traced check works on each embedded block's rank-<=d_F factor
 M_k, Tr_F of whose Choi operator is M_k M_k^dagger, and never forms a
@@ -55,7 +50,7 @@ from .spaces import (
     is_unitary,
     permute_systems,
 )
-from .subspaces import Subspace, complement, from_spanning, intersect, orthogonality_residual
+from .subspaces import Subspace, orthogonality_residual
 
 
 @dataclasses.dataclass(frozen=True)
@@ -154,86 +149,6 @@ def _joint_residual(u: LinOp, layout: TwoSlotLayout) -> float:
     return worst
 
 
-def _nested_triple(space: Spaces, op_of, tol: float, what: str) -> SubspaceTriple:
-    """Forward/parallel/reverse split of ``space`` as one orthonormal frame;
-    ``op_of(part, frame)`` is the projector Q_part in ``frame`` coordinates
-    and ``what.format(part)`` names it in errors.  The reverse part and its
-    complement (rest) are the ``_projector_range`` of op_of("reverse", I),
-    the forward and parallel parts that of op_of("forward", rest); the Q sum
-    to I, so Q_par = I - Q_rev - Q_fwd is then a projector too."""
-    rev, rest = _projector_range(op_of("reverse", np.eye(space.dim)), tol, what.format("reverse"))
-    fwd, par = _projector_range(op_of("forward", rest), tol, what.format("forward"))
-    return SubspaceTriple(*(Subspace(space, b) for b in (rest @ fwd, rest @ par, rev)))
-
-
-def _point_triples(u: LinOp, layout: TwoSlotLayout, tol: float, alpha: np.ndarray, beta: np.ndarray):
-    """Forward/parallel/reverse split of the future reachable from one
-    slot-output pair, and the past split it induces; every rank is cut at
-    ``tol``.  The future reachable from slot-output subspaces with bases A
-    and B is the column span of m[f, (s, p, k, l)] = sum t[s, f, p, (a, b)]
-    A[a, k] B[b, l] on the view t of U; the parts are intersections of
-    these spans for the lines of alpha and beta and their complements.  The
-    past triple is the nested frame of the pull-backs
-    V^dagger (I_slots (x) Pi_f) V, V = U (I_P (x) |alpha> (x) |beta>), of
-    the future parts: in the class they are projectors summing to I_P."""
-    alpha = np.asarray(alpha, dtype=np.complex128).reshape(-1)
-    beta = np.asarray(beta, dtype=np.complex128).reshape(-1)
-    if np.linalg.norm(alpha) == 0 or np.linalg.norm(beta) == 0:
-        raise ValueError("slot-output vectors must be nonzero")
-    alpha = alpha / np.linalg.norm(alpha)
-    beta = beta / np.linalg.norm(beta)
-    p_space, f_space = Spaces((layout.past,)), Spaces((layout.future,))
-    sub_a = Subspace(Spaces((layout.a_out,)), alpha.reshape(-1, 1))
-    sub_b = Subspace(Spaces((layout.b_out,)), beta.reshape(-1, 1))
-    t = _view(u, layout)
-
-    def f_of(a_sub, b_sub):
-        m = (t @ np.kron(a_sub.basis, b_sub.basis)).transpose(1, 0, 2, 3)
-        return from_spanning(m.reshape(f_space.dim, -1), f_space, tol)
-
-    f_ab = f_of(sub_a, sub_b)
-    f_fwd = intersect(f_ab, f_of(complement(sub_a), sub_b), tol=tol)
-    f_rev = intersect(f_ab, f_of(sub_a, complement(sub_b)), tol=tol)
-    f_par = intersect(f_ab, complement(f_fwd), complement(f_rev), tol=tol)
-    f_triple = SubspaceTriple(f_fwd, f_par, f_rev)
-
-    got = sum(f_triple.dims)
-    pair_res = f_triple.overlap
-    if got != f_ab.dim or pair_res > tol:
-        raise VerificationError(
-            f"future split at a slot-output pair failed: dims {f_triple.dims} vs "
-            f"{f_ab.dim}, overlap {pair_res:.2e}"
-        )
-
-    # v[s, f, p] = <s, f| U |p, alpha, beta>, s over both slot inputs
-    v = t @ np.kron(alpha, beta)
-
-    def pullback(part, frame):
-        f_part = getattr(f_triple, part).basis
-        x = np.einsum("fk,sfp->skp", f_part.conj(), v).reshape(-1, p_space.dim) @ frame
-        return x.conj().T @ x
-
-    return f_triple, _nested_triple(p_space, pullback, tol, "the {} pullback to the past")
-
-
-def f_point_decomposition(
-    u: LinOp, layout: TwoSlotLayout, alpha: np.ndarray, beta: np.ndarray, tol: float = TOL
-) -> SubspaceTriple:
-    """Split of the future reachable from the pair (alpha, beta) into the
-    part the A output signals to (forward), the part the B output signals
-    to (reverse) and the rest, each a span cut at ``tol``."""
-    return _point_triples(_checked(u, layout, tol), layout, tol, alpha, beta)[0]
-
-
-def p_point_decomposition(
-    u: LinOp, layout: TwoSlotLayout, alpha: np.ndarray, beta: np.ndarray, tol: float = TOL
-) -> SubspaceTriple:
-    """Split of the whole past induced by the pair (alpha, beta): the future
-    parts pulled back through U (I_P (x) |alpha> (x) |beta>), read as one
-    frame of two nested ranges at ``tol``."""
-    return _point_triples(_checked(u, layout, tol), layout, tol, alpha, beta)[1]
-
-
 def global_p_decomposition(u: LinOp, layout: TwoSlotLayout, tol: float = TOL) -> SubspaceTriple:
     """Split the past into the part where the A output signals the B input
     (forward), the part where the B output signals the A input (reverse)
@@ -310,8 +225,10 @@ def global_f_decomposition(
     In the class U (Pi_part (x) I) U^dagger projects onto (slot inputs) (x)
     (future part), so Tr_slots of it over d_slots projects onto the future
     part, every eigenvalue within ``tol`` of 0 or 1.  The future triple is
-    their nested frame (``_nested_triple``), which needs ``p_triple`` to
-    tile the past: dims summing to d_P, overlap within ``tol``.
+    one frame of two nested cuts: the reverse range and its complement, then
+    the forward range and the parallel rest inside that complement.  This
+    needs ``p_triple`` to tile the past: dims summing to d_P, overlap
+    within ``tol``.
     """
     u, res = _checked(u, layout, tol), p_triple.overlap
     if sum(p_triple.dims) != layout.past[1] or res > tol:
@@ -321,14 +238,19 @@ def global_f_decomposition(
 
 
 def _global_f(u: LinOp, layout: TwoSlotLayout, tol: float, p_triple: SubspaceTriple) -> SubspaceTriple:
-    d_slots, t = layout.a_in[1] * layout.b_in[1], _view(u, layout)
+    d_slots, t, space = layout.a_in[1] * layout.b_in[1], _view(u, layout), Spaces((layout.future,))
 
     def traced(part, frame):
-        w = np.einsum("sfpx,pr->fsxr", t, getattr(p_triple, part).basis)
+        """Tr_slots of U (Pi_part (x) I) U^dagger / d_slots in ``frame`` coordinates."""
+        w = np.einsum("sfpx,pr->fsxr", t, part.basis)
         w = frame.conj().T @ w.reshape(len(frame), -1)
         return w @ w.conj().T / d_slots
 
-    return _nested_triple(Spaces((layout.future,)), traced, tol, "Tr_slots of the {} image")
+    rev, rest = _projector_range(traced(p_triple.reverse, np.eye(space.dim)), tol,
+                                 "Tr_slots of the reverse image")
+    fwd, par = _projector_range(traced(p_triple.forward, rest), tol,
+                                "Tr_slots of the forward image")
+    return SubspaceTriple(*(Subspace(space, b) for b in (rest @ fwd, rest @ par, rev)))
 
 
 @dataclasses.dataclass(frozen=True)

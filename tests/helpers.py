@@ -7,8 +7,9 @@ says reduced images stay orthogonal for every slot-output vector, and it is
 evaluated on the polarization family of the wire plus a fixed batch of
 random vectors, with one SVD image-and-reduce per vector (per pair of
 vectors for the joint condition); the global past split aggregates the
-pointwise past splits over the same families.  The library's closed-form
-checks and its signalling-support split must reach the same results.
+pointwise past split below over the same families.  The library's
+closed-form checks and its signalling-support split must reach the same
+results.
 
 The contraction references are the identity-padded dense forms plugging
 and the link product once took: the slot operators tensored with the
@@ -18,7 +19,7 @@ before the slot wires are traced, and the link as the trace of
 the same factor order, the same roles and the same entries.  The einsum
 form of the one contraction both take, ``reference_contract``, is what
 ``choi._contract`` replaced by one matrix product; it must give the same
-entries and the same canonical-phase pivots.
+entries.
 
 The restriction reference is the dense form the direct-sum split once
 took: each block and each off-diagonal corner read off U through
@@ -26,8 +27,10 @@ Kronecker lifts of the embeddings, (I (x) f_e)^dagger U (p_e (x) I).  The
 stacked change of basis must give the same blocks and off-block weight.
 
 The joint-residual reference is the loop over every ordered
-(a, a', b, b') block that the library once ran; the loop that forms only
-a < a', and b <= b' on the a = a' diagonal, must return the same float.
+(a, a', b, b') block that the library once ran.  The library's
+``combs._signalling`` kernel sums the same products in another order: it
+must agree with the loop within 1e-15, and on the perturbed switches,
+d3d and small Haar unitaries it returns the same float.
 
 The matrix-file references are the forms the saver and loader once took:
 one ``json.dump`` of the whole document with a ``[float(re), float(im)]``
@@ -36,12 +39,15 @@ load that parses the whole document with ``json.load`` before any check.
 The block-streamed save must write the same bytes, and the chunked load
 must give the same bits or raise the same messages.
 
-The pointwise-split reference is the SVD chain ``twoslot`` once took:
-each future part an intersection of reduced images
+The pointwise split, ``reference_point_triples``, is the paper's proof
+route and has no library counterpart: the split of the future reachable
+from one slot-output pair (alpha, beta), and the past split it induces.
+Each future part is an intersection of reduced images
 (``product_subspace`` -> ``image`` -> ``reduced_subspace`` ->
-``intersect``), and the past parts the nested rule on the pull-backs,
-each cut by an SVD of its factor.  The splits read off the view of U must
-give the same dims and spans.
+``intersect``), and the past parts follow the nested rule on the
+pull-backs, each cut by an SVD of its factor.  The tests state the
+paper's pointwise facts with it, and ``family_global_p`` aggregates it
+over the vector families.
 
 The future-traced reference is the dense form ``trace_future_check``
 once took: Tr_F of the Choi operator of the assembled operator and of each
@@ -127,7 +133,7 @@ from purecomb.subspaces import (
     sum_subspaces,
 )
 from purecomb.layouts import TwoSlotLayout
-from purecomb.twoslot import _TILE, SubspaceTriple, assemble, embed_block, p_point_decomposition
+from purecomb.twoslot import _TILE, SubspaceTriple, assemble, embed_block
 
 
 def basis_state(spaces, index):
@@ -328,7 +334,7 @@ def family_global_p(u, layout, tol=TOL):
     alpha0, beta0 = fam_a[0], fam_b[0]
 
     def point(alpha, beta):
-        return p_point_decomposition(u, layout, alpha, beta, tol)
+        return reference_point_triples(u, layout, alpha, beta, tol)[1]
 
     grid = {(i, j): point(alpha, beta)
             for i, alpha in enumerate(fam_a) for j, beta in enumerate(fam_b)}

@@ -10,7 +10,7 @@ import sys
 import numpy as np
 import pytest
 
-from helpers import angle_sine, square_two_slot_layout
+from helpers import angle_sine, reference_point_triples, square_two_slot_layout
 from purecomb.builders import (
     build_d3d_example,
     build_quantum_switch,
@@ -32,7 +32,6 @@ from purecomb.subspaces import (
 from purecomb.twoslot import (
     assemble,
     direct_sum_decompose,
-    p_point_decomposition,
     trace_future_check,
     verify_pure_superchannel,
 )
@@ -307,7 +306,7 @@ def test_criterion_09_beta_independence(comb_pool, decomposed_direct_sums, annou
         if lay.b_out[1] != 2 or lay.a_out[1] != 2:
             continue
         for alpha in alphas:
-            triples = [p_point_decomposition(u, lay, alpha, beta) for beta in betas]
+            triples = [reference_point_triples(u, lay, alpha, beta)[1] for beta in betas]
             first = triples[0].forward
             for t in triples[1:]:
                 ok &= t.forward.dim == first.dim

@@ -457,6 +457,29 @@ class TestChunkedLoad:
         assert seam > 1000 and not flat[seam - 2:seam + 2].any()
         assert _dropped_pairs(path) > 0.98 * flat.size
 
+    @pytest.mark.parametrize("build", [lambda: build_quantum_switch(6)[0],
+                                       lambda: _random_op(300, 300)], ids=["switch6", "dense300"])
+    def test_each_chunk_is_the_pairs_of_one_read(self, build, tmp_path, monkeypatch,
+                                                 saved_layout_only):
+        # a chunk is what one read completes, with the pair the read before
+        # it cut, the first read's data after the header included
+        op, path = build(), tmp_path / "m.json"
+        save_matrix(path, op)
+        text = path.read_bytes()
+        pair = 4 + max(map(len, text.partition(pio._DATA_KEY)[2].split(b"], [")))
+        sizes = []
+
+        def spy(chunk):
+            sizes.append(len(chunk))
+            return chunk_values(chunk)
+
+        chunk_values = pio._chunk_values
+        monkeypatch.setattr(pio, "_chunk_values", spy)
+        back = load_matrix(path)
+        assert np.array_equal(_bits(back.data), _bits(op.data))
+        assert len(sizes) > 3
+        assert max(sizes) <= pio._CHUNK_BYTES + pair
+
     def test_only_nonzero_pairs_reach_the_parser(self, tmp_path, monkeypatch):
         op = build_quantum_switch(4)[0]
         path = tmp_path / "m.json"

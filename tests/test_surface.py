@@ -28,12 +28,8 @@ def _wrapped():
 WRAPPED = _wrapped()
 
 # Names with no caller in src/, bench/ or tools/ that the package keeps.
-KEPT = {
-    "twoslot.f_point_decomposition": "the paper's future split at one slot-output pair",
-    "twoslot.p_point_decomposition": "the paper's past split at one slot-output pair",
-}
-KEPT.update({f"{mod}.{fn}": "looked up by name in bench/tracer.py WRAPPED"
-             for mod, fns in WRAPPED.items() for fn in fns})
+KEPT = {f"{mod}.{fn}": "looked up by name in bench/tracer.py WRAPPED"
+        for mod, fns in WRAPPED.items() for fn in fns}
 
 
 def _bench_imports():

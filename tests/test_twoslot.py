@@ -67,10 +67,8 @@ from purecomb.twoslot import (
     assemble,
     direct_sum_decompose,
     embed_block,
-    f_point_decomposition,
     global_f_decomposition,
     global_p_decomposition,
-    p_point_decomposition,
     trace_future_check,
     verify_pure_superchannel,
 )
@@ -361,6 +359,55 @@ class TestMetamorphic:
                         assert phase_distance(assemble(d), v) <= 1e-8
 
 
+def _block_projectors(d):
+    """(p p^dagger, f f^dagger) of each block's past and future embeddings,
+    keyed by order tag: the part of the split that no basis choice moves."""
+    return {tag: (p @ p.conj().T, f @ f.conj().T) for tag, (_, p, f) in d.parts().items()}
+
+
+def _covariance_cases(direct_sum_pool):
+    """Switch d=2/3/4, d3d, 12 seeded direct sums and plugged Lugano k=1/2/3,
+    each in its layout's canonical factor order."""
+    cases = [build_quantum_switch(d) for d in (2, 3, 4)] + [build_d3d_example()]
+    cases += [(u, lay) for u, lay, _ in direct_sum_pool[:12]]
+    rng = np.random.default_rng(47)
+    cases += [plugged_lugano(k, rng) for k in (1, 2, 3)]
+    return [(permute_systems(u, lay.in_space().labels + lay.out_space().labels), lay)
+            for u, lay in cases]
+
+
+class TestCovariance:
+    def test_projectors_follow_the_past_and_future_dressing(self, direct_sum_pool):
+        # U' = (X_AI (x) X_BI (x) W_F) U (V_P (x) Y_AO (x) Y_BO): the slot
+        # unitaries leave the split alone, and each past part Pi becomes
+        # V_P^dagger Pi V_P and each future part W_F Pi W_F^dagger
+        rng = np.random.default_rng(53)
+        for u, lay in _covariance_cases(direct_sum_pool):
+            wires = (lay.a_in, lay.b_in, lay.future, lay.past, lay.a_out, lay.b_out)
+            x_ai, x_bi, w_f, v_p, y_ao, y_bo = (haar_unitary(d, rng) for _, d in wires)
+            out, inp = np.kron(np.kron(x_ai, x_bi), w_f), np.kron(np.kron(v_p, y_ao), y_bo)
+            dressed = LinOp(u.out_space, u.in_space, out @ u.data @ inp)
+            want = _block_projectors(direct_sum_decompose(u, lay))
+            got = _block_projectors(direct_sum_decompose(dressed, lay))
+            for tag in want:
+                (p, f), (p2, f2) = want[tag], got[tag]
+                assert np.abs(p2 - v_p.conj().T @ p @ v_p).max() <= 1e-12, tag
+                assert np.abs(f2 - w_f @ f @ w_f.conj().T).max() <= 1e-12, tag
+
+    def test_exchanging_the_slots_swaps_the_blocks(self, direct_sum_pool):
+        # forward and reverse trade places; the parallel part, which goes
+        # with the A-first block, is empty in every input here
+        for u, lay in _covariance_cases(direct_sum_pool):
+            swapped = TwoSlotLayout(lay.past, lay.b_in, lay.b_out, lay.a_in, lay.a_out, lay.future)
+            d = direct_sum_decompose(u, lay)
+            assert d.triple_p_dims[1] == 0
+            u_sw = permute_systems(u, swapped.in_space().labels + swapped.out_space().labels)
+            want, got = _block_projectors(d), _block_projectors(direct_sum_decompose(u_sw, swapped))
+            for tag, other in (("ab", "ba"), ("ba", "ab")):
+                for g, w in zip(got[tag], want[other]):
+                    assert np.abs(g - w).max() <= 1e-12, tag
+
+
 class TestPerturbation:
     def test_switch_residual_linear_in_eps(self):
         u, lay = build_quantum_switch(2)
@@ -602,11 +649,11 @@ class TestPerturbedDecomposition:
         for u, lay in _ladder_inputs():
             v = perturbed(u, eps, seed=3)
             for alpha, beta in _ladder_points(lay):
-                for split in (f_point_decomposition, p_point_decomposition):
-                    want = split(u, lay, alpha, beta)
-                    got = split(v, lay, alpha, beta, 10 * eps)
-                    assert got.dims == want.dims
-                    assert max(map(angle_sine, got.parts(), want.parts())) <= 10 * eps
+                want = reference_point_triples(u, lay, alpha, beta)
+                got = reference_point_triples(v, lay, alpha, beta, 10 * eps)
+                for g, w in zip(got, want):
+                    assert g.dims == w.dims
+                    assert max(map(angle_sine, g.parts(), w.parts())) <= 10 * eps
 
     @pytest.mark.parametrize("tol", [1e-8, 1e-6])
     def test_near_parallel_comb_always_splits(self, tol):
@@ -627,16 +674,19 @@ class TestPerturbedDecomposition:
 
 
 class TestPointDecompositions:
+    """The paper's pointwise splits at one slot-output pair, by the SVD
+    chain of ``reference_point_triples``: (future triple, past triple)."""
+
     def test_switch_future_point_split(self):
         u, lay = build_quantum_switch(2)
-        triple = f_point_decomposition(u, lay, E0, E0)
+        triple = reference_point_triples(u, lay, E0, E0)[0]
         oracle = _oracle_f_triple_dims(u.data, 4, 2, 2, 4, E0, E0)
         assert triple.dims == oracle == (1, 0, 1)
 
     def test_switch_past_point_split(self):
         u, lay = build_quantum_switch(2)
         for alpha, beta in [(E0, E0), (E1, E0), (PLUS, PLUS)]:
-            triple = p_point_decomposition(u, lay, alpha, beta)
+            triple = reference_point_triples(u, lay, alpha, beta)[1]
             assert triple.dims == (2, 0, 2)
             # forward part is the control-0 sector of the past
             want = np.zeros((4, 2))
@@ -645,15 +695,14 @@ class TestPointDecompositions:
 
     def test_parallel_comb_point_split(self):
         u, lay = _parallel_comb(3)
-        f_triple = f_point_decomposition(u, lay, E0, PLUS)
+        f_triple, p_triple = reference_point_triples(u, lay, E0, PLUS)
         assert f_triple.dims[0] == 0 and f_triple.dims[2] == 0
         assert f_triple.dims[1] == f_triple.parallel.dim  # everything parallel
-        p_triple = p_point_decomposition(u, lay, E0, PLUS)
         assert p_triple.dims == (0, 4, 0)
 
     def test_wire_comb_point_split(self):
         u, lay = _wire_comb(4)
-        f_triple = f_point_decomposition(u, lay, PLUS, E1)
+        f_triple = reference_point_triples(u, lay, PLUS, E1)[0]
         # future reachable from a point is one line, all of it forward
         assert f_triple.dims == (1, 0, 0)
 
@@ -661,11 +710,11 @@ class TestPointDecompositions:
         u, lay = build_d3d_example()
         # at a computational basis point the first branch hides its slot-A
         # dependence, so its past sector counts as parallel
-        t0 = p_point_decomposition(u, lay, E0, E0)
+        t0 = reference_point_triples(u, lay, E0, E0)[1]
         assert t0.dims == (0, 4, 2)
         assert _oracle_f_triple_dims(u.data, 6, 2, 2, 6, E0, E0) == (0, 1, 1)
         # at a superposed point the dependence is visible
-        t1 = p_point_decomposition(u, lay, PLUS, E0)
+        t1 = reference_point_triples(u, lay, PLUS, E0)[1]
         assert t1.dims == (4, 0, 2)
         assert _oracle_f_triple_dims(u.data, 6, 2, 2, 6, PLUS, E0) == (2, 0, 1)
 
@@ -673,36 +722,9 @@ class TestPointDecompositions:
         for seed in (0, 1):
             u, lay, _ = _random_direct_sum(seed)
             for alpha, beta in [(E0, E0), (PLUS, E1), (np.array([1, 1j]) / np.sqrt(2), PLUS)]:
-                triple = f_point_decomposition(u, lay, alpha, beta)
+                triple = reference_point_triples(u, lay, alpha, beta)[0]
                 oracle = _oracle_f_triple_dims(u.data, 4, 2, 2, 4, alpha, beta)
                 assert triple.dims == oracle
-
-    @pytest.mark.parametrize("case", ["switch2", "switch3", "d3d", "direct-sum"])
-    @pytest.mark.parametrize("eps", [0.0, 1e-10])
-    def test_matches_the_svd_chain_reference(self, case, eps):
-        # the spans read off the view of U are those of the image -> reduce
-        # -> intersect chain, at every pair of the polarization families
-        u, lay = {"switch2": lambda: build_quantum_switch(2),
-                  "switch3": lambda: build_quantum_switch(3),
-                  "d3d": build_d3d_example,
-                  "direct-sum": lambda: _random_direct_sum(11, 2, 4)[:2]}[case]()
-        if eps:
-            u = perturbed(u, eps)
-        for alpha in spanning_family(lay.a_out[1]):
-            for beta in spanning_family(lay.b_out[1]):
-                want = reference_point_triples(u, lay, alpha, beta)
-                got = (f_point_decomposition(u, lay, alpha, beta),
-                       p_point_decomposition(u, lay, alpha, beta))
-                for g, w in zip(got, want):
-                    assert g.dims == w.dims
-                    assert max(map(angle_sine, g.parts(), w.parts())) <= 1e-10
-
-    @pytest.mark.parametrize("split", [f_point_decomposition, p_point_decomposition])
-    def test_rejects_zero_or_wrong_length_vectors(self, split):
-        u, lay = build_quantum_switch(2)
-        for alpha, beta in [(np.zeros(2), E0), (E0, np.zeros(2)), (np.ones(3), E0), (E0, E0[:1])]:
-            with pytest.raises(ValueError):
-                split(u, lay, alpha, beta)
 
 
 class TestGlobalDecompositions:
@@ -981,15 +1003,13 @@ class TestChangeOfBasis:
 class TestLayoutCheck:
     @staticmethod
     def _calls(u, lay):
-        """Verdict, block dims and point-split dims, each as one call."""
-        alpha, beta = np.eye(lay.a_out[1])[0], np.eye(lay.b_out[1])[0]
+        """Verdict and block dims, each as one call."""
 
         def block_dims():
             d = direct_sum_decompose(u, lay)
             return d.p_dims, d.f_dims
 
-        return [lambda: verify_pure_superchannel(u, lay).ok, block_dims,
-                lambda: p_point_decomposition(u, lay, alpha, beta).dims]
+        return [lambda: verify_pure_superchannel(u, lay).ok, block_dims]
 
     def test_wrong_label_or_factor_dim_rejected(self):
         u, lay = build_quantum_switch(2)
@@ -1176,7 +1196,7 @@ class TestBetaIndependence:
         cases.append(_random_direct_sum(16)[:2])
         for u, lay in cases:
             for alpha in (E0, PLUS):
-                triples = [p_point_decomposition(u, lay, alpha, b) for b in betas]
+                triples = [reference_point_triples(u, lay, alpha, b)[1] for b in betas]
                 first = triples[0].forward
                 for t in triples[1:]:
                     assert t.forward.dim == first.dim
@@ -1186,7 +1206,7 @@ class TestBetaIndependence:
     def test_reverse_past_constant_in_alpha(self):
         alphas = [E0, E1, PLUS, np.array([1, -1j]) / np.sqrt(2)]
         u, lay = build_quantum_switch(2)
-        triples = [p_point_decomposition(u, lay, a, PLUS) for a in alphas]
+        triples = [reference_point_triples(u, lay, a, PLUS)[1] for a in alphas]
         first = triples[0].reverse
         for t in triples[1:]:
             assert is_subset(t.reverse, first, 1e-8)
