@@ -23,8 +23,8 @@ from .layouts import SlotLayout
 from .spaces import LinOp, Spaces, Vec
 
 
-# rows per tile of the Hermitian checks, and rows and columns of one tile of
-# twoslot's C + C^dagger: 256^2 complex entries, 1 MiB
+# rows and columns of one tile of combs' Hermitian pass and of twoslot's
+# C + C^dagger: 256^2 complex entries, 1 MiB
 _TILE = 256
 
 
@@ -32,8 +32,8 @@ _TILE = 256
 class ChoiOp:
     """Square operator on map-input (x) map-output factors, with role metadata.
 
-    Hermiticity and positivity are read lazily through the residual
-    methods; intermediate link results are legitimately non-TP.
+    Neither positivity nor a trace condition is imposed: intermediate link
+    results are legitimately non-TP; ``combs.verify_comb_choi`` checks both.
     """
 
     op: LinOp
@@ -53,31 +53,6 @@ class ChoiOp:
     @property
     def space(self) -> Spaces:
         return self.op.out_space
-
-    def hermiticity_residual(self) -> float:
-        """max |A - A^dagger|, one tile of _TILE rows at a time in one reused
-        buffer: no full-size temporary."""
-        a, n = self.op.data, len(self.op.data)
-        buf = np.empty((min(_TILE, n), n), dtype=np.complex128)
-        worst = []
-        for i in range(0, n, _TILE):
-            rows = buf[:min(_TILE, n - i)]
-            np.conjugate(a[:, i:i + _TILE].T, out=rows)
-            np.subtract(a[i:i + _TILE], rows, out=rows)
-            worst.append(np.abs(rows).max())
-        return float(np.max(worst))
-
-    def min_eigenvalue(self) -> float:
-        """Lowest eigenvalue of (A + A^dagger) / 2, written tile by tile into
-        the one buffer ``eigvalsh`` reads."""
-        a = self.op.data
-        h = np.empty_like(a)
-        for i in range(0, len(a), _TILE):
-            rows = h[i:i + _TILE]
-            np.conjugate(a[:, i:i + _TILE].T, out=rows)
-            np.add(a[i:i + _TILE], rows, out=rows)
-            rows /= 2
-        return float(np.linalg.eigvalsh(h)[0])
 
 
 def choi_vector(a: LinOp) -> Vec:

@@ -22,14 +22,13 @@ from typing import Iterator, Sequence
 
 import numpy as np
 
-from .choi import ChoiOp
+from .choi import _TILE, ChoiOp
 from .errors import VerificationError
 from .layouts import SlotLayout
 from .spaces import (
     TOL,
     LinOp,
     Spaces,
-    _aligned_square,
     compose,
     is_unitary,
     partial_trace,
@@ -133,6 +132,9 @@ def verify_pure_comb_unitary(
     if not ok_u:
         raise ValueError(f"operator is not unitary (residual {res_u:.2e})")
     layout.check_operator(u)
+    # in the layout's input-then-output order (a view if u is): no residual
+    # depends on the file's factor order
+    u = permute_systems(u, [*layout.labels[0::2], *layout.labels[1::2]])
     inputs = [lab for lab, _ in layout.odd_factors()]
     residuals = {f"slot-{n}": signalling_residual(u, layout.factor(2 * n)[0], inputs[:n])
                  for n in range(1, layout.n_slots + 1)}
@@ -146,19 +148,16 @@ def verify_comb_choi(r, layout: SlotLayout, tol: float = TOL) -> Verdict:
     identity on the input wires above the level times a reduced operator
     ('level-n'); the level-0 reduced operator must be the scalar 1
     ('normalization').  'hermiticity' and the signed 'min-eigenvalue'
-    complete the residuals: the verdict needs the eigenvalue >= -tol and
-    every other residual <= tol.  Both sides must carry the layout's
-    factors; the input side is aligned to the output side's order before
-    any check.
+    complete the residuals (``_hermitian_checks``): the verdict needs the
+    eigenvalue >= -tol and every other residual <= tol.  Both sides must
+    carry the layout's factors, in any order.
     """
     op = r.op if isinstance(r, ChoiOp) else r
     want = dict(layout.factors)
     for side in (op.out_space, op.in_space):
         if dict(side.factors) != want:
             raise ValueError(f"Choi factors {dict(side.factors)} do not match layout {want}")
-    op = _aligned_square(op)
-    choi = ChoiOp(op, layout.labels[0::2], layout.labels[1::2])
-    herm, min_eig = choi.hermiticity_residual(), choi.min_eigenvalue()
+    herm, min_eig = _hermitian_checks(op, [*layout.labels[0::2], *layout.labels[1::2]])
     residuals = {}
     for n in range(layout.n_slots + 1):
         level = partial_trace(op, layout.labels[2 * n + 1::2])
@@ -178,6 +177,30 @@ def verify_comb_choi(r, layout: SlotLayout, tol: float = TOL) -> Verdict:
     residuals.update({"hermiticity": herm, "min-eigenvalue": min_eig, "normalization": norm_res})
     ok = min_eig >= -tol and all(r <= tol for key, r in residuals.items() if key != "min-eigenvalue")
     return Verdict(ok, residuals)
+
+
+def _hermitian_checks(op: LinOp, order: Sequence[str]) -> tuple[float, float]:
+    """max |A - A^dagger| and the lowest eigenvalue of (A + A^dagger) / 2, A
+    one writable copy of ``op`` with both sides in ``order``.  One walk over
+    the _TILE x _TILE tile pairs x = A[I, J], y = A[J, I], I <= J, through
+    one complex and one real tile buffer, reads the residual and sets x and
+    y to (x + y^dagger) / 2 and its adjoint; ``eigvalsh`` then reads A."""
+    m, n, t = len(op.out_space), op.out_space.dim, min(_TILE, op.out_space.dim)
+    axes = [op.out_space.index(lab) for lab in order] + [m + op.in_space.index(lab) for lab in order]
+    a = op.data.reshape(op.out_space.dims + op.in_space.dims).transpose(axes).copy().reshape(n, n)
+    buf, mag, worst = np.empty((t, t), np.complex128), np.empty((t, t)), 0.0
+    for i in range(0, n, _TILE):
+        for j in range(i, n, _TILE):
+            x, y = a[i:i + _TILE, j:j + _TILE], a[j:j + _TILE, i:i + _TILE]
+            c, r = buf[:x.shape[0], :x.shape[1]], mag[:x.shape[0], :x.shape[1]]
+            np.subtract(x, np.conjugate(y.T, out=c), out=c)
+            worst = np.maximum(worst, np.abs(c, out=r).max())
+            np.add(x, np.conjugate(y.T, out=c), out=c)
+            c /= 2
+            x[...] = c
+            np.conjugate(c.T, out=y)
+    del buf, mag
+    return float(worst), float(np.linalg.eigvalsh(a)[0])
 
 
 def ancilla_labels(layout: SlotLayout) -> tuple[str, ...]:

@@ -191,24 +191,12 @@ def permute_systems(x, new_order: Sequence[str]):
     return LinOp(new_out, new_in, data.reshape(new_out.dim, new_in.dim))
 
 
-def _aligned_square(a: LinOp) -> LinOp:
-    """Permute the input side to match the output factor order."""
-    if set(a.out_space.labels) != set(a.in_space.labels):
-        raise ValueError(
-            f"operator is not square on matching factors: "
-            f"out {a.out_space.labels} vs in {a.in_space.labels}"
-        )
-    for lab in a.out_space.labels:
-        if a.out_space.dim_of(lab) != a.in_space.dim_of(lab):
-            raise ValueError(f"factor {lab!r} has mismatched dims on the two sides")
-    if a.in_space.labels == a.out_space.labels:
-        return a
-    return permute_systems(a, list(a.out_space.labels))
-
-
 def partial_trace(a: LinOp, traced_labels: Iterable[str]) -> LinOp:
-    """Trace out the listed factors of a square operator; the rest keep the output order."""
-    a = _aligned_square(a)
+    """Trace out the listed factors of a square operator, its two sides
+    carrying the same factors in any order; the rest keep the output order."""
+    if dict(a.out_space.factors) != dict(a.in_space.factors):
+        raise ValueError(f"operator is not square on matching factors: "
+                         f"out {a.out_space.factors} vs in {a.in_space.factors}")
     traced = list(traced_labels)
     keep = [lab for lab in a.out_space.labels if lab not in set(traced)]
     b = permute_systems(a, keep + traced)

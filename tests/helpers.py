@@ -69,10 +69,12 @@ operator, then its reshaped rows stacked with its reshaped conjugate
 transpose.  The strided writes into one buffer must give the same bytes,
 so the Gram and the global past split stay bit-identical.
 
-The Choi-check reference is the full-size form ``ChoiOp`` once took: the
-hermiticity residual max |A - A^dagger| and the lowest eigenvalue of
-(A + A^dagger) / 2, each over whole-matrix temporaries.  The row-tiled
-checks must return the same floats.
+The Choi-check reference is the full-size form the Hermitian checks once
+took as ``ChoiOp`` methods: the hermiticity residual max |A - A^dagger|
+and the lowest eigenvalue of (A + A^dagger) / 2, each over whole-matrix
+temporaries.  ``verify_comb_choi``'s one tile-pair pass over its
+layout-ordered copy must return the same floats as this reference on the
+operator in that order; ``is_cp`` reads it.
 
 The comb-Choi tower reference is the form ``verify_comb_choi`` once took:
 each level's reduced operator lifted by ``kron`` with an identity and
@@ -81,9 +83,9 @@ return the same level and normalization residuals.
 
 The Lugano inputs are in the class without being built from their
 answer: ``lugano_process`` is the purified three-slot Lugano process, and
-``plugged_lugano`` plugs its slot C with a Haar unitary that carries an
-environment from past to future, which leaves a two-slot map whose
-direct-sum blocks no constructor wrote down.
+``plugged_lugano`` plugs one of its slots (C unless told otherwise) with
+a Haar unitary that carries an environment from past to future, which
+leaves a two-slot map whose direct-sum blocks no constructor wrote down.
 
 The rest are small references that only tests call, moved here from the
 package: ``basis_state``, ``kron_vec`` and ``partial_transpose`` on labeled
@@ -112,7 +114,6 @@ from purecomb.spaces import (
     LinOp,
     Spaces,
     Vec,
-    _aligned_square,
     adjoint,
     compose,
     identity,
@@ -160,7 +161,7 @@ def kron_vec(x, y):
 def partial_transpose(a, labels):
     """Transpose the row/column indices of the listed factors only."""
     traced = list(labels)
-    a = _aligned_square(a)
+    a = permute_systems(a, list(a.out_space.labels))
     for lab in traced:
         a.out_space.index(lab)
     m = len(a.out_space)
@@ -207,7 +208,8 @@ def tp_residual(c):
 
 
 def is_cp(c, tol=TOL):
-    return c.hermiticity_residual() <= tol and c.min_eigenvalue() >= -tol
+    herm, low = reference_choi_checks(c.op)
+    return herm <= tol and low >= -tol
 
 
 def is_channel(c, tol=TOL):
@@ -525,10 +527,10 @@ def reference_past_rows(u, layout, wire, reached):
         yield np.hstack([m.reshape(d_p, -1), m.T.conj().reshape(d_p, -1)])
 
 
-def reference_choi_checks(c):
+def reference_choi_checks(op):
     """Hermiticity residual and lowest eigenvalue of the Hermitian part of a
-    ``ChoiOp``, each from whole-matrix temporaries."""
-    a = c.op.data
+    square operator, each from whole-matrix temporaries."""
+    a = op.data
     return float(np.abs(a - a.conj().T).max()), float(np.linalg.eigvalsh((a + a.conj().T) / 2)[0])
 
 
@@ -614,14 +616,21 @@ def lugano_process():
     return LinOp(sp_out, sp_in, mat)
 
 
-def plugged_lugano(k, rng):
-    """``lugano_process`` with slot C plugged by a Haar unitary V on
-    CI (x) E -> CO (x) E, k = dim E: the two-slot map with slots A and B,
-    past P (x) E and future F (x) E (composite index x k + e), and its
-    layout.  The loop through C is closed by summing over c_i and c_o."""
+def plugged_lugano(k, rng, slot="C"):
+    """``lugano_process`` with ``slot`` plugged by a Haar unitary V on
+    its input (x) E -> its output (x) E, k = dim E: the two-slot map on the
+    other two slots, past P (x) E and future F (x) E (composite index
+    x k + e), and its layout.  The process is cyclic in A -> B -> C, so the
+    slots after ``slot`` in that cycle take the roles A and B, in cycle
+    order.  The loop through ``slot`` is closed by summing over its input
+    and output."""
     u = lugano_process().data.reshape(2, 2, 2, 8, 8, 2, 2, 2)  # ai bi ci f, p ao bo co
-    v = haar_unitary(2 * k, rng).reshape(2, k, 2, k)  # co e', ci e
-    w = np.einsum("ijcfpabd,dycx->ijfypxab", u, v)
+    v = haar_unitary(2 * k, rng).reshape(2, k, 2, k)  # plugged output e', input e
+    s = "ABC".index(slot)
+    ins, outs = [""] * 3, [""] * 3  # per slot A, B, C: i/a role A, j/b role B, c/d plugged
+    for m, i, o in ((s + 1, "i", "a"), (s + 2, "j", "b"), (s, "c", "d")):
+        ins[m % 3], outs[m % 3] = i, o
+    w = np.einsum("".join(ins) + "fp" + "".join(outs) + ",dycx->ijfypxab", u, v)
     layout = TwoSlotLayout.of(("P", 8 * k), ("AI", 2), ("AO", 2), ("BI", 2), ("BO", 2),
                               ("F", 8 * k))
     return LinOp(layout.out_space(), layout.in_space(), w.reshape(32 * k, 32 * k)), layout

@@ -609,8 +609,9 @@ class TestIsCpTolerance:
         data = np.eye(4) / 2
         data[0, 1] = 1e-9
         c = ChoiOp(_op(sp, sp, data), ("A",), ("B",))
-        assert abs(c.hermiticity_residual() - 1e-9) < 1e-15
-        assert c.min_eigenvalue() > 0.4
+        herm, low = reference_choi_checks(c.op)
+        assert abs(herm - 1e-9) < 1e-15
+        assert low > 0.4
         assert is_cp(c, 1e-8)
         assert not is_cp(c, 1e-10)
 
@@ -626,28 +627,31 @@ def _wide_comb_choi():
 
 
 class TestTiledChoiChecks:
+    """``verify_comb_choi`` reads 'hermiticity' and 'min-eigenvalue' in one
+    tile-pair pass over one copy of the operator in its layout's
+    input-then-output order."""
+
     def test_values_equal_the_untiled_formula(self):
         rng = np.random.default_rng(23)
-        op, chain = _wide_comb_choi()
-        ops = [op]
-        for d in (1, 7, 256, 300):
-            sp = Spaces.of(("X", d))
+        cases = [_wide_comb_choi()]
+        for dims in ((1, 1), (7, 1), (16, 16), (3, 100)):
+            chain = SlotLayout.of(("H0", dims[0]), ("H1", dims[1]))
+            sp, d = Spaces(chain.factors), dims[0] * dims[1]
             g = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
-            ops += [LinOp(sp, sp, g), LinOp(sp, sp, g + g.conj().T + 1e-9 * g)]
-        for op in ops:
-            c = ChoiOp(op, tuple(op.out_space.labels[:1]), tuple(op.out_space.labels[1:]))
-            assert (c.hermiticity_residual(), c.min_eigenvalue()) == reference_choi_checks(c)
+            cases += [(_op(sp, sp, g), chain), (_op(sp, sp, g + g.conj().T + 1e-9 * g), chain)]
+        for op, chain in cases:
+            rep = verify_comb_choi(op, chain).residuals
+            ordered = permute_systems(op, [*chain.labels[0::2], *chain.labels[1::2]])
+            assert (rep["hermiticity"], rep["min-eigenvalue"]) == reference_choi_checks(ordered)
 
     def test_d512_comb_choi_forms_no_full_size_temporary(self):
+        # the chain-ordered input, so the layout-ordered copy is a permute
         op, chain = _wide_comb_choi()
-        c = ChoiOp(op, chain.labels[0::2], chain.labels[1::2])
-        calls = [c.hermiticity_residual, c.min_eigenvalue, lambda: verify_comb_choi(op, chain)]
-        for call in calls:
-            tracemalloc.start()
-            try:
-                call()
-                peak = tracemalloc.get_traced_memory()[1]
-            finally:
-                tracemalloc.stop()
-            assert peak <= 1.5 * op.data.nbytes, f"peak {peak / op.data.nbytes:.2f}x the operator"
-        assert op.data.shape == (512, 512) and verify_comb_choi(op, chain).ok
+        tracemalloc.start()
+        try:
+            rep = verify_comb_choi(op, chain)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.5 * op.data.nbytes, f"peak {peak / op.data.nbytes:.2f}x the operator"
+        assert op.data.shape == (512, 512) and rep.ok

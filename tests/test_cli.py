@@ -1,3 +1,4 @@
+import itertools
 import json
 import os
 import re
@@ -183,6 +184,28 @@ class TestVerifyCommand:
             assert main(["verify", p, "--kind", "comb-choi", "--order", order, "--json"]) == 0
             outs.append(capsys.readouterr().out.replace(file_digest(p), "<digest>"))
         assert outs[0] == outs[1]
+
+    @pytest.mark.parametrize("kind, order", [
+        ("comb-choi", "P,AI,AO,BI,BO,F"),
+        ("pure-comb", "H0,H1,H2,H3,H4,H5"),
+    ])
+    def test_residuals_do_not_depend_on_the_file_factor_order(self, kind, order, tmp_path,
+                                                              capsys):
+        # the comb-Choi fixture, or a seeded two-slot comb, written in its
+        # first 120 factor orders, both sides permuted
+        if kind == "comb-choi":
+            op = load_matrix(CHOI)
+        else:
+            op = builders.random_pure_comb(SlotLayout.of(
+                ("H0", 4), ("H1", 2), ("H2", 4), ("H3", 4), ("H4", 4), ("H5", 8)), 5)
+        labels = list(dict.fromkeys(op.out_space.labels + op.in_space.labels))
+        outs = set()
+        for perm in itertools.islice(itertools.permutations(labels), 120):
+            path = str(tmp_path / "permuted.json")
+            save_matrix(path, permute_systems(op, list(perm)))
+            assert main(["verify", path, "--kind", kind, "--order", order, "--json"]) == 0
+            outs.add(capsys.readouterr().out.replace(file_digest(path), "<digest>"))
+        assert len(outs) == 1
 
     @pytest.mark.parametrize("kind, path, order, code", [
         ("pure-superchannel", SWITCH, None, 0),

@@ -219,7 +219,9 @@ class TestVerifyPureCombUnitary:
     def test_slot_residuals_match_the_full_components_exactly(self):
         """The benchmark chains at seed 7 (the 3-slot one is the digest tool's
         comb), in and out of class, and the d=3 switch read as an A-first
-        chain, whose cut rows are sparse and whose slot-2 residual is 1."""
+        chain, whose cut rows are sparse and whose slot-2 residual is 1.  The
+        reference reads each operator in its layout's input-then-output
+        order, the order the library sums in."""
         cases = []
         for lay in BENCH_CHAINS:
             u = random_pure_comb(lay, 7)
@@ -228,7 +230,8 @@ class TestVerifyPureCombUnitary:
         cases.append((switch, two_slot.slot_chain("ab")))
         for u, lay in cases:
             inputs = [lab for lab, _ in lay.odd_factors()]
-            want = tuple(reference_signalling_residual(u, lay.factor(2 * n)[0], inputs[:n])
+            ordered = permute_systems(u, [*lay.labels[0::2], *lay.labels[1::2]])
+            want = tuple(reference_signalling_residual(ordered, lay.factor(2 * n)[0], inputs[:n])
                          for n in range(1, lay.n_slots + 1))
             got = verify_pure_comb_unitary(u, lay).residuals
             assert got == {f"slot-{n}": r for n, r in enumerate(want, start=1)}

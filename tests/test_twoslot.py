@@ -1216,12 +1216,14 @@ class TestBetaIndependence:
 class TestPluggedLugano:
     """An in-class input not built from its answer: the purified Lugano
     process, a three-slot process that violates a causal inequality, with
-    its slot C plugged by a Haar unitary with a k-dimensional environment,
+    any one slot plugged by a Haar unitary with a k-dimensional environment,
     splits into one A-first and one B-first block of past dimension 4k."""
 
-    @pytest.mark.parametrize("k", [1, 2, 3])
-    def test_splits_into_two_ordered_blocks(self, k):
-        u, lay = plugged_lugano(k, np.random.default_rng(k))
+    # slot C, the default plug, keeps the bare ids k
+    @pytest.mark.parametrize("k, slot", [pytest.param(k, slot, id=str(k) if slot == "C" else f"{k}-{slot}")
+                                         for k in (1, 2, 3) for slot in "ABC"])
+    def test_splits_into_two_ordered_blocks(self, k, slot):
+        u, lay = plugged_lugano(k, np.random.default_rng(k), slot)
         assert verify_pure_superchannel(u, lay, TOL).ok
         d = direct_sum_decompose(u, lay, TOL)
         assert d.classification == "general-direct-sum"
