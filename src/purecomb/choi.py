@@ -23,11 +23,6 @@ from .layouts import SlotLayout
 from .spaces import LinOp, Spaces, Vec
 
 
-# rows and columns of one tile of combs' Hermitian pass and of twoslot's
-# C + C^dagger: 256^2 complex entries, 1 MiB
-_TILE = 256
-
-
 @dataclasses.dataclass(frozen=True)
 class ChoiOp:
     """Square operator on map-input (x) map-output factors, with role metadata.

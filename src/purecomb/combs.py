@@ -8,7 +8,12 @@ d_{2n} k_n = d_{2n+1} k_{n+1} with k_0 = k_{N+1} = 1.
 
 A unitary comb is verified by one no-signalling identity per slot
 (``signalling_residual``), formed only on the output indices that each
-input basis state reaches: the rest are exactly 0 (``_live``).
+input basis state reaches: the rest are exactly 0 (``_live``).  A comb
+Choi operator is verified by its trace tower, level n the operator traced
+over the outputs above n, which must be the identity on the inputs above
+n times a reduced operator.  Both identities are X - I (x) Tr X / d = 0,
+one in-place step (``_trace_free``), and every check reads its operator in
+the layout's input-then-output order (``SlotLayout.canonical``).
 
 Every verification here and in ``twoslot`` returns one ``Verdict``: its
 ``ok`` and its named residuals, the keys the CLI prints.
@@ -18,22 +23,18 @@ from __future__ import annotations
 
 import dataclasses
 import itertools
+import math
 from typing import Iterator, Sequence
 
 import numpy as np
 
-from .choi import _TILE, ChoiOp
 from .errors import VerificationError
 from .layouts import SlotLayout
-from .spaces import (
-    TOL,
-    LinOp,
-    Spaces,
-    compose,
-    is_unitary,
-    partial_trace,
-    permute_systems,
-)
+from .spaces import TOL, LinOp, Spaces, compose, is_unitary, permute_systems
+
+# rows and columns of one tile of the Hermitian pass and of twoslot's
+# C + C^dagger: 256^2 complex entries, 1 MiB
+_TILE = 256
 
 
 @dataclasses.dataclass(frozen=True)
@@ -92,20 +93,28 @@ def _signalling_rows(u: LinOp, wire: str, reached: Sequence[str]) -> list[np.nda
     return [x[:, :, a] for a in range(d_w)]
 
 
+def _trace_free(c: np.ndarray) -> np.ndarray:
+    """Subtract I_i (x) Tr_i(c) / d_i in place from c[x, i, y, z, i', w],
+    a view, and return Tr_i(c) / d_i, indexed [x, y, z, w]."""
+    part = np.einsum("xiyziw->xyzw", c) / c.shape[1]
+    # c[:, i, :, :, i, :] for every i, as one view of c
+    diagonal = np.einsum("xiyziw->xiyzw", c)
+    diagonal -= part[:, None]
+    return part
+
+
 def _signalling(xs: Sequence[np.ndarray]) -> Iterator[np.ndarray]:
-    """k[i, s, i', s'] of C - I_reached (x) Tr_reached(C) / d_reached,
-    C = x_a x_a'^dagger, for row arrays x_a[i, s, y] and each pair a <= a'
-    (C(a', a) = C(a, a')^dagger); an x_a may keep any subset of its s:
-    ``signalling_residual`` cuts each to its own live s, ``twoslot``'s
-    ``_joint_residual`` all to the s live in some a, ``_past_rows`` none."""
+    """k[i, s, i', s'] of C - I_reached (x) Tr_reached(C) / d_reached
+    (``_trace_free``), C = x_a x_a'^dagger, for row arrays x_a[i, s, y] and
+    each pair a <= a' (C(a', a) = C(a, a')^dagger); an x_a may keep any
+    subset of its s: ``signalling_residual`` cuts each to its own live s,
+    ``twoslot``'s ``_joint_residual`` all to the s live in some a,
+    ``_past_rows`` none."""
     for x, x2 in itertools.combinations_with_replacement(xs, 2):
         d_r, n, n2 = len(x), x.shape[1], x2.shape[1]
-        c = (x.reshape(d_r * n, -1) @ x2.reshape(d_r * n2, -1).conj().T).reshape(d_r, n, d_r, n2)
-        part = np.einsum("isit->st", c) / d_r
-        # c[i, :, i, :] for every i, as one view of c
-        diagonal = np.einsum("isit->ist", c)
-        diagonal -= part
-        yield c
+        c = x.reshape(d_r * n, -1) @ x2.reshape(d_r * n2, -1).conj().T
+        _trace_free(c.reshape(1, d_r, n, 1, d_r, n2))
+        yield c.reshape(d_r, n, d_r, n2)
 
 
 def signalling_residual(u: LinOp, wire: str, reached: Sequence[str]) -> float:
@@ -131,17 +140,16 @@ def verify_pure_comb_unitary(
     ok_u, res_u = is_unitary(u, tol)
     if not ok_u:
         raise ValueError(f"operator is not unitary (residual {res_u:.2e})")
-    layout.check_operator(u)
-    # in the layout's input-then-output order (a view if u is): no residual
-    # depends on the file's factor order
-    u = permute_systems(u, [*layout.labels[0::2], *layout.labels[1::2]])
+    # in the layout's input-then-output order: no residual depends on the
+    # file's factor order
+    u = layout.canonical(u)
     inputs = [lab for lab, _ in layout.odd_factors()]
     residuals = {f"slot-{n}": signalling_residual(u, layout.factor(2 * n)[0], inputs[:n])
                  for n in range(1, layout.n_slots + 1)}
     return Verdict(max(residuals.values(), default=0.0) <= tol, residuals)
 
 
-def verify_comb_choi(r, layout: SlotLayout, tol: float = TOL) -> Verdict:
+def verify_comb_choi(op: LinOp, layout: SlotLayout, tol: float = TOL) -> Verdict:
     """Positivity plus the tower of trace factorization conditions.
 
     At level n the trace over the output wires above the level must be an
@@ -151,43 +159,43 @@ def verify_comb_choi(r, layout: SlotLayout, tol: float = TOL) -> Verdict:
     complete the residuals (``_hermitian_checks``): the verdict needs the
     eigenvalue >= -tol and every other residual <= tol.  Both sides must
     carry the layout's factors, in any order.
+
+    All read one writable copy A of ``op`` in the layout's ``io_labels``
+    order, the tower first: level n traces A's trailing factors, the
+    outputs above n, and is made trace-free on its inputs above n.
     """
-    op = r.op if isinstance(r, ChoiOp) else r
     want = dict(layout.factors)
     for side in (op.out_space, op.in_space):
         if dict(side.factors) != want:
             raise ValueError(f"Choi factors {dict(side.factors)} do not match layout {want}")
-    herm, min_eig = _hermitian_checks(op, [*layout.labels[0::2], *layout.labels[1::2]])
+    m, n = len(op.out_space), op.out_space.dim
+    axes = [op.out_space.index(lab) for lab in layout.io_labels]
+    axes += [m + op.in_space.index(lab) for lab in layout.io_labels]
+    a = op.data.reshape(op.out_space.dims + op.in_space.dims).transpose(axes).copy().reshape(n, n)
     residuals = {}
-    for n in range(layout.n_slots + 1):
-        level = partial_trace(op, layout.labels[2 * n + 1::2])
-        ids = list(layout.labels[2 * n::2])
-        rest = [lab for lab in level.out_space.labels if lab not in ids]
-        level = permute_systems(level, rest + ids)
-        reduced = partial_trace(level, ids)
-        d_rest = reduced.out_space.dim
-        d_ids = level.out_space.dim // d_rest
-        reduced = reduced.data / d_ids
-        # level viewed as (rest, ids, rest, ids) against reduced (x) I_ids
-        view = level.data.reshape(d_rest, d_ids, d_rest, d_ids)
-        lifted = reduced[:, None, :, None] * np.eye(d_ids)[None, :, None, :]
-        residuals[f"level-{n}"] = float(np.abs(view - lifted).max())
-        if n == 0:
-            norm_res = float(abs(reduced[0, 0] - 1.0))
+    for k in range(layout.n_slots + 1):
+        t = math.prod(layout.dims[2 * k + 1::2])
+        level = np.einsum("aibi->ab", a.reshape(n // t, t, n // t, t))
+        # level k's factors: inputs below k, inputs at and above k, outputs below k
+        e, ids = math.prod(layout.dims[0:2 * k:2]), math.prod(layout.dims[2 * k::2])
+        o = n // (t * e * ids)
+        part = _trace_free(level.reshape(e, ids, o, e, ids, o))
+        residuals[f"level-{k}"] = float(np.abs(level).max())
+        if k == 0:
+            norm_res = float(abs(part[0, 0, 0, 0] - 1.0))
+    herm, min_eig = _hermitian_checks(a)
     residuals.update({"hermiticity": herm, "min-eigenvalue": min_eig, "normalization": norm_res})
     ok = min_eig >= -tol and all(r <= tol for key, r in residuals.items() if key != "min-eigenvalue")
     return Verdict(ok, residuals)
 
 
-def _hermitian_checks(op: LinOp, order: Sequence[str]) -> tuple[float, float]:
-    """max |A - A^dagger| and the lowest eigenvalue of (A + A^dagger) / 2, A
-    one writable copy of ``op`` with both sides in ``order``.  One walk over
+def _hermitian_checks(a: np.ndarray) -> tuple[float, float]:
+    """max |A - A^dagger| and the lowest eigenvalue of (A + A^dagger) / 2,
+    for a writable square array A that the pass overwrites.  One walk over
     the _TILE x _TILE tile pairs x = A[I, J], y = A[J, I], I <= J, through
     one complex and one real tile buffer, reads the residual and sets x and
     y to (x + y^dagger) / 2 and its adjoint; ``eigvalsh`` then reads A."""
-    m, n, t = len(op.out_space), op.out_space.dim, min(_TILE, op.out_space.dim)
-    axes = [op.out_space.index(lab) for lab in order] + [m + op.in_space.index(lab) for lab in order]
-    a = op.data.reshape(op.out_space.dims + op.in_space.dims).transpose(axes).copy().reshape(n, n)
+    n, t = len(a), min(_TILE, len(a))
     buf, mag, worst = np.empty((t, t), np.complex128), np.empty((t, t)), 0.0
     for i in range(0, n, _TILE):
         for j in range(i, n, _TILE):
@@ -275,9 +283,7 @@ def _peel(u: LinOp, layout: SlotLayout, tol: float) -> CombCircuit:
     n_slots = layout.n_slots
     anc_labels = ancilla_labels(layout)
 
-    cur = permute_systems(
-        u, [lab for lab, _ in layout.even_factors()] + [lab for lab, _ in layout.odd_factors()]
-    )
+    cur = layout.canonical(u)
     elements: list[LinOp] = []
     future_factors = [layout.factor(2 * n_slots + 1)]
     for m in range(n_slots, 0, -1):
@@ -322,11 +328,4 @@ def compose_staircase(c: CombCircuit) -> LinOp:
     acc = c.elements[0]
     for el in c.elements[1:]:
         acc = compose(el, acc, pad=True)
-    even_labels = [lab for lab, _ in c.layout.even_factors()]
-    odd_labels = [lab for lab, _ in c.layout.odd_factors()]
-    if set(acc.in_space.labels) != set(even_labels) or set(acc.out_space.labels) != set(odd_labels):
-        raise ValueError(
-            f"staircase does not close onto the layout wires: "
-            f"{acc.in_space.labels} -> {acc.out_space.labels}"
-        )
-    return permute_systems(acc, even_labels + odd_labels)
+    return c.layout.canonical(acc)

@@ -3,22 +3,24 @@
 A slot layout lists the factor chain of an N-slot map: the global past,
 then alternating slot-input / slot-output factors, then the global
 future.  Even positions (0, 2, ...) are inputs of the representing
-operator, odd positions are outputs.  A two-slot layout names the six
-factors of a two-slot map directly.
+operator, odd positions are outputs; ``SlotLayout.canonical`` puts an
+operator's factors in that input-then-output order, the one every check
+reads.  A two-slot layout names the six factors of a two-slot map
+directly.
 """
 
 from __future__ import annotations
 
 import dataclasses
 
-from .spaces import Spaces
+from .spaces import LinOp, Spaces, permute_systems
 
 
 @dataclasses.dataclass(frozen=True)
 class SlotLayout:
     """Ordered factor chain H_0 .. H_{2N+1} with labels and dimensions;
-    ``labels`` and ``dims`` are computed once at construction and are not
-    fields."""
+    ``labels``, ``dims`` and ``io_labels``, the input labels then the
+    output labels, are computed once at construction and are not fields."""
 
     factors: tuple[tuple[str, int], ...]
 
@@ -28,6 +30,7 @@ class SlotLayout:
         spaces = Spaces(self.factors)  # unique labels, int dims >= 1
         object.__setattr__(self, "labels", spaces.labels)
         object.__setattr__(self, "dims", spaces.dims)
+        object.__setattr__(self, "io_labels", spaces.labels[0::2] + spaces.labels[1::2])
 
     @staticmethod
     def of(*factors) -> "SlotLayout":
@@ -65,6 +68,12 @@ class SlotLayout:
                 f"operator factors {have_in} -> {have_out} do not match "
                 f"layout {want_in} -> {want_out}"
             )
+
+    def canonical(self, op: LinOp) -> LinOp:
+        """``op`` after ``check_operator``, both sides in ``io_labels``
+        order: a view of ``op`` when it is stored that way."""
+        self.check_operator(op)
+        return permute_systems(op, self.io_labels)
 
 
 @dataclasses.dataclass(frozen=True)

@@ -8,9 +8,9 @@ convention.  All operations are pure; arrays are frozen after
 construction.
 
 ``Vec`` and ``_permuted_vec`` carry vectors for ``permute_systems``,
-``choi.choi_vector``, ``apply_op`` and ``contract_bra``.  The last two
-have no library caller and stay while ``bench/tracer.py`` wraps their
-names.
+``choi.choi_vector``, ``apply_op`` and ``contract_bra``.  The last two,
+and ``partial_trace``, have no library caller and stay while
+``bench/tracer.py`` wraps their names.
 """
 
 from __future__ import annotations

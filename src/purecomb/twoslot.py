@@ -37,19 +37,11 @@ import itertools
 
 import numpy as np
 
-from .choi import _TILE
-from .combs import (Verdict, _live, _projector_range, _signalling, _signalling_rows,
+from .combs import (_TILE, Verdict, _live, _projector_range, _signalling, _signalling_rows,
                     signalling_residual, verify_pure_comb_unitary)
 from .errors import VerificationError
 from .layouts import TwoSlotLayout
-from .spaces import (
-    TOL,
-    LinOp,
-    Spaces,
-    adjoint,
-    is_unitary,
-    permute_systems,
-)
+from .spaces import TOL, LinOp, Spaces, adjoint, is_unitary
 from .subspaces import Subspace, orthogonality_residual
 
 
@@ -87,8 +79,7 @@ def _checked(u: LinOp, layout: TwoSlotLayout, tol: float) -> LinOp:
     ok, res = is_unitary(u, tol)
     if not ok:
         raise ValueError(f"operator is not unitary (residual {res:.2e})")
-    layout.slot_chain("ab").check_operator(u)
-    return permute_systems(u, layout.in_space().labels + layout.out_space().labels)
+    return layout.slot_chain("ab").canonical(u)
 
 
 def verify_pure_superchannel(
@@ -378,9 +369,10 @@ def embed_block(
     """Place a block into the full spaces through its past/future
     embeddings, the inverse of the restriction in ``direct_sum_decompose``:
     t[s, f, p, x] = sum f_embed[f, g] b[s, g, q, x] conj(p_embed[p, q]) on
-    the block's view b.  The block's factors may be stored in any order."""
-    canonical = permute_systems(blk, layout.in_space().labels + layout.out_space().labels)
-    b = _view(canonical, layout.with_dims(p_embed.shape[1], f_embed.shape[1]))
+    the block's view b.  The block's factors must be the layout's, with
+    the embeddings' past and future dimensions, stored in any order."""
+    blk_layout = layout.with_dims(p_embed.shape[1], f_embed.shape[1])
+    b = _view(blk_layout.slot_chain("ab").canonical(blk), blk_layout)
     d_s, d_g, d_q, d_x = b.shape
     t = p_embed.conj() @ (f_embed @ b.reshape(d_s, d_g, d_q * d_x)).reshape(-1, d_q, d_x)
     return LinOp(layout.out_space(), layout.in_space(), t.reshape(layout.out_space().dim, -1))

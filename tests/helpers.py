@@ -77,9 +77,12 @@ layout-ordered copy must return the same floats as this reference on the
 operator in that order; ``is_cp`` reads it.
 
 The comb-Choi tower reference is the form ``verify_comb_choi`` once took:
-each level's reduced operator lifted by ``kron`` with an identity and
-permuted back to the level's factor order.  The broadcast comparison must
-return the same level and normalization residuals.
+per level two ``partial_trace`` calls on the caller's operator, and the
+reduced operator lifted by ``kron`` with an identity and permuted back to
+the level's factor order.  The library's tower, one trace over a view of
+its layout-ordered copy per level made trace-free in place
+(``combs._trace_free``), must return the same level and normalization
+residuals for every factor order of the operator.
 
 The Lugano inputs are in the class without being built from their
 answer: ``lugano_process`` is the purified three-slot Lugano process, and

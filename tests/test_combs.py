@@ -21,7 +21,6 @@ from purecomb.builders import (
     random_pure_comb,
     random_staircase_circuit,
 )
-from purecomb import combs
 from purecomb.choi import choi_of_unitary
 from purecomb.combs import (
     CombCircuit,
@@ -71,19 +70,19 @@ class TestVerifyCombChoi:
     def test_identity_channel(self):
         lay = SlotLayout.of(("H0", 2), ("H1", 2))
         ident = LinOp(Spaces.of(("H1", 2)), Spaces.of(("H0", 2)), np.eye(2))
-        rep = verify_comb_choi(choi_of_unitary(ident), lay)
+        rep = verify_comb_choi(choi_of_unitary(ident).op, lay)
         assert rep.ok
         assert rep.residuals["normalization"] < 1e-12
 
     def test_random_unitary_choi_fails(self):
         for seed in range(100):
-            rep = verify_comb_choi(choi_of_unitary(_random_shaped(LAY1, seed)), LAY1)
+            rep = verify_comb_choi(choi_of_unitary(_random_shaped(LAY1, seed)).op, LAY1)
             assert not rep.ok
 
     def test_composed_staircase_passes(self):
         for seed in range(5):
             u = random_pure_comb(LAY1, seed)
-            rep = verify_comb_choi(choi_of_unitary(u), LAY1)
+            rep = verify_comb_choi(choi_of_unitary(u).op, LAY1)
             assert rep.ok, rep
 
     def test_scaled_choi_fails_normalization(self):
@@ -96,49 +95,59 @@ class TestVerifyCombChoi:
         # positive and negative cases through both verifiers
         for seed in range(50):
             u = random_pure_comb(LAY1, seed)
-            assert verify_comb_choi(choi_of_unitary(u), LAY1).ok
+            assert verify_comb_choi(choi_of_unitary(u).op, LAY1).ok
             assert verify_pure_comb_unitary(u, LAY1).ok
         for seed in range(50):
             v = _random_shaped(LAY1, seed)
-            assert not verify_comb_choi(choi_of_unitary(v), LAY1).ok
+            assert not verify_comb_choi(choi_of_unitary(v).op, LAY1).ok
             assert not verify_pure_comb_unitary(v, LAY1).ok
 
     def test_tower_equals_the_kron_lift_reference(self):
-        # the chains of the choi benchmark workload, each comb Choi in its
-        # inputs-then-outputs order and in chain order, and a positive
-        # operator with the comb Choi's trace but no comb structure
+        # the chains of the choi benchmark workload, chains with ancillas and
+        # unequal dims, with 1-dim slot wires, and with no slot: each comb
+        # Choi in its inputs-then-outputs order, in chain order and in two
+        # more factor orders, and a positive and a non-Hermitian operator
+        # with no comb structure
         rng = np.random.default_rng(31)
         for chain in (BENCH_CHAINS[0],
                       SlotLayout.of(("H0", 4), ("H1", 2), ("H2", 2), ("H3", 4), ("H4", 4),
-                                    ("H5", 4))):
+                                    ("H5", 4)),
+                      SlotLayout.of(("H0", 6), ("H1", 2), ("H2", 3), ("H3", 9)),
+                      LAY2_K2,
+                      SlotLayout.of(("H0", 2), ("H1", 1), ("H2", 1), ("H3", 2)),
+                      SlotLayout.of(("H0", 1), ("H1", 1))):
             w = choi_of_unitary(random_pure_comb(chain, 4)).op
             d = w.out_space.dim
             g = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
-            positive = LinOp(w.out_space, w.in_space, g @ g.conj().T / d)
-            for op in (w, permute_systems(w, list(chain.labels)), positive):
+            cases = [(permute_systems(w, [chain.labels[i] for i in order]), True)
+                     for order in (range(len(chain.labels)), range(len(chain.labels))[::-1],
+                                   rng.permutation(len(chain.labels)))]
+            cases += [(w, True), (LinOp(w.out_space, w.in_space, g @ g.conj().T / d), False),
+                      (LinOp(w.out_space, w.in_space, g / d), False)]
+            for op, in_class in cases:
                 rep = verify_comb_choi(op, chain)
-                assert rep.ok == (op is not positive)
+                assert rep.ok == in_class
                 want = reference_comb_choi_tower(op, chain)
                 levels = tuple(rep.residuals[f"level-{n}"] for n in range(chain.n_slots + 1))
                 assert (levels, rep.residuals["normalization"]) == want
 
-    def test_traces_equal_the_rectangular_reference_bytes(self, monkeypatch):
-        # each partial trace the tower takes, on the comb-Choi fixture and on
-        # a seeded comb Choi, is byte-equal to the rectangular reference
+    def test_traces_equal_the_rectangular_reference_bytes(self):
+        # each partial trace of the tower's partial-trace form, on the
+        # comb-Choi fixture and on a seeded comb Choi, is byte-equal to the
+        # rectangular reference: per level the trace of the outputs above
+        # it, then of the inputs above it, those moved last
         fixture = load_matrix(os.path.join(os.path.dirname(__file__), "fixtures", "comb-choi.json"))
         chain = SlotLayout(tuple((lab, fixture.out_space.dim_of(lab))
                                  for lab in ("P", "AI", "AO", "BI", "BO", "F")))
-        calls = []
-
-        def spy(a, labels):
-            calls.append((a, list(labels), partial_trace(a, labels)))
-            return calls[-1][2]
-
-        monkeypatch.setattr(combs, "partial_trace", spy)
         for op, lay in ((fixture, chain), (choi_of_unitary(random_pure_comb(LAY2_K2, 7)).op, LAY2_K2)):
-            calls.clear()
             assert verify_comb_choi(op, lay).ok
-            assert len(calls) == 2 * (lay.n_slots + 1)
+            calls = []
+            for n in range(lay.n_slots + 1):
+                outs, ids = list(lay.labels[2 * n + 1::2]), list(lay.labels[2 * n::2])
+                top = partial_trace(op, outs)
+                rest = [lab for lab in top.out_space.labels if lab not in ids]
+                level = permute_systems(top, rest + ids)
+                calls += [(op, outs, top), (level, ids, partial_trace(level, ids))]
             for a, labels, got in calls:
                 want = trace_matching(a, labels)
                 assert (got.out_space, got.in_space) == (want.out_space, want.in_space)

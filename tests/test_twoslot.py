@@ -205,14 +205,18 @@ def _two_slot_cases():
     for d in (2, 3):
         u, lay = build_quantum_switch(d)
         cases.append((locally_rotated(u, rng), lay, (d, 0, d)))
+    cases += [(*plugged_lugano(k, rng), (4 * k, 0, 4 * k)) for k in (1, 2, 3)]
     return cases
 
 
 def _ladder_inputs():
-    """Switch d=2/3/4, d3d and a seeded direct sum of each block shape."""
+    """Switch d=2/3/4, d3d, a seeded direct sum of each block shape and the
+    plugged Lugano process at k = 1, 2, 3."""
     cases = [build_quantum_switch(d) for d in (2, 3, 4)] + [build_d3d_example()]
     shapes = [(2, 2), (2, 4), (4, 2), (4, 4)]
-    return cases + [_random_direct_sum(70 + i, *shape)[:2] for i, shape in enumerate(shapes)]
+    cases += [_random_direct_sum(70 + i, *shape)[:2] for i, shape in enumerate(shapes)]
+    rng = np.random.default_rng(75)
+    return cases + [plugged_lugano(k, rng) for k in (1, 2, 3)]
 
 
 def _ladder_points(layout):
@@ -935,6 +939,8 @@ class TestChangeOfBasis:
             cases.append((*_random_direct_sum(80 + i, *shape)[:2], 1e-8))
         cases += [(*_wire_comb(81), 1e-8), (*_parallel_comb(82), 1e-8),
                   (*_parallel_plus_ba(83), 1e-8)]
+        rng = np.random.default_rng(85)
+        cases += [(*plugged_lugano(k, rng), 1e-8) for k in (1, 2, 3)]
         u, lay = build_quantum_switch(2)
         cases.append((perturbed(u, 1e-7, seed=3), lay, 1e-6))
         return cases

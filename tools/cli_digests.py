@@ -2,7 +2,7 @@
 
     python3 tools/cli_digests.py WORKDIR > manifest.json
 
-Runs 37 ops in-process through ``purecomb.cli.main`` (imported from the
+Runs 39 ops in-process through ``purecomb.cli.main`` (imported from the
 ``src/`` of the checkout this file is in), with the BLAS thread count pinned
 to 1, inside WORKDIR with relative paths, and prints one JSON manifest: per
 op its argv, exit code and the sha256 of its stdout, then the sha256 of
@@ -28,7 +28,12 @@ the chain P=2,AI=2,AO=3,BI=3,BO=2,F=2 and ``verify --kind
 pure-superchannel`` of it (exit 0), the one input in class with d_AO !=
 d_BO and no zero row; last, ``build`` and ``verify --kind
 pure-superchannel`` of switch d=6, a 2.2 MB file of 46 save blocks and
-five load chunks, nearly all zero pairs.
+five load chunks, nearly all zero pairs; then ``verify --kind comb-choi``
+of the Choi operator of the seeded comb on the chain
+H0=4,H1=2,H2=2,H3=2,H4=2,H5=4 (D=256), which the tool writes with the
+library stored in chain order, not the layout's input-then-output order:
+with its chain ``--order`` (exit 0) and with its two slots swapped
+(exit 1), the one comb-Choi tower on unequal dims.
 """
 
 import os
@@ -48,6 +53,11 @@ ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT / "src"))
 
 from purecomb import cli  # noqa: E402
+from purecomb.builders import random_pure_comb  # noqa: E402
+from purecomb.choi import choi_of_unitary  # noqa: E402
+from purecomb.io import save_matrix  # noqa: E402
+from purecomb.layouts import SlotLayout  # noqa: E402
+from purecomb.spaces import permute_systems  # noqa: E402
 
 FIXTURES = ("switch", "d3d", "random-unitary")
 CHOI_FIXTURE = "comb-choi"
@@ -57,6 +67,8 @@ SWITCH_CHAIN = "P,AI,AO,BI,BO,F"
 TWO_SLOT_CHAIN = "P=2,AI=2,AO=2,BI=2,BO=2,F=2"
 UNEQUAL_CHAIN = "P=2,AI=2,AO=3,BI=3,BO=2,F=2"
 INDENTED = "indented-d3d.json"
+CHOI_CHAIN = "H0=4,H1=2,H2=2,H3=2,H4=2,H5=4"
+CHAIN_CHOI = "chain-choi.json"
 
 
 def two_slot_ops(tag: str, path: str) -> list[list[str]]:
@@ -93,6 +105,8 @@ def op_list() -> list[list[str]]:
             ["verify", "comb-uneq.json", "--kind", "pure-superchannel", "--json"],
             ["build", "switch", "--dim", "6", "--out", "switch6.json", "--json"],
             ["verify", "switch6.json", "--kind", "pure-superchannel", "--json"]]
+    ops += [["verify", CHAIN_CHOI, "--kind", "comb-choi", "--order", order, "--json"]
+            for order in ("H0,H1,H2,H3,H4,H5", "H0,H3,H4,H1,H2,H5")]
     return ops
 
 
@@ -111,6 +125,9 @@ def main(argv: list[str]) -> int:
         shutil.copyfile(ROOT / "tests" / "fixtures" / f"{name}.json", work / f"fixture-{name}.json")
     d3d = json.loads((ROOT / "tests" / "fixtures" / "d3d.json").read_text())
     (work / INDENTED).write_text(json.dumps(d3d, indent=1))
+    chain = SlotLayout.of(*(f.split("=") for f in CHOI_CHAIN.split(",")))
+    w = choi_of_unitary(random_pure_comb(chain, 7)).op
+    save_matrix(work / CHAIN_CHOI, permute_systems(w, list(chain.labels)))
     os.chdir(work)
     ops = []
     for argv_i in op_list():
