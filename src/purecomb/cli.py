@@ -7,11 +7,12 @@ and > 0.  verify --kind pure-superchannel and --kind pure-comb take
 unitaries only: their closed-form identities characterize the class only
 for unitaries, so a non-unitary file is malformed (2), not "not in class".
 
-Two-slot files use the positional role convention: input factors are
-(past, A-output, B-output) and output factors are (A-input, B-input,
-future), in file order.  Chain layouts interleave the file's input and
-output factors; --order overrides the interleaving by label.  An option
-the chosen build target or --kind never reads is bad usage (2).
+Chain layouts interleave the file's input and output factors; --order
+overrides the interleaving by label.  A two-slot file is read as a chain
+file: its three inputs and three outputs interleave to P, AI, AO, BI, BO,
+F, so in file order the inputs are (past, A-output, B-output) and the
+outputs (A-input, B-input, future).  An option the chosen build target or
+--kind never reads is bad usage (2).
 """
 
 from __future__ import annotations
@@ -98,12 +99,10 @@ def _two_slot_layout(op: LinOp, dims_arg: str | None) -> TwoSlotLayout:
         raise UsageError(
             "a two-slot operator needs exactly three input and three output factors"
         )
-    p, ao, bo = op.in_space.factors
-    ai, bi, f = op.out_space.factors
-    layout = TwoSlotLayout(p, ai, ao, bi, bo, f)
+    layout = TwoSlotLayout(_chain_layout(op, None).factors)
     if dims_arg:
         given = _parse_assignments(dims_arg, "--dims")
-        have = {lab: d for lab, d in layout.all_factors}
+        have = dict(layout.factors)
         if given != have:
             raise UsageError(f"--dims {given} conflicts with file factors {have}")
     return layout

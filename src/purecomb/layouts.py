@@ -5,8 +5,9 @@ then alternating slot-input / slot-output factors, then the global
 future.  Even positions (0, 2, ...) are inputs of the representing
 operator, odd positions are outputs; ``SlotLayout.canonical`` puts an
 operator's factors in that input-then-output order, the one every check
-reads.  A two-slot layout names the six factors of a two-slot map
-directly.
+reads.  A two-slot layout is a six-factor chain, its map's A-first
+order P, AI, AO, BI, BO, F, with the six roles as named views; its
+spaces, checks and canonical order are the chain's.
 """
 
 from __future__ import annotations
@@ -32,9 +33,9 @@ class SlotLayout:
         object.__setattr__(self, "dims", spaces.dims)
         object.__setattr__(self, "io_labels", spaces.labels[0::2] + spaces.labels[1::2])
 
-    @staticmethod
-    def of(*factors) -> "SlotLayout":
-        return SlotLayout(tuple((str(lab), int(d)) for lab, d in factors))
+    @classmethod
+    def of(cls, *factors):
+        return cls(tuple((str(lab), int(d)) for lab, d in factors))
 
     @property
     def n_slots(self) -> int:
@@ -77,50 +78,32 @@ class SlotLayout:
 
 
 @dataclasses.dataclass(frozen=True)
-class TwoSlotLayout:
-    """The six factors of a two-slot map: global past, two slot wire pairs,
-    global future."""
-
-    past: tuple[str, int]
-    a_in: tuple[str, int]
-    a_out: tuple[str, int]
-    b_in: tuple[str, int]
-    b_out: tuple[str, int]
-    future: tuple[str, int]
+class TwoSlotLayout(SlotLayout):
+    """A two-slot map's factors as its A-first chain (P, AI, AO, BI, BO, F):
+    global past, the A then B slot wire pairs, global future.  The named
+    roles are read-only views of ``factors``."""
 
     def __post_init__(self):
-        Spaces(self.all_factors)  # unique labels, int dims >= 1
+        super().__post_init__()
+        if len(self.factors) != 6:
+            raise ValueError("a two-slot layout needs exactly 6 factors")
 
-    @staticmethod
-    def of(past, a_in, a_out, b_in, b_out, future) -> "TwoSlotLayout":
-        norm = lambda f: (str(f[0]), int(f[1]))
-        return TwoSlotLayout(norm(past), norm(a_in), norm(a_out), norm(b_in), norm(b_out), norm(future))
-
-    @property
-    def all_factors(self):
-        return (self.past, self.a_in, self.a_out, self.b_in, self.b_out, self.future)
-
-    def in_space(self) -> Spaces:
-        return Spaces((self.past, self.a_out, self.b_out))
-
-    def out_space(self) -> Spaces:
-        return Spaces((self.a_in, self.b_in, self.future))
+    past = property(lambda self: self.factors[0])
+    a_in = property(lambda self: self.factors[1])
+    a_out = property(lambda self: self.factors[2])
+    b_in = property(lambda self: self.factors[3])
+    b_out = property(lambda self: self.factors[4])
+    future = property(lambda self: self.factors[5])
 
     def slot_chain(self, order: str = "ab") -> SlotLayout:
         """View as a causally ordered chain, slot A first ('ab') or B first ('ba')."""
         if order == "ab":
-            return SlotLayout((self.past, self.a_in, self.a_out, self.b_in, self.b_out, self.future))
+            return SlotLayout(self.factors)
         if order == "ba":
             return SlotLayout((self.past, self.b_in, self.b_out, self.a_in, self.a_out, self.future))
         raise ValueError(f"order must be 'ab' or 'ba', got {order!r}")
 
     def with_dims(self, past_dim: int, future_dim: int) -> "TwoSlotLayout":
         """Same labels with replaced past/future dimensions (used for blocks)."""
-        return TwoSlotLayout(
-            (self.past[0], int(past_dim)),
-            self.a_in,
-            self.a_out,
-            self.b_in,
-            self.b_out,
-            (self.future[0], int(future_dim)),
-        )
+        return TwoSlotLayout(((self.past[0], int(past_dim)), *self.factors[1:5],
+                              (self.future[0], int(future_dim))))

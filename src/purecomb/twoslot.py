@@ -79,7 +79,7 @@ def _checked(u: LinOp, layout: TwoSlotLayout, tol: float) -> LinOp:
     ok, res = is_unitary(u, tol)
     if not ok:
         raise ValueError(f"operator is not unitary (residual {res:.2e})")
-    return layout.slot_chain("ab").canonical(u)
+    return layout.canonical(u)
 
 
 def verify_pure_superchannel(
@@ -372,7 +372,7 @@ def embed_block(
     the block's view b.  The block's factors must be the layout's, with
     the embeddings' past and future dimensions, stored in any order."""
     blk_layout = layout.with_dims(p_embed.shape[1], f_embed.shape[1])
-    b = _view(blk_layout.slot_chain("ab").canonical(blk), blk_layout)
+    b = _view(blk_layout.canonical(blk), blk_layout)
     d_s, d_g, d_q, d_x = b.shape
     t = p_embed.conj() @ (f_embed @ b.reshape(d_s, d_g, d_q * d_x)).reshape(-1, d_q, d_x)
     return LinOp(layout.out_space(), layout.in_space(), t.reshape(layout.out_space().dim, -1))

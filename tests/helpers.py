@@ -136,7 +136,7 @@ from purecomb.subspaces import (
     reduced_subspace,
     sum_subspaces,
 )
-from purecomb.layouts import TwoSlotLayout
+from purecomb.layouts import SlotLayout, TwoSlotLayout
 from purecomb.twoslot import _TILE, SubspaceTriple, assemble, embed_block
 
 
@@ -609,8 +609,9 @@ def lugano_process():
     not a and b) of the slot outputs, and the future F a copy of (a_o, b_o,
     c_o).  Input factors (P, AO, BO, CO), output factors (AI, BI, CI, F);
     P and F index their three bits as 4 x_1 + 2 x_2 + x_3."""
-    sp_in = Spaces.of(("P", 8), ("AO", 2), ("BO", 2), ("CO", 2))
-    sp_out = Spaces.of(("AI", 2), ("BI", 2), ("CI", 2), ("F", 8))
+    chain = SlotLayout.of(("P", 8), ("AI", 2), ("AO", 2), ("BI", 2), ("BO", 2), ("CI", 2),
+                          ("CO", 2), ("F", 8))
+    sp_in, sp_out = chain.in_space(), chain.out_space()
     mat = np.zeros((64, 64), dtype=np.complex128)
     for pa, pb, pc, a, b, c in itertools.product((0, 1), repeat=6):
         x = (pa ^ ((1 - b) & c), pb ^ ((1 - c) & a), pc ^ ((1 - a) & b))
@@ -637,6 +638,21 @@ def plugged_lugano(k, rng, slot="C"):
     layout = TwoSlotLayout.of(("P", 8 * k), ("AI", 2), ("AO", 2), ("BI", 2), ("BO", 2),
                               ("F", 8 * k))
     return LinOp(layout.out_space(), layout.in_space(), w.reshape(32 * k, 32 * k)), layout
+
+
+def inserted(u, layout, v0, v1, k, inner):
+    """A comb with a k-dim memory E put into slot A of the two-slot map
+    ``u``: V0 maps AI to AI' (x) E and V1 maps AO' (x) E to AO, AI' and AO'
+    of dimension ``inner``.  The composite, on past P, slots A' and B and
+    future F, is again a two-slot map; it and its layout are returned, A'
+    keeping A's labels.  The loops through AI, E and AO are summed over."""
+    (_, d_ai), (_, d_ao) = layout.a_in, layout.a_out
+    t = layout.canonical(u).data.reshape(layout.out_space().dims + layout.in_space().dims)
+    w = np.einsum("abfpoq,iea,oje->ibfpjq", t, v0.reshape(inner, k, d_ai),
+                  v1.reshape(d_ao, inner, k))
+    lay = TwoSlotLayout((layout.past, (layout.a_in[0], inner), (layout.a_out[0], inner),
+                         *layout.factors[3:]))
+    return LinOp(lay.out_space(), lay.in_space(), w.reshape(lay.out_space().dim, -1)), lay
 
 
 def reference_matrix_text(op):

@@ -77,8 +77,7 @@ def comb_pool():
 
 
 def _chain_as_two_slot(lay: SlotLayout) -> TwoSlotLayout:
-    f = lay.factors
-    return TwoSlotLayout(f[0], f[1], f[2], f[3], f[4], f[5])
+    return TwoSlotLayout(lay.factors)
 
 
 def test_criterion_01_switch(announce):

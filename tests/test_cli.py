@@ -225,7 +225,7 @@ class TestVerifyCommand:
         op = load_matrix(path)
         if kind == "pure-superchannel":
             (p, ao, bo), (ai, bi, f) = op.in_space.factors, op.out_space.factors
-            rep = verify_pure_superchannel(op, TwoSlotLayout(p, ai, ao, bi, bo, f))
+            rep = verify_pure_superchannel(op, TwoSlotLayout.of(p, ai, ao, bi, bo, f))
         else:
             dims = {**dict(op.in_space.factors), **dict(op.out_space.factors)}
             chain = SlotLayout(tuple((lab, dims[lab]) for lab in order.split(",")))

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from helpers import basis_state, kron_vec, partial_transpose, trace_matching
-from purecomb.layouts import SlotLayout
+from purecomb.layouts import SlotLayout, TwoSlotLayout
 from purecomb.spaces import (
     LinOp,
     Spaces,
@@ -89,6 +89,31 @@ class TestSpaces:
         assert lay == SlotLayout(tuple(list(lay.factors))) and hash(lay) == hash(SlotLayout(lay.factors))
         moved = dataclasses.replace(lay, factors=(("X", 7), ("Y", 8)))
         assert (moved.labels, moved.dims, moved.n_slots) == (("X", "Y"), (7, 8), 0)
+
+    def test_two_slot_layout_is_its_a_first_chain(self):
+        lay = TwoSlotLayout.of(("P", 4), ("AI", 2), ("AO", 3), ("BI", 5), ("BO", 2), ("F", 6))
+        assert isinstance(lay, SlotLayout)
+        assert [f.name for f in dataclasses.fields(lay)] == ["factors"]
+        chain = lay.slot_chain("ab")
+        assert type(chain) is SlotLayout and type(SlotLayout.of(*lay.factors)) is SlotLayout
+        assert (lay.labels, lay.dims, lay.io_labels) == (chain.labels, chain.dims, chain.io_labels)
+        assert (lay.in_space(), lay.out_space()) == (chain.in_space(), chain.out_space())
+        roles = (lay.past, lay.a_in, lay.a_out, lay.b_in, lay.b_out, lay.future)
+        assert roles == lay.factors
+        assert lay.slot_chain("ba").factors == (lay.past, lay.b_in, lay.b_out, lay.a_in, lay.a_out,
+                                                lay.future)
+        moved = lay.with_dims(7, 8)
+        assert type(moved) is TwoSlotLayout
+        assert moved.factors == (("P", 7), *lay.factors[1:5], ("F", 8))
+        with pytest.raises(AttributeError):
+            lay.past = ("P", 2)
+
+    @pytest.mark.parametrize("n", [4, 8])
+    def test_two_slot_layout_needs_six_factors(self, n):
+        factors = tuple((f"H{i}", 2) for i in range(n))
+        SlotLayout(factors)
+        with pytest.raises(ValueError, match="exactly 6"):
+            TwoSlotLayout(factors)
 
     @pytest.mark.parametrize("factors", [(("H0", 2), ("H1", 0)), (("H0", 2), ("H1", -1)),
                                          (("H0", 2), ("H1", 2.0)), (("H0", 2), ("H0", 2))])

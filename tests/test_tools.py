@@ -27,16 +27,17 @@ def test_digests_and_matrix_diff(tmp_path):
     assert _tool("cli_digests.py", work_b) == manifest
 
     parsed = json.loads(manifest)
-    assert len(parsed["ops"]) == 39
+    assert len(parsed["ops"]) == 41
     failing = [op["argv"][:2] for op in parsed["ops"] if op["exit"] != 0]
-    assert failing == [["verify", "fixture-random-unitary.json"],
+    assert failing == [["verify", "switch2.json"],
+                       ["verify", "fixture-random-unitary.json"],
                        ["decompose", "fixture-random-unitary.json"],
                        ["verify", "switch3.json"],
                        ["verify", "fixture-comb-choi.json"],
                        ["verify", "rnd.json"],
                        ["verify", "chain-choi.json"]]
     assert [op["exit"] for op in parsed["ops"][-11:]] == [0, 1, 0, 1, 0, 0, 0, 0, 0, 0, 1]
-    assert sum(op["exit"] == 0 for op in parsed["ops"]) == 33
+    assert sum(op["exit"] == 0 for op in parsed["ops"]) == 34
     assert len(parsed["files"]) == 44
     # every matrix file written has the bytes of one json.dump
     written = [name for name in parsed["files"] if not name.endswith(".report.json")]

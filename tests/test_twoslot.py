@@ -15,6 +15,7 @@ from helpers import (
     family_residuals,
     family_verdict,
     future_traced_choi,
+    inserted,
     kron_restriction,
     locally_rotated,
     lugano_process,
@@ -130,7 +131,7 @@ def _random_direct_sum(seed, p_ab=2, p_ba=2):
 def _fixture(name):
     op = load_matrix(os.path.join(FIXTURES, f"{name}.json"))
     (p, ao, bo), (ai, bi, f) = op.in_space.factors, op.out_space.factors
-    return op, TwoSlotLayout(p, ai, ao, bi, bo, f)
+    return op, TwoSlotLayout.of(p, ai, ao, bi, bo, f)
 
 
 def _middle_comb(middle, d_p, seed):
@@ -144,7 +145,7 @@ def _middle_comb(middle, d_p, seed):
         LinOp(Spaces.of(("BI", 2), ("anc2", k)), Spaces.of(("AO", 2), ("anc1", k)), middle),
         LinOp(Spaces.of(("F", d_p)), Spaces.of(("BO", 2), ("anc2", k)), haar_unitary(d_p, rng)),
     ]
-    return build_staircase_comb(elements, chain), TwoSlotLayout(*chain.factors)
+    return build_staircase_comb(elements, chain), TwoSlotLayout(chain.factors)
 
 
 def _routed_comb(seed):
@@ -193,7 +194,7 @@ def _two_slot_cases():
         cases.append((*_random_direct_sum(30 + seed, p_ab, p_ba)[:2], (p_ab, 0, p_ba)))
     cases += [(*_parallel_comb(2), (0, 4, 0)), (*_wire_comb(1), (2, 0, 0))]
     lay = TwoSlotLayout.of(("P", 4), ("AI", 2), ("AO", 2), ("BI", 2), ("BO", 2), ("F", 4))
-    b_first = TwoSlotLayout(lay.past, lay.b_in, lay.b_out, lay.a_in, lay.a_out, lay.future)
+    b_first = TwoSlotLayout(lay.slot_chain("ba").factors)
     for seed in (61, 62):
         u = random_pure_comb(lay.slot_chain("ab"), seed)
         cases += [(u, lay, (4, 0, 0)), (u, b_first, (0, 0, 4))]
@@ -369,13 +370,27 @@ def _block_projectors(d):
     return {tag: (p @ p.conj().T, f @ f.conj().T) for tag, (_, p, f) in d.parts().items()}
 
 
+def _inserted_cases():
+    """The d=4 switch with a Haar comb of 2-dim memory in slot A (V0, V1
+    Haar on 4 dims, inner slot dims 2), 3 seeds, bare and with one
+    ``locally_rotated`` dressing."""
+    u, lay = build_quantum_switch(4)
+    cases = []
+    for seed in range(3):
+        rng = np.random.default_rng(70 + seed)
+        w, w_lay = inserted(u, lay, haar_unitary(4, rng), haar_unitary(4, rng), 2, 2)
+        cases += [(w, w_lay), (locally_rotated(w, rng), w_lay)]
+    return cases
+
+
 def _covariance_cases(direct_sum_pool):
-    """Switch d=2/3/4, d3d, 12 seeded direct sums and plugged Lugano k=1/2/3,
-    each in its layout's canonical factor order."""
+    """Switch d=2/3/4, d3d, 12 seeded direct sums, plugged Lugano k=1/2/3
+    and the slot-inserted d=4 switch, each in its layout's canonical factor
+    order."""
     cases = [build_quantum_switch(d) for d in (2, 3, 4)] + [build_d3d_example()]
     cases += [(u, lay) for u, lay, _ in direct_sum_pool[:12]]
     rng = np.random.default_rng(47)
-    cases += [plugged_lugano(k, rng) for k in (1, 2, 3)]
+    cases += [plugged_lugano(k, rng) for k in (1, 2, 3)] + _inserted_cases()
     return [(permute_systems(u, lay.in_space().labels + lay.out_space().labels), lay)
             for u, lay in cases]
 
@@ -402,7 +417,7 @@ class TestCovariance:
         # forward and reverse trade places; the parallel part, which goes
         # with the A-first block, is empty in every input here
         for u, lay in _covariance_cases(direct_sum_pool):
-            swapped = TwoSlotLayout(lay.past, lay.b_in, lay.b_out, lay.a_in, lay.a_out, lay.future)
+            swapped = TwoSlotLayout(lay.slot_chain("ba").factors)
             d = direct_sum_decompose(u, lay)
             assert d.triple_p_dims[1] == 0
             u_sw = permute_systems(u, swapped.in_space().labels + swapped.out_space().labels)
@@ -410,6 +425,18 @@ class TestCovariance:
             for tag, other in (("ab", "ba"), ("ba", "ab")):
                 for g, w in zip(got[tag], want[other]):
                     assert np.abs(g - w).max() <= 1e-12, tag
+
+
+class TestSlotInsertion:
+    def test_a_comb_in_slot_a_keeps_the_switch_split(self):
+        # the class is closed under composition: the switch's two blocks
+        # survive a reversible comb plugged between its A wires
+        for u, lay in _inserted_cases():
+            assert verify_pure_superchannel(u, lay).ok
+            d = direct_sum_decompose(u, lay)
+            assert d.triple_p_dims == (4, 0, 4) and d.p_dims == (4, 4)
+            assert phase_distance(assemble(d), u) <= 1e-8
+            assert trace_future_check(d).ok
 
 
 class TestPerturbation:
@@ -511,9 +538,9 @@ class TestJointResidual:
         rng = np.random.default_rng(43)
         cases += [plugged_lugano(k, rng) for k in (1, 2, 3)]
         chain = SlotLayout.of(("P", 2), ("AI", 2), ("AO", 3), ("BI", 3), ("BO", 2), ("F", 2))
-        cases.append((random_pure_comb(chain, 7), TwoSlotLayout(*chain.factors)))
+        cases.append((random_pure_comb(chain, 7), TwoSlotLayout(chain.factors)))
         for u, lay in cases:
-            swapped = TwoSlotLayout(lay.past, lay.b_in, lay.b_out, lay.a_in, lay.a_out, lay.future)
+            swapped = TwoSlotLayout(lay.slot_chain("ba").factors)
             got, want = verify_pure_superchannel(u, swapped), verify_pure_superchannel(u, lay)
             assert got.ok == want.ok
             assert got.residuals["a-side"] == want.residuals["b-side"]

@@ -2,7 +2,7 @@
 
     python3 tools/cli_digests.py WORKDIR > manifest.json
 
-Runs 39 ops in-process through ``purecomb.cli.main`` (imported from the
+Runs 41 ops in-process through ``purecomb.cli.main`` (imported from the
 ``src/`` of the checkout this file is in), with the BLAS thread count pinned
 to 1, inside WORKDIR with relative paths, and prints one JSON manifest: per
 op its argv, exit code and the sha256 of its stdout, then the sha256 of
@@ -10,7 +10,9 @@ every file written to WORKDIR.  Run two checkouts in same-named empty work
 directories and ``diff`` the two manifests.
 
 The ops: ``build``, ``verify --kind pure-superchannel`` and ``decompose
---kind direct-sum`` on switch d=2/3/4/5 and ``d3d``; ``verify`` and
+--kind direct-sum`` on switch d=2/3/4/5 and ``d3d``; ``verify --kind
+pure-superchannel --dims`` on the switch-2 file with its own dims (exit 0)
+and with a conflicting future dim (exit 2); ``verify`` and
 ``decompose`` on the three ``tests/fixtures``; ``assemble`` of the switch-3
 blocks; ``build random-comb`` on a 3-slot chain, then ``verify --kind
 pure-comb`` on it and on the switch-3 file read as an A-first chain (exit
@@ -64,6 +66,7 @@ CHOI_FIXTURE = "comb-choi"
 CHOI_ORDERS = ("P,AI,AO,BI,BO,F", "P,BI,BO,AI,AO,F")
 COMB_CHAIN = "H0=8,H1=2,H2=4,H3=4,H4=4,H5=4,H6=2,H7=8"
 SWITCH_CHAIN = "P,AI,AO,BI,BO,F"
+SWITCH2_DIMS = ("P=4,AI=2,AO=2,BI=2,BO=2,F=4", "P=4,AI=2,AO=2,BI=2,BO=2,F=2")
 TWO_SLOT_CHAIN = "P=2,AI=2,AO=2,BI=2,BO=2,F=2"
 UNEQUAL_CHAIN = "P=2,AI=2,AO=3,BI=3,BO=2,F=2"
 INDENTED = "indented-d3d.json"
@@ -82,6 +85,8 @@ def op_list() -> list[list[str]]:
             ("d3d", ["d3d"])]:
         ops.append(["build", *build, "--out", f"{tag}.json", "--json"])
         ops += two_slot_ops(tag, f"{tag}.json")
+    ops += [["verify", "switch2.json", "--kind", "pure-superchannel", "--dims", dims, "--json"]
+            for dims in SWITCH2_DIMS]
     for name in FIXTURES:
         ops += two_slot_ops(f"fixture-{name}", f"fixture-{name}.json")
     ops.append(["assemble", "dec-switch3.block-ab.json", "dec-switch3.block-ba.json",
