@@ -32,8 +32,8 @@ from .errors import VerificationError
 from .layouts import SlotLayout
 from .spaces import TOL, LinOp, Spaces, compose, is_unitary, permute_systems
 
-# rows and columns of one tile of the Hermitian pass and of twoslot's
-# C + C^dagger: 256^2 complex entries, 1 MiB
+# rows and columns of one tile of the Hermitian pass: 256^2 complex
+# entries, 1 MiB
 _TILE = 256
 
 

@@ -12,22 +12,20 @@ the blocks, slices of U in the stacked block bases.
 Each split is one orthonormal frame of two nested ``eigh`` cuts at ``tol``:
 the reverse part and its complement, then forward and parallel inside it.
 
-The future-traced check works on each embedded block's rank-<=d_F factor
-M_k, Tr_F of whose Choi operator is M_k M_k^dagger, and never forms a
-traced operator: its residual is the max-abs of C + C^dagger, C = M_ab
-M_ba^dagger, the cross term of the two blocks' factors, streamed in tiles
-of one fixed size, so memory beyond the factors is bounded by one tile.
-In every case tried this residual has stayed within the assembly's
-unitarity residual.
+The future-traced check never forms a traced operator: Tr_F of each
+embedded block's Choi operator is M_k M_k^dagger for its rank-<=d_F factor
+M_k, and the cross term C + C^dagger, C = M_ab M_ba^dagger, by which the
+traced total exceeds the traced blocks has spectral norm d_AI d_BI
+||f_ab^dagger f_ba||_2 in closed form, read off the two future embeddings.
 
 The joint and signalling residuals are max-abs values of the one
-``combs._signalling`` kernel, the future-traced one of a tiled cross term.
-Each drops, before any product, the row indices where an operand is 0
-throughout (``combs._live``): their entries are exactly 0, and the summed
-dimension and its order are untouched.  The signalling residual cuts per
-input basis state, the joint one once for all, I (x) Tr C included.  The
-paper's worked processes are permutations, where most rows are 0; a dense
-operand is not copied.  The past split keeps every row: its Gram decides.
+``combs._signalling`` kernel.  Each drops, before any product, the row
+indices where an operand is 0 throughout (``combs._live``): their entries
+are exactly 0, and the summed dimension and its order are untouched.
+The signalling residual cuts per input basis state, the joint one once for
+all, I (x) Tr C included.  The paper's worked processes are permutations,
+where most rows are 0; a dense operand is not copied.  The past split
+keeps every row: its Gram decides.
 """
 
 from __future__ import annotations
@@ -37,7 +35,7 @@ import itertools
 
 import numpy as np
 
-from .combs import (_TILE, Verdict, _live, _projector_range, _signalling, _signalling_rows,
+from .combs import (Verdict, _live, _projector_range, _signalling, _signalling_rows,
                     signalling_residual, verify_pure_comb_unitary)
 from .errors import VerificationError
 from .layouts import TwoSlotLayout
@@ -410,10 +408,19 @@ class TraceFutureReport:
 
     Tr_F of block k's Choi operator is M_k M_k^dagger for its rank-<=d_F
     factor M_k[(in, AI, BI), f] = <AI, BI, f| e_k |in>, so the traced sum
-    misses the traced total by C + C^dagger, C = M_ab M_ba^dagger: the
-    cross term of the two factors.  ``residual`` is its max-abs, ``weights``
-    the normalised ||M_k||_F^2, and ``ok`` whether the residual is within
-    ``tol``.  No traced operator is formed or kept."""
+    misses the traced total by C + C^dagger, C = M_ab M_ba^dagger.  With
+    d_s = d_AI d_BI, M_k = (conj(p_k) (x) I) B_k f_k^T for the block's
+    factor B_k in block coordinates and its embeddings p_k, f_k, where
+    B_k^dagger B_k = d_s I as the block is unitary.  So V_k = (conj(p_k)
+    (x) I) B_k / sqrt(d_s) are isometries with orthogonal ranges, as the
+    past embeddings are orthogonal, and with G = f_ab^T conj(f_ba)
+
+        C + C^dagger = d_s [V_ab V_ba] [[0, G], [G^dagger, 0]] [V_ab V_ba]^dagger,
+
+    whose spectral norm is d_s ||f_ab^dagger f_ba||_2.  ``residual`` is that
+    norm, 0 for a one-block split, and bounds the max-abs of C + C^dagger
+    from above; ``weights`` are the normalised ||M_k||_F^2 and ``ok`` whether
+    the residual is within ``tol``.  No traced operator is formed or kept."""
 
     residual: float
     weights: tuple[float, float]
@@ -424,47 +431,18 @@ class TraceFutureReport:
         return self.residual <= self.tol
 
 
-def _future_factor(op: LinOp, layout: TwoSlotLayout) -> np.ndarray:
-    """m[(in, AI, BI), f] = <AI, BI, f| op |in> of a canonically ordered
-    two-slot operator: Tr_F of its Choi operator is m m^dagger."""
-    d_f = layout.future[1]
-    return op.data.reshape(-1, d_f, op.in_space.dim).transpose(2, 0, 1).reshape(-1, d_f)
-
-
-def _cross_residual(a: np.ndarray, b: np.ndarray) -> float:
-    """max|C + C^dagger| for C = a b^dagger, without forming C.
-
-    C + C^dagger = [a b] [b a]^dagger is Hermitian, so only the tiles on
-    and above the diagonal of _TILE x _TILE tiles are formed, one at a time.
-    A row index where [a b], and so [b a], is 0 is a 0 row and column of
-    C + C^dagger, so those rows are dropped first (``_live``) and the tiles
-    cover the kept principal submatrix.
-    """
-    x, y = _live(np.hstack([a, b])), _live(np.hstack([b, a]).conj())
-    n, worst = len(x), 0.0
-    for i in range(0, n, _TILE):
-        rows = x[i:i + _TILE]
-        for j in range(i, n, _TILE):
-            worst = max(worst, float(np.abs(rows @ y[j:j + _TILE].T).max()))
-    return worst
-
-
 def trace_future_check(d: DirectSumDecomp, tol: float = TOL) -> TraceFutureReport:
     """The future-traced identity of ``d``, passing within ``tol``; the
     assembled operator must be unitary within the same ``tol``.
 
-    Each block is embedded once (``_embedded``) and reduced to its factor
-    M_k, which the report does not keep; the residual is the max-abs of
-    C + C^dagger, C = M_ab M_ba^dagger, the cross term by which the traced
-    total exceeds the traced blocks, 0 for a one-block split.  It is
-    streamed in _TILE x _TILE tiles of the upper block triangle, so beyond
-    the factors memory is bounded by one tile.
-    In every case tried the residual has stayed within the assembly's
-    unitarity residual, so the unitarity check at ``tol`` fails first.
+    Each block is embedded once (``_embedded``) for the assembly's check
+    and the weights ||M_k||_F^2 = ||e_k||_F^2; the residual is the closed
+    form of ``TraceFutureReport``, 0 for a one-block split.
     """
     embedded = _embedded(d, tol)[0]
-    factors = [None if e is None else _future_factor(e, d.layout) for e in embedded]
-    present = [m for m in factors if m is not None]
-    residual = _cross_residual(*present) if len(present) == 2 else 0.0
-    weights = [0.0 if m is None else float(np.vdot(m, m).real) for m in factors]
+    residual = 0.0
+    if None not in embedded:
+        d_s = d.layout.a_in[1] * d.layout.b_in[1]
+        residual = d_s * float(np.linalg.norm(d.f_embed_ab.conj().T @ d.f_embed_ba, 2))
+    weights = [0.0 if e is None else float(np.vdot(e.data, e.data).real) for e in embedded]
     return TraceFutureReport(residual, tuple(w / sum(weights) for w in weights), tol)

@@ -51,10 +51,10 @@ over the vector families.
 
 The future-traced reference is the dense form ``trace_future_check``
 once took: Tr_F of the Choi operator of the assembled operator and of each
-embedded block, each formed as a (D^2/d_F)^2 matrix, the residual the
-max-abs of the total minus the block sum and the weights the traces.  The
-factored check's cross-term residual and factor norms must agree with it
-to rounding.
+embedded block, each formed as a (D^2/d_F)^2 matrix, the max-abs and the
+spectral norm of the total minus the block sum, and the weights the
+traces.  The library's closed-form residual must equal that spectral norm
+to rounding and so bound the max-abs, and its weights must agree.
 
 The signalling reference is the generator the library once exported as
 ``combs.signalling_components``: each component C - I_r (x) Tr_r C / d_r
@@ -89,6 +89,9 @@ answer: ``lugano_process`` is the purified three-slot Lugano process, and
 ``plugged_lugano`` plugs one of its slots (C unless told otherwise) with
 a Haar unitary that carries an environment from past to future, which
 leaves a two-slot map whose direct-sum blocks no constructor wrote down.
+``nested_switch`` is another such input: a switch in slot A of a switch
+twice its dimension, with the inner second slot or the outer slot B
+plugged the same way.
 
 The rest are small references that only tests call, moved here from the
 package: ``basis_state``, ``kron_vec`` and ``partial_transpose`` on labeled
@@ -106,7 +109,7 @@ import math
 
 import numpy as np
 
-from purecomb.builders import ancilla_chain, haar_unitary
+from purecomb.builders import ancilla_chain, build_quantum_switch, haar_unitary
 from purecomb.choi import ChoiOp, link_product
 from purecomb.combs import CombCircuit, compose_staircase
 from purecomb.errors import VerificationError
@@ -137,7 +140,7 @@ from purecomb.subspaces import (
     sum_subspaces,
 )
 from purecomb.layouts import SlotLayout, TwoSlotLayout
-from purecomb.twoslot import _TILE, SubspaceTriple, assemble, embed_block
+from purecomb.twoslot import SubspaceTriple, assemble, embed_block
 
 
 def basis_state(spaces, index):
@@ -572,28 +575,17 @@ def future_traced_choi(op, layout):
 
 
 def reference_trace_future(d, tol=TOL):
-    """Residual and weights of the future-traced check of a decomposition,
-    from the dense traced total and traced blocks."""
+    """Max-abs and spectral norm of the traced total minus the traced
+    blocks of a decomposition, and the weights, from the dense traced total
+    and traced blocks."""
     layout = d.layout
     traced_total = future_traced_choi(assemble(d, tol), layout)
     traced = [None if blk is None else future_traced_choi(embed_block(blk, p_e, f_e, layout), layout)
               for blk, p_e, f_e in d.parts().values()]
-    residual = float(np.abs(traced_total.data - sum(t.data for t in traced if t is not None)).max())
+    diff = traced_total.data - sum(t.data for t in traced if t is not None)
     weights = [0.0 if t is None else float(np.trace(t.data).real) for t in traced]
-    return residual, tuple(w / sum(weights) for w in weights)
-
-
-def reference_cross_residual(a, b):
-    """max|C + C^dagger| for C = a b^dagger over the upper tiles of every
-    row, zero rows included: the scan ``twoslot._cross_residual`` runs on
-    the rows where [a b] is nonzero, which must give the same float."""
-    x, y = np.hstack([a, b]), np.hstack([b, a]).conj()
-    n, worst = len(x), 0.0
-    for i in range(0, n, _TILE):
-        rows = x[i:i + _TILE]
-        for j in range(i, n, _TILE):
-            worst = max(worst, float(np.abs(rows @ y[j:j + _TILE].T).max()))
-    return worst
+    return (float(np.abs(diff).max()), float(np.linalg.norm(diff, 2)),
+            tuple(w / sum(weights) for w in weights))
 
 
 def square_two_slot_layout(p_ab, p_ba):
@@ -653,6 +645,29 @@ def inserted(u, layout, v0, v1, k, inner):
     lay = TwoSlotLayout((layout.past, (layout.a_in[0], inner), (layout.a_out[0], inner),
                          *layout.factors[3:]))
     return LinOp(lay.out_space(), lay.in_space(), w.reshape(lay.out_space().dim, -1)), lay
+
+
+def nested_switch(d_outer, d_inner, plug, k, rng):
+    """The d_inner switch in slot A of the d_outer switch (d_outer = 2
+    d_inner: the outer AI feeds the inner past, the inner future feeds the
+    outer AO), a three-slot process on the inner slots A', B' and the outer
+    slot B, with one slot plugged by a Haar unitary V on its input (x) E ->
+    its output (x) E, k = dim E: ``plug`` "inner" plugs B', "outer" plugs
+    B.  Returned are the two-slot map on A' and the unplugged slot, past
+    P (x) E and future F (x) E (composite index x k + e), and its layout."""
+    assert d_outer == 2 * d_inner
+    (uo, lo), (ui, li) = build_quantum_switch(d_outer), build_quantum_switch(d_inner)
+    to = lo.canonical(uo).data.reshape(lo.out_space().dims + lo.in_space().dims)
+    ti = li.canonical(ui).data.reshape(li.out_space().dims + li.in_space().dims)
+    # w[a'i, b'i, bi, f, p, a'o, b'o, bo]: the loops through AI and AO summed
+    w = np.einsum("mbfpnq,ijnmxy->ijbfpxyq", to, ti)
+    d_b, d_plug = (d_outer, d_inner) if plug == "inner" else (d_inner, d_outer)
+    v = haar_unitary(d_plug * k, rng).reshape(d_plug, k, d_plug, k)  # plugged output e', input e
+    spec = "ijbfpxyq,ydje->ibfdpexq" if plug == "inner" else "ijbfpxyq,qdbe->ijfdpexy"
+    layout = TwoSlotLayout.of(("P", 2 * d_outer * k), ("AI", d_inner), ("AO", d_inner),
+                              ("BI", d_b), ("BO", d_b), ("F", 2 * d_outer * k))
+    w = np.einsum(spec, w, v)
+    return LinOp(layout.out_space(), layout.in_space(), w.reshape(layout.out_space().dim, -1)), layout
 
 
 def reference_matrix_text(op):

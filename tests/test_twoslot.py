@@ -19,9 +19,9 @@ from helpers import (
     kron_restriction,
     locally_rotated,
     lugano_process,
+    nested_switch,
     perturbed,
     plugged_lugano,
-    reference_cross_residual,
     reference_joint_residual,
     reference_past_rows,
     reference_point_triples,
@@ -383,14 +383,27 @@ def _inserted_cases():
     return cases
 
 
+def _nested_cases():
+    """The d=2 switch in slot A of the d=4 switch, its inner second slot or
+    the outer slot B plugged with a k = 1, 2 ancilla, bare and with one
+    ``locally_rotated`` dressing, each with its k."""
+    cases = []
+    for seed, (plug, k) in enumerate(itertools.product(("inner", "outer"), (1, 2))):
+        rng = np.random.default_rng(90 + seed)
+        u, lay = nested_switch(4, 2, plug, k, rng)
+        cases += [(u, lay, k), (locally_rotated(u, rng), lay, k)]
+    return cases
+
+
 def _covariance_cases(direct_sum_pool):
-    """Switch d=2/3/4, d3d, 12 seeded direct sums, plugged Lugano k=1/2/3
-    and the slot-inserted d=4 switch, each in its layout's canonical factor
-    order."""
+    """Switch d=2/3/4, d3d, 12 seeded direct sums, plugged Lugano k=1/2/3,
+    the slot-inserted d=4 switch and the nested switches, each in its
+    layout's canonical factor order."""
     cases = [build_quantum_switch(d) for d in (2, 3, 4)] + [build_d3d_example()]
     cases += [(u, lay) for u, lay, _ in direct_sum_pool[:12]]
     rng = np.random.default_rng(47)
     cases += [plugged_lugano(k, rng) for k in (1, 2, 3)] + _inserted_cases()
+    cases += [(u, lay) for u, lay, _ in _nested_cases()]
     return [(permute_systems(u, lay.in_space().labels + lay.out_space().labels), lay)
             for u, lay in cases]
 
@@ -435,6 +448,18 @@ class TestSlotInsertion:
             assert verify_pure_superchannel(u, lay).ok
             d = direct_sum_decompose(u, lay)
             assert d.triple_p_dims == (4, 0, 4) and d.p_dims == (4, 4)
+            assert phase_distance(assemble(d), u) <= 1e-8
+            assert trace_future_check(d).ok
+
+
+class TestNesting:
+    def test_a_switch_in_a_switch_splits_into_two_ordered_blocks(self):
+        # the inner switch's order rides on the outer target, so neither
+        # block was written down by a constructor
+        for u, lay, k in _nested_cases():
+            assert verify_pure_superchannel(u, lay).ok
+            d = direct_sum_decompose(u, lay)
+            assert d.triple_p_dims == (4 * k, 0, 4 * k)
             assert phase_distance(assemble(d), u) <= 1e-8
             assert trace_future_check(d).ok
 
@@ -1148,8 +1173,7 @@ class TestTraceFutureCheck:
         base, loose = trace_future_check(d), trace_future_check(d, tol=1e-5)
         assert (loose.residual, loose.weights) == (base.residual, base.weights)
         bent = self._bent(d, 1e-6)
-        # the assembly's unitarity residual bounds the traced one, so at the
-        # default tol the tilt fails there first
+        # at the default tol the tilt fails the assembly's unitarity first
         with pytest.raises(VerificationError, match="not unitary"):
             trace_future_check(bent)
         rep = trace_future_check(bent, tol=1e-5)
@@ -1173,25 +1197,29 @@ class TestTraceFutureCheck:
         cases += [(self._bent(d, eps), 1e-3) for d in named for eps in (1e-6, 1e-4)]
         for d, tol in cases:
             rep = trace_future_check(d, tol)
-            residual, weights = reference_trace_future(d, tol)
-            assert abs(rep.residual - residual) <= 1e-15 + 1e-9 * residual
+            max_abs, norm, weights = reference_trace_future(d, tol)
+            assert abs(rep.residual - norm) <= 1e-15 + 1e-9 * norm
+            assert max_abs <= rep.residual
             assert np.abs(np.subtract(rep.weights, weights)).max() <= 1e-12
         assert trace_future_check(one_block).residual == 0.0
         assert trace_future_check(self._bent(named[0], 1e-4), 1e-3).residual > 1e-6
 
-    def test_cross_residual_matches_the_full_scan_exactly(self, decomposed_direct_sums):
-        named = [direct_sum_decompose(*build_quantum_switch(dim)) for dim in (2, 3, 4)]
+    def test_cross_term_fails_where_the_assembly_passes(self):
+        # a tilt by eps moves the assembly's unitarity by eps, and the cross
+        # term's norm by d_AI d_BI eps
+        named = [direct_sum_decompose(*build_quantum_switch(dim)) for dim in (2, 3)]
         named.append(direct_sum_decompose(*build_d3d_example()))
-        cases = [(d, TOL) for d in named + [d for *_, d in decomposed_direct_sums]]
-        # a tilted future embedding keeps the switch's zero rows, off 0
-        cases += [(self._bent(d, 1e-4), 1e-3) for d in named]
-        for d, tol in cases:
-            factors = [twoslot._future_factor(e, d.layout) for e in twoslot._embedded(d, tol)[0]]
-            assert trace_future_check(d, tol).residual == reference_cross_residual(*factors)
+        for d in named:
+            rep = trace_future_check(self._bent(d, 1e-6), 2e-6)
+            d_s = d.layout.a_in[1] * d.layout.b_in[1]
+            assert not rep.ok and abs(rep.residual - d_s * 1e-6) <= 1e-12
 
     @staticmethod
-    def _switch_fits(dim, mib):
-        d = direct_sum_decompose(*build_quantum_switch(dim))
+    def _switch_fits(dim, mib, dressed=False):
+        u, lay = build_quantum_switch(dim)
+        if dressed:
+            u = locally_rotated(u, np.random.default_rng(dim))
+        d = direct_sum_decompose(u, lay)
         tracemalloc.start()  # numpy reports its buffers to tracemalloc
         try:
             rep, peak = trace_future_check(d), tracemalloc.get_traced_memory()[1]
@@ -1208,6 +1236,11 @@ class TestTraceFutureCheck:
     def test_switch_d5_fits_in_memory(self):
         # each dense traced operator would need 596 MiB
         self._switch_fits(5, 64)
+
+    def test_dressed_switch_d5_fits_in_memory(self):
+        # the factor copies and the tile scan of the cross term peaked at
+        # 9.5 MiB; the two embedded blocks and their sum are 2.9 MiB
+        self._switch_fits(5, 6, dressed=True)
 
     def test_invariant_under_local_rotations(self):
         rng = np.random.default_rng(31)
